@@ -50,12 +50,7 @@ from .macroscopics import (
     fundamental_diagram,
     moments,
 )
-from .matrices import (
-    build_chi_tensor,
-    build_delta_tensor_generic,
-    build_delta_tensor_integer,
-    build_grid,
-)
+from .matrices import build_grid, build_tensor
 from .params import (
     ConfigurationError,
     Kernel,
@@ -116,13 +111,7 @@ def _write_manifest(
 
 def _tensor_for(cfg: RunConfig, grid, ratio_obj):
     p = evaluate_probability(cfg.law, cfg.require_rho(), cfg.params)
-    if cfg.params.kernel is Kernel.CHI:
-        if not ratio_obj.is_integer:
-            raise ConfigurationError("spread-kernel grids require integer ratios")
-        return build_chi_tensor(grid, ratio_obj, p)
-    if ratio_obj.is_integer:
-        return build_delta_tensor_integer(grid, ratio_obj, p)
-    return build_delta_tensor_generic(grid, ratio_obj, p)
+    return build_tensor(cfg.params.kernel, grid, ratio_obj, p)
 
 
 def _out_paths(cfg: RunConfig, *names: str) -> list[Path]:

@@ -23,14 +23,7 @@ from .dynamics import (
     integrate,
 )
 from .equilibrium import QuantizedEquilibrium, closed_form_equilibrium, equilibrium_on_grid
-from .matrices import (
-    GridRatio,
-    VelocityGrid,
-    build_chi_tensor,
-    build_delta_tensor_generic,
-    build_delta_tensor_integer,
-    build_grid,
-)
+from .matrices import VelocityGrid, build_grid, build_tensor
 from .params import (
     ConfigurationError,
     Kernel,
@@ -172,7 +165,7 @@ def _spread_sample(task: tuple) -> DiagramSample:
     params, law, ratio, rho, residual_tol, t_max = task
     grid, ratio_obj = build_grid(params, ratio)
     p = evaluate_probability(law, rho, params)
-    tensor = build_chi_tensor(grid, ratio_obj, p)
+    tensor = build_tensor(params.kernel, grid, ratio_obj, p)
     f0 = np.full(grid.n_cells, rho / grid.n_cells)
     converged = True
     try:
@@ -429,7 +422,7 @@ def deceleration_time(
             f"start speed {u0:.6g} already below target {target:.6g}"
         )
     traj = integrate(
-        f0, _delta_tensor(grid, ratio_obj, p), params.eta, t_max,
+        f0, build_tensor(Kernel.DELTA, grid, ratio_obj, p), params.eta, t_max,
         IntegratorControls(store_factor=1.05),
     )
     speeds = traj.states @ grid.centers / rho
@@ -444,9 +437,3 @@ def deceleration_time(
     t0, t1 = traj.times[i - 1], traj.times[i]
     u_prev, u_next = speeds[i - 1], speeds[i]
     return float(t0 + (t1 - t0) * (u_prev - target) / (u_prev - u_next))
-
-
-def _delta_tensor(grid: VelocityGrid, ratio_obj: GridRatio, p: float):
-    if ratio_obj.is_integer:
-        return build_delta_tensor_integer(grid, ratio_obj, p)
-    return build_delta_tensor_generic(grid, ratio_obj, p)

@@ -10,18 +10,23 @@ nonnegative and sum to 1 over j for every (h, k) pair.
 
 Braking and keep-speed terms are identical for both kernels and contribute
 (1 - P) to every (h, k) pair.  Acceleration contributes weight P spread
-over candidate rows only (field-independent), stored here as a dense
-(N, N) weight matrix `accel` with accel[j, h] = acceleration probability
-mass sent from candidate cell h to output cell j.
+over candidate rows only (field-independent): the weight matrix W, with
+W[j, h] the acceleration probability mass sent from candidate cell h to
+output cell j.  Acceleration never lowers the speed and raises it by at
+most ceil(r) cells, so W is lower-banded with bandwidth b <= ceil(r).
+The builders store only that band, an (N, b + 1) array; W @ f costs
+O(N * b) from it, and the dense (N, N) matrix is derived on demand.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable, Union
+from functools import cached_property
+from typing import IO, Callable, Iterable, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .params import ConfigurationError, Kernel, ModelParams
 
@@ -34,6 +39,7 @@ __all__ = [
     "build_delta_tensor_integer",
     "build_delta_tensor_generic",
     "build_chi_tensor",
+    "build_tensor",
     "verify_stochasticity",
     "dump_tensor",
 ]
@@ -152,21 +158,66 @@ class InteractionTensor:
     kernels -- weight (1 - p) on entry (j, j), on row j for columns k > j,
     and on column j for rows h > j -- plus a field-independent acceleration
     part: weight accel[j, h] on every entry of row h.
+
+    The acceleration weights (P baked in) are stored as `band`, an
+    (N, b + 1) array holding row j of accel over columns j - b .. j:
+    band[j, k] = accel[j, j - b + k] (0-based), so column b - d is the d-th
+    lower diagonal.  Entries left of column 0 are zero.  `accel_operator`
+    applies the weights from the band; `accel` is the dense (N, N) matrix,
+    built from the band on first use.  Both arrays are read-only.
     """
 
     kernel: Kernel
     p: float
     grid: VelocityGrid
-    accel: np.ndarray  # (N, N), [j-1, h-1], acceleration weight with P baked in
+    band: np.ndarray
 
     def __post_init__(self):
         n = self.grid.n_cells
-        if self.accel.shape != (n, n):
-            raise ConfigurationError("acceleration weight matrix shape mismatch")
+        if self.band.ndim != 2 or self.band.shape[0] != n or not 1 <= self.band.shape[1] <= n:
+            raise ConfigurationError(
+                f"acceleration band of shape {self.band.shape} does not fit {n} cells"
+            )
+        rows, cols = np.nonzero(self.band)
+        if np.any(rows + cols < self.bandwidth):
+            raise ConfigurationError("acceleration band has weight left of the first cell")
+        self.band.setflags(write=False)
 
     @property
     def n_cells(self) -> int:
         return self.grid.n_cells
+
+    @property
+    def bandwidth(self) -> int:
+        """Largest number of cells an acceleration can move a candidate up."""
+        return self.band.shape[1] - 1
+
+    @cached_property
+    def accel(self) -> np.ndarray:
+        """Dense (N, N) acceleration weights, [j-1, h-1], derived from the band."""
+        n, b = self.n_cells, self.bandwidth
+        rows, cols = np.nonzero(self.band)
+        dense = np.zeros((n, n))
+        dense[rows, rows - b + cols] = self.band[rows, cols]
+        dense.setflags(write=False)
+        return dense
+
+    def accel_operator(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The map f -> accel @ f, computed from the band in O(N * b).
+
+        Row j of the band meets the window f[j - b .. j] of a zero-padded
+        copy of f.  The padded buffer is reused from call to call, so each
+        caller makes its own operator.
+        """
+        band, b = self.band, self.bandwidth
+        padded = np.zeros(self.n_cells + b)
+        windows = sliding_window_view(padded, b + 1)
+
+        def apply(f: np.ndarray) -> np.ndarray:
+            padded[b:] = f
+            return np.vecdot(band, windows)
+
+        return apply
 
     def matrix(self, j: int) -> np.ndarray:
         """Dense matrix A^j for 1-based output-cell index j."""
@@ -191,7 +242,7 @@ class InteractionTensor:
         total = f.sum()
         above = np.concatenate((np.cumsum(f[::-1])[::-1][1:], [0.0]))
         braking = (1.0 - self.p) * f * (f + 2.0 * above)
-        return braking + (self.accel @ f) * total
+        return braking + self.accel_operator()(f) * total
 
 
 def build_grid(params: ModelParams, r: Union[int, float, Fraction]) -> tuple[VelocityGrid, GridRatio]:
@@ -233,11 +284,10 @@ def build_delta_tensor_integer(grid: VelocityGrid, ratio: GridRatio, p: float) -
     r = int(ratio.fraction)
     if r > n - 1:
         raise ConfigurationError(f"jump spans {r} cells but the grid has only {n}")
-    accel = np.zeros((n, n))
-    for j in range(r + 1, n):  # 1-based output cells r+1 .. N-1
-        accel[j - 1, j - 1 - r] = p
-    accel[n - 1, n - 1 - r:] += p
-    return InteractionTensor(kernel=Kernel.DELTA, p=p, grid=grid, accel=accel)
+    band = np.zeros((n, r + 1))
+    band[r:n - 1, 0] = p  # 1-based output cells r+1 .. N-1, candidate j - r
+    band[n - 1, :] = p    # top cell, candidates N - r .. N
+    return InteractionTensor(kernel=Kernel.DELTA, p=p, grid=grid, band=band)
 
 
 def build_delta_tensor_generic(grid: VelocityGrid, ratio: GridRatio, p: float) -> InteractionTensor:
@@ -295,16 +345,18 @@ def build_delta_tensor_generic(grid: VelocityGrid, ratio: GridRatio, p: float) -
     for h in range(n - cp + 2, n + 1):
         add(n, h, Fraction(1))
 
-    accel = np.zeros((n, n))
     for (j, h), weight in w.items():
-        if not (1 <= j <= n and 1 <= h <= n):
+        if not 1 <= h <= j <= n:
             raise ConfigurationError(
                 f"acceleration weight out of range: output {j}, candidate {h}"
             )
         if weight < 0:
             raise ConfigurationError(f"negative acceleration weight at ({j}, {h})")
-        accel[j - 1, h - 1] += p * float(weight)
-    return InteractionTensor(kernel=Kernel.DELTA, p=p, grid=grid, accel=accel)
+    b = max(j - h for j, h in w)
+    band = np.zeros((n, b + 1))
+    for (j, h), weight in w.items():
+        band[j - 1, b - (j - h)] += p * float(weight)
+    return InteractionTensor(kernel=Kernel.DELTA, p=p, grid=grid, band=band)
 
 
 def build_chi_tensor(grid: VelocityGrid, ratio: GridRatio, p: float) -> InteractionTensor:
@@ -317,6 +369,8 @@ def build_chi_tensor(grid: VelocityGrid, ratio: GridRatio, p: float) -> Interact
     uniform on the shrinking window [x, v_max], giving logarithmic weights.
     Valid for every integer r >= 1 and any N >= r + 1, including grids too
     small for the saturated and unsaturated index ranges to stay disjoint.
+    Costs O(N*r + r^2): only the bottom cell and the top r + 1 cells are
+    integrated one output cell at a time.
     """
     _check_probability(p)
     if not ratio.is_integer:
@@ -326,48 +380,81 @@ def build_chi_tensor(grid: VelocityGrid, ratio: GridRatio, p: float) -> Interact
     if not 1 <= r <= n - 1:
         raise ConfigurationError(f"jump of {r} cells incompatible with {n}-cell grid")
     m = n - 1              # v_max in units of dv
-    sat = m - r            # candidate speeds above this saturate at v_max
-
-    def edges(j: int) -> tuple[float, float]:
-        return (max(j - 1.5, 0.0), min(j - 0.5, float(m)))
-
-    accel = np.zeros((n, n))
-    for h in range(1, n + 1):
-        lo_h, hi_h = edges(h)
-        width_h = hi_h - lo_h
-        for j in range(h, n + 1):  # acceleration never lowers the speed
-            lo_j, hi_j = edges(j)
-            total = 0.0
-            # Unsaturated part: window overlap is piecewise linear with
-            # breakpoints where the window edge crosses a cell edge.
-            a, b = lo_h, min(hi_h, sat)
-            if b > a:
-                pts = sorted({a, b, *(
-                    q for q in (lo_j - r, hi_j - r, lo_j, hi_j) if a < q < b
-                )})
-                part = 0.0
-                for x1, x2 in zip(pts, pts[1:]):
-                    w1 = max(0.0, min(x1 + r, hi_j) - max(x1, lo_j))
-                    w2 = max(0.0, min(x2 + r, hi_j) - max(x2, lo_j))
-                    part += 0.5 * (w1 + w2) * (x2 - x1)
-                total += part / r
-            # Saturated part: output uniform on [x, m], density 1/(m - x).
-            a, b = max(lo_h, sat), hi_h
-            if b > a:
-                pts = sorted({a, b, *(q for q in (lo_j, hi_j) if a < q < b)})
-                part = 0.0
-                for x1, x2 in zip(pts, pts[1:]):
-                    if x2 <= lo_j:
-                        part += (hi_j - lo_j) * math.log((m - x1) / (m - x2))
-                    elif x1 >= lo_j and x2 <= hi_j:
-                        part += x2 - x1
-                        if hi_j < m:
-                            part -= (m - hi_j) * math.log((m - x1) / (m - x2))
-                    # segments beyond hi_j contribute nothing
-                total += part
+    band = np.zeros((n, r + 1))
+    # Candidate cells 2 .. N-r-1 are full-width, never saturate and reach
+    # only full-width cells, so their weights depend on j - h alone: one
+    # column, evaluated exactly on the half-integer edges, fills each diagonal.
+    interior_end = n - r   # one past the last such candidate cell
+    if interior_end > 2:
+        for d in range(r + 1):
+            band[1 + d:interior_end - 1 + d, r - d] = p * _chi_cell_mass(2, 2 + d, m, r)
+    for h in (1, *range(max(interior_end, 2), n + 1)):
+        lo_h, hi_h = _cell_edges(h, m)
+        for j in range(h, min(h + r, n) + 1):  # acceleration never lowers the speed
+            total = _chi_cell_mass(h, j, m, r)
             if total:
-                accel[j - 1, h - 1] = p * total / width_h
-    return InteractionTensor(kernel=Kernel.CHI, p=p, grid=grid, accel=accel)
+                band[j - 1, r - (j - h)] = p * total / (hi_h - lo_h)
+    return InteractionTensor(kernel=Kernel.CHI, p=p, grid=grid, band=band)
+
+
+def _cell_edges(j: int, m: int) -> tuple[float, float]:
+    """Edges of 1-based cell j in units of dv on a grid spanning [0, m]."""
+    return (max(j - 1.5, 0.0), min(j - 0.5, float(m)))
+
+
+def _chi_cell_mass(h: int, j: int, m: int, r: int) -> float:
+    """Spread-kernel mass sent from candidate cell h to cell j.
+
+    The chance of landing in cell j, integrated over candidate speeds in
+    cell h (units of dv); dividing by the width of cell h gives the weight.
+    Below the saturation speed m - r every breakpoint is a half-integer, so
+    the trapezoid sums are exact and only the final division by r rounds.
+    """
+    sat = m - r            # candidate speeds above this saturate at v_max
+    lo_h, hi_h = _cell_edges(h, m)
+    lo_j, hi_j = _cell_edges(j, m)
+    total = 0.0
+    # Unsaturated part: window overlap is piecewise linear with
+    # breakpoints where the window edge crosses a cell edge.
+    a, b = lo_h, min(hi_h, sat)
+    if b > a:
+        pts = sorted({a, b, *(
+            q for q in (lo_j - r, hi_j - r, lo_j, hi_j) if a < q < b
+        )})
+        part = 0.0
+        for x1, x2 in zip(pts, pts[1:]):
+            w1 = max(0.0, min(x1 + r, hi_j) - max(x1, lo_j))
+            w2 = max(0.0, min(x2 + r, hi_j) - max(x2, lo_j))
+            part += 0.5 * (w1 + w2) * (x2 - x1)
+        total += part / r
+    # Saturated part: output uniform on [x, m], density 1/(m - x).
+    a, b = max(lo_h, sat), hi_h
+    if b > a:
+        pts = sorted({a, b, *(q for q in (lo_j, hi_j) if a < q < b)})
+        part = 0.0
+        for x1, x2 in zip(pts, pts[1:]):
+            if x2 <= lo_j:
+                part += (hi_j - lo_j) * math.log((m - x1) / (m - x2))
+            elif x1 >= lo_j and x2 <= hi_j:
+                part += x2 - x1
+                if hi_j < m:
+                    part -= (m - hi_j) * math.log((m - x1) / (m - x2))
+            # segments beyond hi_j contribute nothing
+        total += part
+    return total
+
+
+def build_tensor(kernel: Kernel, grid: VelocityGrid, ratio: GridRatio, p: float) -> InteractionTensor:
+    """Tensor of either kernel on this grid at braking level p.
+
+    Dispatches to the spread builder, or to the integer or generic
+    jump-kernel builder by the ratio.
+    """
+    if kernel is Kernel.CHI:
+        return build_chi_tensor(grid, ratio, p)
+    if ratio.is_integer:
+        return build_delta_tensor_integer(grid, ratio, p)
+    return build_delta_tensor_generic(grid, ratio, p)
 
 
 def verify_stochasticity(

@@ -6,10 +6,13 @@ jump-kernel weights, adaptive quadrature of the defining kernel for the
 spread weights, 60-digit arithmetic with the naive root formula for the
 equilibrium recursion, a dense einsum for the collision right-hand side,
 and an eigenvalue computation for decay rates.  Agreement is then evidence,
-not circularity.
+not circularity.  One routine is a reference rather than an oracle: the
+original pairwise spread builder, which the banded builder must match bit
+for bit.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -87,6 +90,55 @@ def chi_accel_quad(n: int, r: int) -> np.ndarray:
                 total += val
             out[j - 1, h - 1] = total / width
     return out
+
+
+def chi_accel_pairwise(n: int, r: int, p: float) -> np.ndarray:
+    """Spread-kernel acceleration weights, one (candidate, output) pair at a time.
+
+    The package's original O(N^2) builder, kept as the reference for the
+    banded one: the same exact trapezoid and logarithm integrals, evaluated
+    for every pair j >= h with no assumption about which weights repeat or
+    vanish, so the band builder must reproduce it bit for bit.
+    """
+    m = n - 1
+    sat = m - r
+
+    def edges(j: int) -> tuple[float, float]:
+        return (max(j - 1.5, 0.0), min(j - 0.5, float(m)))
+
+    accel = np.zeros((n, n))
+    for h in range(1, n + 1):
+        lo_h, hi_h = edges(h)
+        width_h = hi_h - lo_h
+        for j in range(h, n + 1):
+            lo_j, hi_j = edges(j)
+            total = 0.0
+            a, b = lo_h, min(hi_h, sat)
+            if b > a:
+                pts = sorted({a, b, *(
+                    q for q in (lo_j - r, hi_j - r, lo_j, hi_j) if a < q < b
+                )})
+                part = 0.0
+                for x1, x2 in zip(pts, pts[1:]):
+                    w1 = max(0.0, min(x1 + r, hi_j) - max(x1, lo_j))
+                    w2 = max(0.0, min(x2 + r, hi_j) - max(x2, lo_j))
+                    part += 0.5 * (w1 + w2) * (x2 - x1)
+                total += part / r
+            a, b = max(lo_h, sat), hi_h
+            if b > a:
+                pts = sorted({a, b, *(q for q in (lo_j, hi_j) if a < q < b)})
+                part = 0.0
+                for x1, x2 in zip(pts, pts[1:]):
+                    if x2 <= lo_j:
+                        part += (hi_j - lo_j) * math.log((m - x1) / (m - x2))
+                    elif x1 >= lo_j and x2 <= hi_j:
+                        part += x2 - x1
+                        if hi_j < m:
+                            part -= (m - hi_j) * math.log((m - x1) / (m - x2))
+                total += part
+            if total:
+                accel[j - 1, h - 1] = p * total / width_h
+    return accel
 
 
 def equilibrium_mp(rho: float, p: float, n_jumps: int, dps: int = 60) -> list[float]:

@@ -27,6 +27,7 @@ from kinetic_traffic import (
     build_chi_tensor,
     build_delta_tensor_generic,
     build_delta_tensor_integer,
+    build_tensor,
     closed_form_equilibrium,
     collision_rhs,
     compare_diagrams,
@@ -75,12 +76,9 @@ def run_uniform(rho, n_jumps, ratio, builder=None, p=None) -> SteadyRun:
     grid = VelocityGrid(n_cells=n, v_max=1.0)
     p = (1.0 - rho) if p is None else p
     if builder is None:
-        builder = (
-            build_delta_tensor_integer
-            if ratio.denominator == 1
-            else build_delta_tensor_generic
-        )
-    tensor = builder(grid, GridRatio(ratio), p)
+        tensor = build_tensor(Kernel.DELTA, grid, GridRatio(ratio), p)
+    else:
+        tensor = builder(grid, GridRatio(ratio), p)
     f0 = np.full(n, rho / n)
     try:
         state = find_steady_state(

@@ -4,9 +4,11 @@ The packaged right-hand side is compared against a dense einsum oracle, the
 integrator against conservation laws and known fixed points, and the rate
 fitter against synthetic exponentials plus the linearization spectrum.
 """
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from kinetic_traffic import (
@@ -33,6 +35,7 @@ from kinetic_traffic import (
     staircase_distance,
     unstable_equilibrium,
 )
+from kinetic_traffic.dynamics import _make_jac
 
 from _oracles import dense_jacobian, dense_rhs, slowest_decay_rate
 
@@ -55,13 +58,14 @@ class TestCollisionRhs:
     @pytest.mark.parametrize("t_jumps,r,builder", TENSOR_ZOO)
     @pytest.mark.parametrize("p", [0.0, 0.35, 0.5, 1.0])
     def test_matches_dense_oracle(self, t_jumps, r, builder, p):
+        # relative to eta * rho^2, the size of the gain and loss terms
         grid, tensor = zoo_tensor(t_jumps, r, builder, p)
         rng = np.random.default_rng(7)
         for _ in range(5):
             f = rng.uniform(0.0, 0.2, grid.n_cells)
             got = collision_rhs(f, tensor, 2.0)
             want = dense_rhs(f, tensor, 2.0)
-            assert np.abs(got - want).max() <= 1e-13
+            assert np.abs(got - want).max() <= 1e-15 * 2.0 * f.sum() ** 2
 
     @pytest.mark.parametrize("t_jumps,r,builder", TENSOR_ZOO)
     def test_conserves_mass(self, t_jumps, r, builder):
@@ -84,6 +88,37 @@ class TestCollisionRhs:
         _, tensor = zoo_tensor(3, Fraction(2), build_delta_tensor_integer, 0.4)
         with pytest.raises(ConfigurationError):
             collision_rhs(np.full(5, 0.1), tensor, 1.0)
+
+    def test_band_product_allocates_no_square_array(self):
+        # one dense (N, N) float64 array at N=1001 would take 8 MB
+        grid = VelocityGrid(n_cells=1001, v_max=1.0)
+        tensor = build_chi_tensor(grid, GridRatio(Fraction(100)), 0.4)
+        f = np.full(grid.n_cells, 0.6 / grid.n_cells)
+        tracemalloc.start()
+        try:
+            collision_rhs(f, tensor, 1.0)
+            rhs_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            integrate(f, tensor, 1.0, 1.0)
+            rk4_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rhs_peak < 1_000_000
+        assert rk4_peak < 1_000_000
+
+
+class TestSteadyStateJacobian:
+    @pytest.mark.parametrize("t_jumps,r,builder", TENSOR_ZOO)
+    @pytest.mark.parametrize("p", [0.0, 0.35, 0.5, 1.0])
+    def test_matches_dense_oracle(self, t_jumps, r, builder, p):
+        # relative to eta * rho, the size of the entries
+        grid, tensor = zoo_tensor(t_jumps, r, builder, p)
+        jac = _make_jac(tensor, 2.0)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            f = rng.uniform(0.0, 0.2, grid.n_cells)
+            want = dense_jacobian(f, tensor, 2.0)
+            assert np.abs(jac(f) - want).max() <= 1e-15 * 2.0 * f.sum()
 
 
 class TestJacobianOracle:

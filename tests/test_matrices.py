@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from kinetic_traffic import (
     ConfigurationError,
     GridRatio,
+    InteractionTensor,
     Kernel,
     ModelParams,
     VelocityGrid,
@@ -23,11 +24,12 @@ from kinetic_traffic import (
     build_delta_tensor_generic,
     build_delta_tensor_integer,
     build_grid,
+    build_tensor,
     dump_tensor,
     verify_stochasticity,
 )
 
-from _oracles import chi_accel_quad, delta_accel_exact
+from _oracles import chi_accel_pairwise, chi_accel_quad, delta_accel_exact
 
 # integer ladders plus non-integer ratios, including half-integer ties
 INTEGER_CASES = [(t, Fraction(r)) for t in (1, 3, 5) for r in (1, 2, 4, 20)]
@@ -176,6 +178,18 @@ class TestSpreadTensorAgainstQuadrature:
         ref = 0.7 * chi_accel_quad(grid.n_cells, r)
         assert np.abs(tensor.accel - ref).max() <= 1e-12
 
+    @pytest.mark.parametrize(
+        "t_jumps,r",
+        [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 2),
+         (3, 7), (6, 5), (2, 20), (4, 100)],
+    )
+    def test_band_builder_matches_pairwise_builder(self, t_jumps, r):
+        # N = 2 .. 401, including grids with no translation-invariant column
+        grid = make_grid(t_jumps, Fraction(r))
+        tensor = build_chi_tensor(grid, GridRatio(Fraction(r)), 0.7)
+        assert tensor.bandwidth == r
+        assert np.array_equal(tensor.accel, chi_accel_pairwise(grid.n_cells, r, 0.7))
+
     @pytest.mark.parametrize("r", [1, 2, 20])
     def test_closed_form_spot_values(self, r):
         p = 0.6
@@ -212,6 +226,39 @@ class TestSpreadTensorAgainstQuadrature:
         delta = build_delta_tensor_integer(grid, GridRatio(Fraction(r)), p)
         gap = np.abs(chi.matrix(1) - delta.matrix(1)).max()
         assert gap == pytest.approx(p / (4 * r), rel=1e-12)
+
+
+class TestBand:
+    @pytest.mark.parametrize("t_jumps,r", INTEGER_CASES + GENERIC_CASES)
+    def test_bandwidth_and_band_product(self, t_jumps, r):
+        grid = make_grid(t_jumps, r)
+        for kernel in (Kernel.DELTA, Kernel.CHI) if r.denominator == 1 else (Kernel.DELTA,):
+            tensor = build_tensor(kernel, grid, GridRatio(r), 0.85)
+            assert tensor.bandwidth <= math.ceil(r)
+            f = np.random.default_rng(1).uniform(0.0, 0.2, grid.n_cells)
+            assert np.abs(tensor.accel_operator()(f) - tensor.accel @ f).max() <= 1e-15
+
+    def test_dispatch_picks_the_builder(self):
+        grid = make_grid(3, Fraction(14, 3))
+        ratio = GridRatio(Fraction(14, 3))
+        generic = build_tensor(Kernel.DELTA, grid, ratio, 0.4)
+        assert np.array_equal(generic.accel, build_delta_tensor_generic(grid, ratio, 0.4).accel)
+        with pytest.raises(ConfigurationError):
+            build_tensor(Kernel.CHI, grid, ratio, 0.4)
+        grid = make_grid(3, Fraction(2))
+        ratio = GridRatio(Fraction(2))
+        assert build_tensor(Kernel.CHI, grid, ratio, 0.4).kernel is Kernel.CHI
+        jump = build_tensor(Kernel.DELTA, grid, ratio, 0.4)
+        assert np.array_equal(jump.band, build_delta_tensor_integer(grid, ratio, 0.4).band)
+
+    def test_weight_below_the_first_cell_rejected(self):
+        grid = VelocityGrid(n_cells=4, v_max=1.0)
+        band = np.zeros((4, 2))
+        band[0, 0] = 0.5  # row 1 has no cell below it
+        with pytest.raises(ConfigurationError):
+            InteractionTensor(kernel=Kernel.DELTA, p=0.5, grid=grid, band=band)
+        with pytest.raises(ConfigurationError):
+            InteractionTensor(kernel=Kernel.DELTA, p=0.5, grid=grid, band=np.zeros((3, 2)))
 
 
 class TestStochasticity:
