@@ -52,6 +52,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 NEGATIVITY_TOL = -1e-12
+DRIFT_TOL = 1e-10
 
 
 class NumericalError(RuntimeError):
@@ -122,10 +123,6 @@ class Trajectory:
         totals = self.states.sum(axis=1)
         return float(np.abs(totals - totals[0]).max())
 
-    @property
-    def min_component(self) -> float:
-        return float(self.states.min())
-
 
 @dataclass(frozen=True)
 class TimeSeries:
@@ -155,7 +152,6 @@ class IntegratorControls:
     step: Optional[float] = None
     store_factor: float = 1.2
     sample_times: Optional[Sequence[float]] = None
-    drift_tol: float = 1e-10
 
     def __post_init__(self):
         if self.step is not None and self.step <= 0:
@@ -246,7 +242,7 @@ def integrate(
     """Classical fourth-order Runge-Kutta with a fixed step.
 
     The default step 0.1/(eta*rho) resolves the quadratic timescale with a
-    wide stability margin.  Mass drift beyond drift_tol or negativity
+    wide stability margin.  Mass drift beyond 1e-10 or negativity
     beyond -1e-12 abort the run; negative components above that tolerance
     are clamped to zero with a logged warning.
     """
@@ -296,9 +292,9 @@ def integrate(
     if clamped:
         logger.warning("clamped %d slightly negative components to zero", clamped)
     drift = abs(f.sum() - rho0)
-    if drift > controls.drift_tol:
+    if drift > DRIFT_TOL:
         raise NumericalError(
-            f"mass drift {drift:.3e} exceeds budget {controls.drift_tol:.0e}"
+            f"mass drift {drift:.3e} exceeds budget {DRIFT_TOL:.0e}"
         )
     residual = float(np.abs(rhs(f)).max())
     return Trajectory(

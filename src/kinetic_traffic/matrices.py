@@ -14,16 +14,19 @@ over candidate rows only (field-independent): the weight matrix W, with
 W[j, h] the acceleration probability mass sent from candidate cell h to
 output cell j.  Acceleration never lowers the speed and raises it by at
 most ceil(r) cells, so W is lower-banded with bandwidth b <= ceil(r).
-The builders store only that band, an (N, b + 1) array; W @ f costs
-O(N * b) from it, and the dense (N, N) matrix is derived on demand.
+The builders store only that band, an (N, b + 1) array, and the band plus
+P is the whole tensor: W @ f costs O(N * b) from it, stochasticity reduces
+to every column of W summing to P, and the dense (N, N) matrix is derived
+on demand for the steady-state solver.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import IO, Callable, Iterable, Union
+from typing import Callable, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -41,7 +44,6 @@ __all__ = [
     "build_chi_tensor",
     "build_tensor",
     "verify_stochasticity",
-    "dump_tensor",
 ]
 
 
@@ -68,16 +70,6 @@ class VelocityGrid:
         return self.v_max / (self.n_cells - 1)
 
     @property
-    def cells(self) -> list[tuple[float, float]]:
-        dv = self.dv
-        out = []
-        for j in range(1, self.n_cells + 1):
-            lo = max((j - 1.5) * dv, 0.0)
-            hi = min((j - 0.5) * dv, self.v_max)
-            out.append((lo, hi))
-        return out
-
-    @property
     def centers(self) -> np.ndarray:
         dv = self.dv
         c = np.arange(self.n_cells, dtype=float) * dv
@@ -98,37 +90,34 @@ class GridRatio:
 
     Carried as an exact Fraction so that the ceiling arithmetic in the
     generic-ratio tensor builder has no floating-point tie hazards (r equal
-    to an integer plus one half is an exact tie case).
+    to an integer plus one half is an exact tie case).  Integers and
+    Fractions are taken as they are; a float must be a rational within
+    1e-9 relative of a fraction with denominator at most 10**9.
     """
 
     fraction: Fraction
 
     def __post_init__(self):
-        if self.fraction <= 0:
+        r = self.fraction
+        if isinstance(r, numbers.Rational):
+            frac = Fraction(r)
+        elif isinstance(r, numbers.Real) and math.isfinite(r):
+            frac = Fraction(r).limit_denominator(10**9)
+            if abs(float(frac) - r) > 1e-9 * max(1.0, abs(r)):
+                raise ConfigurationError(f"grid ratio {r!r} is not a usable rational")
+        else:
+            raise ConfigurationError(f"grid ratio {r!r} is not a finite real number")
+        if frac <= 0:
             raise ConfigurationError("grid ratio r must be positive")
+        object.__setattr__(self, "fraction", frac)
 
     @classmethod
     def from_value(cls, r: Union[int, float, Fraction]) -> "GridRatio":
-        if isinstance(r, Fraction):
-            return cls(r)
-        if isinstance(r, int):
-            return cls(Fraction(r))
-        frac = Fraction(r).limit_denominator(10**9)
-        if abs(float(frac) - r) > 1e-9 * max(1.0, abs(r)):
-            raise ConfigurationError(f"grid ratio {r!r} is not a usable rational")
-        return cls(frac)
+        return cls(r)
 
     @property
     def r(self) -> float:
         return float(self.fraction)
-
-    @property
-    def r_plus(self) -> float:
-        return float(self.fraction + Fraction(1, 2))
-
-    @property
-    def r_minus(self) -> float:
-        return float(self.fraction - Fraction(1, 2))
 
     @property
     def is_integer(self) -> bool:
@@ -137,10 +126,14 @@ class GridRatio:
 
 @dataclass(frozen=True)
 class StochasticityReport:
-    """Worst column-sum deviation over all (h, k) pairs, 1-based indices."""
+    """Worst deviation of an acceleration column sum from P.
+
+    Braking adds exactly 1 - P to every (h, k) pair, so the deviation from
+    one depends only on the candidate cell h; worst_cell is 1-based.
+    """
 
     max_deviation: float
-    worst_pair: tuple[int, int]
+    worst_cell: int
     tol: float
 
     @property
@@ -157,14 +150,16 @@ class InteractionTensor:
     Matrix j decomposes as a braking/keep-speed part, identical for both
     kernels -- weight (1 - p) on entry (j, j), on row j for columns k > j,
     and on column j for rows h > j -- plus a field-independent acceleration
-    part: weight accel[j, h] on every entry of row h.
+    part: weight accel[j, h] on every entry of row h.  The band and p are
+    all that is stored; no (N, N, N) array is ever built.
 
     The acceleration weights (P baked in) are stored as `band`, an
     (N, b + 1) array holding row j of accel over columns j - b .. j:
     band[j, k] = accel[j, j - b + k] (0-based), so column b - d is the d-th
     lower diagonal.  Entries left of column 0 are zero.  `accel_operator`
     applies the weights from the band; `accel` is the dense (N, N) matrix,
-    built from the band on first use.  Both arrays are read-only.
+    built from the band on first use for the steady-state solver's
+    Jacobian.  Both arrays are read-only.
     """
 
     kernel: Kernel
@@ -218,31 +213,6 @@ class InteractionTensor:
             return np.vecdot(band, windows)
 
         return apply
-
-    def matrix(self, j: int) -> np.ndarray:
-        """Dense matrix A^j for 1-based output-cell index j."""
-        n = self.n_cells
-        if not 1 <= j <= n:
-            raise ConfigurationError(f"matrix index {j} outside 1..{n}")
-        a = np.zeros((n, n))
-        i = j - 1
-        one_minus_p = 1.0 - self.p
-        a[i, i:] = one_minus_p
-        a[i:, i] = one_minus_p
-        a += self.accel[i][:, None]
-        return a
-
-    def to_dense(self) -> np.ndarray:
-        """Full (N, N, N) array indexed [j, h, k], all 0-based."""
-        return np.stack([self.matrix(j) for j in range(1, self.n_cells + 1)])
-
-    def quadratic_forms(self, f: np.ndarray) -> np.ndarray:
-        """Vector of f^T A^j f for all j, computed from the sparse structure."""
-        f = np.asarray(f, dtype=float)
-        total = f.sum()
-        above = np.concatenate((np.cumsum(f[::-1])[::-1][1:], [0.0]))
-        braking = (1.0 - self.p) * f * (f + 2.0 * above)
-        return braking + self.accel_operator()(f) * total
 
 
 def build_grid(params: ModelParams, r: Union[int, float, Fraction]) -> tuple[VelocityGrid, GridRatio]:
@@ -457,31 +427,19 @@ def build_tensor(kernel: Kernel, grid: VelocityGrid, ratio: GridRatio, p: float)
     return build_delta_tensor_generic(grid, ratio, p)
 
 
-def verify_stochasticity(
-    tensor: Union[InteractionTensor, np.ndarray], tol: float = 1e-12
-) -> StochasticityReport:
+def verify_stochasticity(tensor: InteractionTensor, tol: float = 1e-12) -> StochasticityReport:
     """Check that the matrices sum to one over the output index.
 
-    Accepts either a built tensor or a raw (N, N, N) array indexed
-    [j, h, k] (used by fault-injection tests).  Reports the worst (h, k)
-    pair with 1-based indices.
+    Braking and keep-speed put exactly 1 - p on every (h, k) pair, so the
+    tensor is stochastic when every candidate column of the acceleration
+    weights sums to p.  The column sums are taken from the band, one
+    diagonal at a time: O(N * b) work and no N x N array.
     """
-    dense = tensor.to_dense() if isinstance(tensor, InteractionTensor) else np.asarray(tensor)
-    if dense.ndim != 3 or dense.shape[0] != dense.shape[1] or dense.shape[1] != dense.shape[2]:
-        raise ConfigurationError(f"expected (N, N, N) tensor, got shape {dense.shape}")
-    sums = dense.sum(axis=0)
-    dev = np.abs(sums - 1.0)
-    h, k = np.unravel_index(int(np.argmax(dev)), dev.shape)
-    return StochasticityReport(
-        max_deviation=float(dev[h, k]),
-        worst_pair=(int(h) + 1, int(k) + 1),
-        tol=tol,
-    )
-
-
-def dump_tensor(tensor: InteractionTensor, stream: IO[str], threshold: float = 0.0):
-    """Write nonzero entries as 'j,h,k,value' lines (1-based indices)."""
-    dense = tensor.to_dense()
-    stream.write("j,h,k,value\n")
-    for j, h, k in zip(*np.nonzero(np.abs(dense) > threshold)):
-        stream.write(f"{j + 1},{h + 1},{k + 1},{dense[j, h, k]:.17g}\n")
+    n, b = tensor.n_cells, tensor.bandwidth
+    # band[j, k] sits in column j - b + k, summed into sums[j + k]
+    sums = np.zeros(n + b)
+    for k in range(b + 1):
+        sums[k:k + n] += tensor.band[:, k]
+    dev = np.abs(sums[b:] - tensor.p)
+    h = int(np.argmax(dev))
+    return StochasticityReport(max_deviation=float(dev[h]), worst_cell=h + 1, tol=tol)

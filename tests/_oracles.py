@@ -4,11 +4,11 @@ Every routine here re-derives a quantity from first principles by a route
 different from the implementation: exact rational interval geometry for the
 jump-kernel weights, adaptive quadrature of the defining kernel for the
 spread weights, 60-digit arithmetic with the naive root formula for the
-equilibrium recursion, a dense einsum for the collision right-hand side,
-and an eigenvalue computation for decay rates.  Agreement is then evidence,
-not circularity.  One routine is a reference rather than an oracle: the
-original pairwise spread builder, which the banded builder must match bit
-for bit.
+equilibrium recursion, the dense (N, N, N) tensor and an einsum over it for
+the collision right-hand side, and an eigenvalue computation for decay
+rates.  Agreement is then evidence, not circularity.  One routine is a
+reference rather than an oracle: the original pairwise spread builder,
+which the banded builder must match bit for bit.
 """
 from __future__ import annotations
 
@@ -163,16 +163,33 @@ def equilibrium_mp(rho: float, p: float, n_jumps: int, dps: int = 60) -> list[fl
         return [float(x) for x in masses]
 
 
+def dense_tensor(tensor) -> np.ndarray:
+    """Full (N, N, N) interaction array indexed [j, h, k], all 0-based.
+
+    Matrix j is assembled from its definition: braking and keep-speed put
+    1 - p on entry (j, j), on row j right of it and on column j below it;
+    acceleration puts accel[j, h] on every entry of row h.
+    """
+    n = tensor.n_cells
+    one_minus_p = 1.0 - tensor.p
+    a = np.zeros((n, n, n))
+    for j in range(n):
+        a[j, j, j:] = one_minus_p
+        a[j, j:, j] = one_minus_p
+        a[j] += tensor.accel[j][:, None]
+    return a
+
+
 def dense_rhs(f: np.ndarray, tensor, eta: float) -> np.ndarray:
     """Collision right-hand side straight from the dense matrices."""
-    a = tensor.to_dense()
+    a = dense_tensor(tensor)
     f = np.asarray(f, float)
     return eta * (np.einsum("jhk,h,k->j", a, f, f) - f * f.sum())
 
 
 def dense_jacobian(f: np.ndarray, tensor, eta: float) -> np.ndarray:
     """Jacobian of the dense right-hand side, by direct differentiation."""
-    a = tensor.to_dense()
+    a = dense_tensor(tensor)
     f = np.asarray(f, float)
     n = f.size
     jac = np.einsum("jhk,k->jh", a, f) + np.einsum("jhk,h->jk", a, f)

@@ -5,8 +5,8 @@ geometry, the spread-kernel builder against adaptive quadrature of its
 defining kernel plus closed-form spot values, and both against the
 column-stochasticity contract.
 """
-import io
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -25,11 +25,10 @@ from kinetic_traffic import (
     build_delta_tensor_integer,
     build_grid,
     build_tensor,
-    dump_tensor,
     verify_stochasticity,
 )
 
-from _oracles import chi_accel_pairwise, chi_accel_quad, delta_accel_exact
+from _oracles import chi_accel_pairwise, chi_accel_quad, delta_accel_exact, dense_tensor
 
 # integer ladders plus non-integer ratios, including half-integer ties
 INTEGER_CASES = [(t, Fraction(r)) for t in (1, 3, 5) for r in (1, 2, 4, 20)]
@@ -95,10 +94,19 @@ class TestVelocityGrid:
 class TestGridRatio:
     def test_half_offsets(self):
         tie = GridRatio(Fraction(7, 2))
-        assert (tie.r, tie.r_plus, tie.r_minus) == (3.5, 4.0, 3.0)
-        assert not tie.is_integer
+        assert tie.r == 3.5 and not tie.is_integer
         four = GridRatio(Fraction(4))
-        assert four.is_integer and four.r_plus == 4.5 and four.r_minus == 3.5
+        assert four.r == 4.0 and four.is_integer
+
+    def test_constructor_normalises_numbers(self):
+        assert GridRatio(2.0).is_integer
+        assert GridRatio(2.5).fraction == Fraction(5, 2)
+        assert GridRatio(3).fraction == Fraction(3)
+        grid = make_grid(3, Fraction(2))
+        assert build_tensor(Kernel.DELTA, grid, GridRatio(2.0), 0.4).bandwidth == 2
+        for bad in ("2", None, float("nan"), float("inf"), 1j):
+            with pytest.raises(ConfigurationError):
+                GridRatio(bad)
 
     def test_from_value_accepts_exact_floats(self):
         assert GridRatio.from_value(3.5).fraction == Fraction(7, 2)
@@ -136,9 +144,10 @@ class TestJumpTensorAgainstGeometry:
         # N=4, r=1, P=0.4: second matrix's acceleration row is P everywhere
         grid = VelocityGrid(n_cells=4, v_max=1.0)
         tensor = build_delta_tensor_integer(grid, GridRatio(Fraction(1)), 0.4)
-        a2 = tensor.matrix(2)
+        dense = dense_tensor(tensor)
+        a2 = dense[1]
         assert a2[0] == pytest.approx([0.4, 0.4, 0.4, 0.4], abs=1e-15)
-        a1 = tensor.matrix(1)
+        a1 = dense[0]
         expect = np.zeros((4, 4))
         expect[0, :] = 0.6
         expect[:, 0] = 0.6
@@ -149,8 +158,9 @@ class TestJumpTensorAgainstGeometry:
         grid = make_grid(t_jumps, Fraction(r))
         tensor = build_delta_tensor_integer(grid, GridRatio(Fraction(r)), 0.3)
         n = grid.n_cells
+        dense = dense_tensor(tensor)
         for j in range(r + 1, n):  # interior: acceleration row present, j < N
-            a = tensor.matrix(j)
+            a = dense[j - 1]
             allowed = np.zeros((n, n), dtype=bool)
             allowed[j - 1, j - 1 :] = True  # braking into own row tail
             allowed[j - 1 :, j - 1] = True  # braking into own column tail
@@ -165,7 +175,7 @@ class TestJumpTensorAgainstGeometry:
         # each column of the stacked tensor is a probability distribution
         grid = make_grid(3, Fraction(14, 3))
         tensor = build_delta_tensor_generic(grid, GridRatio(Fraction(14, 3)), 0.85)
-        dense = tensor.to_dense()
+        dense = dense_tensor(tensor)
         assert dense.min() >= 0.0
         assert np.abs(dense.sum(axis=0) - 1.0).max() <= 1e-12
 
@@ -215,7 +225,7 @@ class TestSpreadTensorAgainstQuadrature:
         grid = VelocityGrid(n_cells=7, v_max=1.0)
         chi = build_chi_tensor(grid, GridRatio(Fraction(2)), 0.0)
         delta = build_delta_tensor_integer(grid, GridRatio(Fraction(2)), 0.0)
-        assert np.array_equal(chi.to_dense(), delta.to_dense())
+        assert np.array_equal(dense_tensor(chi), dense_tensor(delta))
 
     @pytest.mark.parametrize("r", [2, 10, 50])
     def test_first_matrix_approaches_jump_kernel(self, r):
@@ -224,7 +234,7 @@ class TestSpreadTensorAgainstQuadrature:
         grid = VelocityGrid(n_cells=2 * r + 1, v_max=1.0)
         chi = build_chi_tensor(grid, GridRatio(Fraction(r)), p)
         delta = build_delta_tensor_integer(grid, GridRatio(Fraction(r)), p)
-        gap = np.abs(chi.matrix(1) - delta.matrix(1)).max()
+        gap = np.abs(dense_tensor(chi)[0] - dense_tensor(delta)[0]).max()
         assert gap == pytest.approx(p / (4 * r), rel=1e-12)
 
 
@@ -271,13 +281,26 @@ class TestStochasticity:
 
     def test_injected_fault_is_located(self):
         grid = VelocityGrid(n_cells=4, v_max=1.0)
-        tensor = build_delta_tensor_integer(grid, GridRatio(Fraction(1)), 0.4)
-        dense = tensor.to_dense().copy()
-        dense[1, 2, 3] += 1e-6
-        report = verify_stochasticity(dense)
+        band = build_delta_tensor_integer(grid, GridRatio(Fraction(1)), 0.4).band.copy()
+        band[2, 1] += 1e-6  # output cell 3, candidate cell 3
+        tensor = InteractionTensor(kernel=Kernel.DELTA, p=0.4, grid=grid, band=band)
+        report = verify_stochasticity(tensor)
         assert not report.passed
-        assert report.worst_pair == (3, 4)
+        assert report.worst_cell == 3
         assert report.max_deviation == pytest.approx(1e-6, rel=1e-6)
+
+    def test_band_check_allocates_no_square_array(self):
+        # the dense check peaked at 130 MB here; N x N floats alone are 323 kB
+        grid = make_grid(4, Fraction(50))
+        tensor = build_chi_tensor(grid, GridRatio(Fraction(50)), 0.7)
+        tracemalloc.start()
+        try:
+            report = verify_stochasticity(tensor)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 1_000_000
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -289,27 +312,6 @@ class TestStochasticity:
         grid = VelocityGrid(n_cells=r * t_jumps + 1, v_max=1.0)
         for builder in (build_delta_tensor_integer, build_chi_tensor):
             tensor = builder(grid, GridRatio(Fraction(r)), p)
-            assert tensor.to_dense().min() >= 0.0
+            assert tensor.band.min() >= 0.0
             assert verify_stochasticity(tensor).max_deviation <= 1e-12
 
-
-class TestDump:
-    def test_csv_shape_and_determinism(self):
-        grid = VelocityGrid(n_cells=4, v_max=1.0)
-        tensor = build_delta_tensor_integer(grid, GridRatio(Fraction(1)), 0.4)
-        buf_a, buf_b = io.StringIO(), io.StringIO()
-        dump_tensor(tensor, buf_a)
-        dump_tensor(tensor, buf_b)
-        assert buf_a.getvalue() == buf_b.getvalue()
-        lines = buf_a.getvalue().strip().splitlines()
-        assert lines[0] == "j,h,k,value"
-        assert lines[1].startswith("1,1,1,")
-
-    def test_threshold_filters_small_entries(self):
-        grid = VelocityGrid(n_cells=4, v_max=1.0)
-        tensor = build_delta_tensor_integer(grid, GridRatio(Fraction(1)), 0.4)
-        buf = io.StringIO()
-        dump_tensor(tensor, buf, threshold=0.5)
-        body = buf.getvalue().strip().splitlines()[1:]
-        values = [float(line.split(",")[3]) for line in body]
-        assert values and min(values) > 0.5
