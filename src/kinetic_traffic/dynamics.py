@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import logging
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import ODEintWarning, odeint
 
 from .matrices import InteractionTensor, VelocityGrid
 from .params import ConfigurationError
@@ -60,12 +61,32 @@ class NumericalError(RuntimeError):
 
 
 class SteadyStateTimeout(NumericalError):
-    """Steady-state search hit t_max; carries the last state and residual."""
+    """Steady-state search hit t_max; carries the last state and residual.
 
-    def __init__(self, message: str, state: "CellMassVector", residual: float):
+    Also carries the work done: LSODA steps, RHS and Jacobian evaluations
+    summed over the chunks, the number of chunks and the time reached.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        state: "CellMassVector",
+        residual: float,
+        *,
+        steps: int = 0,
+        rhs_evals: int = 0,
+        jac_evals: int = 0,
+        chunks: int = 0,
+        t_reached: float = 0.0,
+    ):
         super().__init__(message)
         self.state = state
         self.residual = residual
+        self.steps = steps
+        self.rhs_evals = rhs_evals
+        self.jac_evals = jac_evals
+        self.chunks = chunks
+        self.t_reached = t_reached
 
 
 @dataclass(frozen=True)
@@ -81,6 +102,7 @@ class CellMassVector:
             raise ConfigurationError(
                 f"state has {m.shape} entries for a {self.grid.n_cells}-cell grid"
             )
+        _check_finite(m)
         low = m.min(initial=0.0)
         if low < NEGATIVITY_TOL:
             raise NumericalError(
@@ -160,6 +182,17 @@ class IntegratorControls:
             raise ConfigurationError("store_factor must exceed 1")
 
 
+def _check_finite(f: np.ndarray):
+    if not np.isfinite(f).all():
+        raise ConfigurationError("state has non-finite cell masses")
+
+
+def _check_eta(eta: float):
+    # ModelParams' rule, repeated for callers that pass eta directly
+    if not (math.isfinite(eta) and eta > 0):
+        raise ConfigurationError(f"interaction rate eta must be finite and positive; got {eta!r}")
+
+
 def _as_array(f: Union[CellMassVector, np.ndarray], tensor: InteractionTensor) -> np.ndarray:
     if isinstance(f, CellMassVector):
         if f.grid.n_cells != tensor.n_cells:
@@ -191,21 +224,36 @@ def _make_rhs(
 
 
 def _make_jac(tensor: InteractionTensor, eta: float):
-    """Dense Jacobian of the RHS closure, for the steady-state solver."""
+    """Dense Jacobian of the RHS closure, for the steady-state solver.
+
+    Row j holds (1 - 2P) f_j right of the diagonal and -f_j left of it,
+    plus (W f)_j everywhere, the diagonal term -C_j - 2P f_j + (1 - 2P) U_j
+    and total * W on the acceleration band.  Each entry gets the same
+    floating-point operations in the same order as the sum of a diagonal,
+    two triangles, the column (W f) and total * W would give it, so the
+    result is bit-identical to that sum, without its N x N temporaries.
+    """
     p = tensor.p
     w = tensor.accel
     one_minus_2p = 1.0 - 2.0 * p
     n = tensor.n_cells
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    rows, cols = np.nonzero(tensor.band)
+    band_at = (rows, rows - tensor.bandwidth + cols)
+    band_w = tensor.band[rows, cols]
+    diag_at = np.diag_indices(n)
 
     def jac(f: np.ndarray) -> np.ndarray:
         total = f.sum()
         csum = np.cumsum(f)
         below = csum - f
         above = total - csum
-        diag = np.diag(-below - 2.0 * p * f + one_minus_2p * above)
-        col = np.broadcast_to(f[:, None], (n, n))
-        cross = np.triu(one_minus_2p * col, 1) - np.tril(col, -1)
-        return eta * (diag + cross + (w @ f)[:, None] + total * w)
+        wf = w @ f
+        out = np.where(upper, (one_minus_2p * f + wf)[:, None], (-f + wf)[:, None])
+        out[diag_at] = (-below - 2.0 * p * f + one_minus_2p * above) + wf
+        out[band_at] += total * band_w
+        out *= eta
+        return out
 
     return jac
 
@@ -248,8 +296,10 @@ def integrate(
     """
     if t_end <= 0:
         raise ConfigurationError("t_end must be positive")
+    _check_eta(eta)
     controls = controls or IntegratorControls()
     f = _as_array(f0, tensor).copy()
+    _check_finite(f)
     _clamp_negativity(f, "initial state")
     rho0 = f.sum()
     rhs = _make_rhs(tensor, eta, tensor.accel_operator())
@@ -292,7 +342,7 @@ def integrate(
     if clamped:
         logger.warning("clamped %d slightly negative components to zero", clamped)
     drift = abs(f.sum() - rho0)
-    if drift > DRIFT_TOL:
+    if not drift <= DRIFT_TOL:  # NaN too
         raise NumericalError(
             f"mass drift {drift:.3e} exceeds budget {DRIFT_TOL:.0e}"
         )
@@ -320,24 +370,30 @@ def find_steady_state(
     below rel_change_tol (defaults to residual_tol): the residual alone can
     dip early while the state still drifts along a slow manifold.
 
-    Stepping uses an adaptive implicit-capable solver over geometrically
-    growing horizon chunks; total mass is re-projected to its exact initial
-    value after each chunk (guarded, so genuine integration errors are not
-    masked).  Raises SteadyStateTimeout carrying the last state and residual
-    if t_max is exhausted.
+    Stepping uses LSODA (scipy's odeint, with the analytic dense Jacobian)
+    over horizon chunks ending at 10/(eta*rho) and then five times further
+    each, one compiled call per chunk that stops exactly at its end.  Components below zero by
+    no more than 1e-12 are clamped after each chunk and total mass is
+    re-projected to its exact initial value (both guarded, so genuine
+    integration errors are not masked).  Raises NumericalError if LSODA
+    fails and SteadyStateTimeout, carrying the last state, the residual and
+    the work done, if t_max is exhausted.  The work is logged at DEBUG
+    level when the solve ends.
     """
     if residual_tol <= 0:
         raise ConfigurationError("residual_tol must be positive")
+    _check_eta(eta)
     if rel_change_tol is None:
         rel_change_tol = residual_tol
     f = _as_array(f0, tensor).copy()
+    _check_finite(f)
     _clamp_negativity(f, "initial state")
     rho0 = f.sum()
-    # LSODA keeps the dense product: the band product rounds differently,
-    # which costs LSODA about 10% more RHS calls on the criterion 09 sweep.
+    # LSODA gets the dense product, not the band one: the band product
+    # rounds differently, which costs it about 10% more RHS calls on the
+    # criterion 09 sweep and changes the steady states in the last bits.
     w = tensor.accel
     rhs = _make_rhs(tensor, eta, lambda y: w @ y)
-    jac = _make_jac(tensor, eta)
     residual = float(np.abs(rhs(f)).max())
     if residual <= residual_tol:
         return CellMassVector(f, tensor.grid)
@@ -345,46 +401,66 @@ def find_steady_state(
         # Empty road: the only mass-zero state is already stationary.
         return CellMassVector(f, tensor.grid)
 
+    jac = _make_jac(tensor, eta)
     scale = eta * rho0
     t = 0.0
     t_hi = min(10.0 / scale, t_max)
     atol = 1e-15 * max(rho0, 1e-3)
-    while True:
-        sol = solve_ivp(
-            lambda _t, y: rhs(y),
-            (t, t_hi),
-            f,
-            method="LSODA",
-            jac=lambda _t, y: jac(y),
-            rtol=1e-11,
-            atol=atol,
-            t_eval=[t_hi],
+    work = dict(steps=0, rhs_evals=0, jac_evals=0, chunks=0, t_reached=t)
+    try:
+        while True:
+            with warnings.catch_warnings():
+                # a failed call is reported through info below
+                warnings.simplefilter("ignore", ODEintWarning)
+                ys, info = odeint(
+                    lambda y, _t: rhs(y),
+                    f,
+                    [t, t_hi],
+                    Dfun=lambda y, _t: jac(y),
+                    rtol=1e-11,
+                    atol=atol,
+                    tcrit=[t_hi],
+                    mxstep=2**31 - 1,
+                    full_output=True,
+                )
+            work["steps"] += int(info["nst"][-1])
+            work["rhs_evals"] += int(info["nfe"][-1])
+            work["jac_evals"] += int(info["nje"][-1])
+            if info["message"] != "Integration successful.":
+                raise NumericalError(f"steady-state stepping failed: {info['message']}")
+            work["chunks"] += 1
+            work["t_reached"] = t_hi
+            prev = f
+            f = ys[-1]
+            _clamp_negativity(f, f"steady-state chunk ending at t={t_hi:.3g}")
+            total = f.sum()
+            if not abs(total - rho0) <= 1e-8 * max(rho0, 1.0):  # NaN too
+                raise NumericalError(
+                    f"mass drifted by {total - rho0:.3e} within one chunk; aborting"
+                )
+            if total > 0:
+                f *= rho0 / total
+            residual = float(np.abs(rhs(f)).max())
+            change_rate = float(np.abs(f - prev).max()) / (rho0 * (t_hi - t))
+            if residual <= residual_tol and change_rate <= rel_change_tol:
+                return CellMassVector(f, tensor.grid)
+            if t_hi >= t_max:
+                raise SteadyStateTimeout(
+                    f"no steady state within t_max={t_max:.3g}: "
+                    f"residual {residual:.3e}, state change rate {change_rate:.3e}",
+                    state=CellMassVector(f, tensor.grid),
+                    residual=residual,
+                    **work,
+                )
+            t = t_hi
+            t_hi = min(t_hi * 5.0, t_max)
+    finally:
+        logger.debug(
+            "steady-state solve ended: t_reached=%.6g chunks=%d steps=%d "
+            "rhs_evals=%d jac_evals=%d",
+            work["t_reached"], work["chunks"],
+            work["steps"], work["rhs_evals"], work["jac_evals"],
         )
-        if not sol.success:
-            raise NumericalError(f"steady-state stepping failed: {sol.message}")
-        prev = f
-        f = sol.y[:, -1].copy()
-        _clamp_negativity(f, f"steady-state chunk ending at t={t_hi:.3g}")
-        total = f.sum()
-        if abs(total - rho0) > 1e-8 * max(rho0, 1.0):
-            raise NumericalError(
-                f"mass drifted by {total - rho0:.3e} within one chunk; aborting"
-            )
-        if total > 0:
-            f *= rho0 / total
-        residual = float(np.abs(rhs(f)).max())
-        change_rate = float(np.abs(f - prev).max()) / (rho0 * (t_hi - t))
-        if residual <= residual_tol and change_rate <= rel_change_tol:
-            return CellMassVector(f, tensor.grid)
-        if t_hi >= t_max:
-            raise SteadyStateTimeout(
-                f"no steady state within t_max={t_max:.3g}: "
-                f"residual {residual:.3e}, state change rate {change_rate:.3e}",
-                state=CellMassVector(f, tensor.grid),
-                residual=residual,
-            )
-        t = t_hi
-        t_hi = min(t_hi * 5.0, t_max)
 
 
 def distance_to_equilibrium(

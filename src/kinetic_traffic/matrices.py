@@ -158,8 +158,11 @@ class InteractionTensor:
     band[j, k] = accel[j, j - b + k] (0-based), so column b - d is the d-th
     lower diagonal.  Entries left of column 0 are zero.  `accel_operator`
     applies the weights from the band; `accel` is the dense (N, N) matrix,
-    built from the band on first use for the steady-state solver's
-    Jacobian.  Both arrays are read-only.
+    built from the band on first use for the steady-state solver.  The
+    constructor requires 0 <= p <= 1 and a finite, nonnegative band, the
+    assumptions of the column-sum check in `verify_stochasticity`, and keeps
+    a float copy of the band, so the caller's array stays writable.  Both
+    stored arrays are read-only.
     """
 
     kernel: Kernel
@@ -168,15 +171,20 @@ class InteractionTensor:
     band: np.ndarray
 
     def __post_init__(self):
+        _check_probability(self.p)
         n = self.grid.n_cells
-        if self.band.ndim != 2 or self.band.shape[0] != n or not 1 <= self.band.shape[1] <= n:
+        band = np.array(self.band, dtype=float)
+        if band.ndim != 2 or band.shape[0] != n or not 1 <= band.shape[1] <= n:
             raise ConfigurationError(
-                f"acceleration band of shape {self.band.shape} does not fit {n} cells"
+                f"acceleration band of shape {band.shape} does not fit {n} cells"
             )
-        rows, cols = np.nonzero(self.band)
-        if np.any(rows + cols < self.bandwidth):
+        if not np.isfinite(band).all() or np.any(band < 0.0):
+            raise ConfigurationError("acceleration band has a negative or non-finite weight")
+        rows, cols = np.nonzero(band)
+        if np.any(rows + cols < band.shape[1] - 1):
             raise ConfigurationError("acceleration band has weight left of the first cell")
-        self.band.setflags(write=False)
+        band.setflags(write=False)
+        object.__setattr__(self, "band", band)
 
     @property
     def n_cells(self) -> int:

@@ -6,9 +6,11 @@ jump-kernel weights, adaptive quadrature of the defining kernel for the
 spread weights, 60-digit arithmetic with the naive root formula for the
 equilibrium recursion, the dense (N, N, N) tensor and an einsum over it for
 the collision right-hand side, and an eigenvalue computation for decay
-rates.  Agreement is then evidence, not circularity.  One routine is a
-reference rather than an oracle: the original pairwise spread builder,
-which the banded builder must match bit for bit.
+rates.  Agreement is then evidence, not circularity.  Two routines are
+references rather than oracles, earlier implementations that the package
+must match bit for bit: the original pairwise spread builder, and the
+steady-state search that stepped LSODA through scipy's solve_ivp with a
+Jacobian summed from a diagonal and two triangles.
 """
 from __future__ import annotations
 
@@ -17,7 +19,17 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
+
+from kinetic_traffic import ConfigurationError
+from kinetic_traffic.dynamics import (
+    CellMassVector,
+    NumericalError,
+    SteadyStateTimeout,
+    _as_array,
+    _clamp_negativity,
+    _make_rhs,
+)
 
 
 def cell_edges(n: int, j: int) -> tuple[Fraction, Fraction]:
@@ -208,3 +220,100 @@ def slowest_decay_rate(tensor, eta: float, f_inf: np.ndarray) -> float:
     ev = np.linalg.eigvals(dense_jacobian(np.asarray(f_inf, float), tensor, eta))
     rates = [abs(e.real) for e in ev if abs(e.real) > 1e-8]
     return min(rates)
+
+
+def triangle_jacobian(tensor, eta: float):
+    """Jacobian closure summed from a diagonal, two triangles and total * W.
+
+    The package's original form of the steady-state Jacobian; its two-pass
+    replacement must give the same matrix bit for bit.
+    """
+    p = tensor.p
+    w = tensor.accel
+    one_minus_2p = 1.0 - 2.0 * p
+    n = tensor.n_cells
+
+    def jac(f: np.ndarray) -> np.ndarray:
+        total = f.sum()
+        csum = np.cumsum(f)
+        below = csum - f
+        above = total - csum
+        diag = np.diag(-below - 2.0 * p * f + one_minus_2p * above)
+        col = np.broadcast_to(f[:, None], (n, n))
+        cross = np.triu(one_minus_2p * col, 1) - np.tril(col, -1)
+        return eta * (diag + cross + (w @ f)[:, None] + total * w)
+
+    return jac
+
+
+def solve_ivp_steady_state(
+    f0,
+    tensor,
+    eta: float,
+    residual_tol: float = 1e-10,
+    t_max: float = 1e9,
+    rel_change_tol=None,
+) -> CellMassVector:
+    """The original steady-state search: one solve_ivp(LSODA) call per chunk.
+
+    Same chunks, tolerances, clamp and mass re-projection as
+    `find_steady_state`, with the triangle-sum Jacobian; scipy's solve_ivp
+    returns to Python after every LSODA step, so this is slow but steps
+    through exactly the same states.
+    """
+    if residual_tol <= 0:
+        raise ConfigurationError("residual_tol must be positive")
+    if rel_change_tol is None:
+        rel_change_tol = residual_tol
+    f = _as_array(f0, tensor).copy()
+    _clamp_negativity(f, "initial state")
+    rho0 = f.sum()
+    w = tensor.accel
+    rhs = _make_rhs(tensor, eta, lambda y: w @ y)
+    jac = triangle_jacobian(tensor, eta)
+    residual = float(np.abs(rhs(f)).max())
+    if residual <= residual_tol:
+        return CellMassVector(f, tensor.grid)
+    if rho0 <= 0:
+        return CellMassVector(f, tensor.grid)
+
+    scale = eta * rho0
+    t = 0.0
+    t_hi = min(10.0 / scale, t_max)
+    atol = 1e-15 * max(rho0, 1e-3)
+    while True:
+        sol = solve_ivp(
+            lambda _t, y: rhs(y),
+            (t, t_hi),
+            f,
+            method="LSODA",
+            jac=lambda _t, y: jac(y),
+            rtol=1e-11,
+            atol=atol,
+            t_eval=[t_hi],
+        )
+        if not sol.success:
+            raise NumericalError(f"steady-state stepping failed: {sol.message}")
+        prev = f
+        f = sol.y[:, -1].copy()
+        _clamp_negativity(f, f"steady-state chunk ending at t={t_hi:.3g}")
+        total = f.sum()
+        if abs(total - rho0) > 1e-8 * max(rho0, 1.0):
+            raise NumericalError(
+                f"mass drifted by {total - rho0:.3e} within one chunk; aborting"
+            )
+        if total > 0:
+            f *= rho0 / total
+        residual = float(np.abs(rhs(f)).max())
+        change_rate = float(np.abs(f - prev).max()) / (rho0 * (t_hi - t))
+        if residual <= residual_tol and change_rate <= rel_change_tol:
+            return CellMassVector(f, tensor.grid)
+        if t_hi >= t_max:
+            raise SteadyStateTimeout(
+                f"no steady state within t_max={t_max:.3g}: "
+                f"residual {residual:.3e}, state change rate {change_rate:.3e}",
+                state=CellMassVector(f, tensor.grid),
+                residual=residual,
+            )
+        t = t_hi
+        t_hi = min(t_hi * 5.0, t_max)

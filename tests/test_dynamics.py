@@ -4,7 +4,10 @@ The packaged right-hand side is compared against a dense einsum oracle, the
 integrator against conservation laws and known fixed points, and the rate
 fitter against synthetic exponentials plus the linearization spectrum.
 """
+import logging
+import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,22 +15,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kinetic_traffic import (
+    CellMassVector,
     ConfigurationError,
     GridRatio,
     IntegratorControls,
+    Kernel,
+    ModelParams,
     NumericalError,
     PiecewiseLinearCDF,
+    PowerLaw,
     SteadyStateTimeout,
     TimeSeries,
     VelocityGrid,
     build_chi_tensor,
     build_delta_tensor_generic,
     build_delta_tensor_integer,
+    build_grid,
+    build_tensor,
     closed_form_equilibrium,
     collision_rhs,
     cumulative_distribution,
     distance_to_equilibrium,
     equilibrium_on_grid,
+    evaluate_probability,
     find_steady_state,
     fit_convergence_rate,
     integrate,
@@ -37,7 +47,13 @@ from kinetic_traffic import (
 )
 from kinetic_traffic.dynamics import _make_jac
 
-from _oracles import dense_jacobian, dense_rhs, slowest_decay_rate
+from _oracles import (
+    dense_jacobian,
+    dense_rhs,
+    slowest_decay_rate,
+    solve_ivp_steady_state,
+    triangle_jacobian,
+)
 
 TENSOR_ZOO = [
     (3, Fraction(1), build_delta_tensor_integer),
@@ -111,14 +127,31 @@ class TestSteadyStateJacobian:
     @pytest.mark.parametrize("t_jumps,r,builder", TENSOR_ZOO)
     @pytest.mark.parametrize("p", [0.0, 0.35, 0.5, 1.0])
     def test_matches_dense_oracle(self, t_jumps, r, builder, p):
-        # relative to eta * rho, the size of the entries
+        # relative to eta * rho, the size of the entries; and bit for bit
+        # the sum of a diagonal, two triangles and two N x N terms
         grid, tensor = zoo_tensor(t_jumps, r, builder, p)
         jac = _make_jac(tensor, 2.0)
+        triangles = triangle_jacobian(tensor, 2.0)
         rng = np.random.default_rng(5)
         for _ in range(3):
             f = rng.uniform(0.0, 0.2, grid.n_cells)
             want = dense_jacobian(f, tensor, 2.0)
             assert np.abs(jac(f) - want).max() <= 1e-15 * 2.0 * f.sum()
+            assert np.array_equal(jac(f), triangles(f))
+
+    def test_one_call_allocates_under_two_square_arrays(self):
+        # the triangle sum peaked at 4.06 N x N float64 arrays here
+        grid = VelocityGrid(n_cells=401, v_max=1.0)
+        tensor = build_chi_tensor(grid, GridRatio(Fraction(100)), 0.4)
+        jac = _make_jac(tensor, 1.0)
+        f = np.full(grid.n_cells, 0.6 / grid.n_cells)
+        tracemalloc.start()
+        try:
+            jac(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * grid.n_cells**2
 
 
 class TestJacobianOracle:
@@ -231,14 +264,111 @@ class TestSteadyState:
         assert np.abs(f_inf.masses - ref.masses).max() <= 1e-10
         assert f_inf.masses[0] == 0.0
 
-    def test_timeout_reports_progress(self):
+    def test_timeout_reports_progress(self, caplog):
         grid = VelocityGrid(n_cells=7, v_max=1.0)
         tensor = build_delta_tensor_integer(grid, GridRatio(Fraction(2)), 0.4)
         f0 = np.full(7, 0.5 / 7)
-        with pytest.raises(SteadyStateTimeout) as exc:
-            find_steady_state(f0, tensor, 1.0, residual_tol=1e-30, t_max=5.0)
+        with caplog.at_level(logging.DEBUG, logger="kinetic_traffic.dynamics"):
+            with pytest.raises(SteadyStateTimeout) as exc:
+                find_steady_state(f0, tensor, 1.0, residual_tol=1e-30, t_max=5.0)
         assert exc.value.residual > 1e-30
         assert exc.value.state.masses.sum() == pytest.approx(0.5, rel=1e-10)
+        # the first chunk ends at 10/(eta*rho) = 20, beyond t_max
+        assert exc.value.chunks == 1
+        assert exc.value.t_reached == 5.0
+        assert exc.value.rhs_evals >= exc.value.steps > 0
+        logged = caplog.records[-1].getMessage()
+        assert logged == (
+            f"steady-state solve ended: t_reached=5 chunks=1 steps={exc.value.steps} "
+            f"rhs_evals={exc.value.rhs_evals} jac_evals={exc.value.jac_evals}"
+        )
+
+    @pytest.mark.parametrize("kernel,n_jumps,r,rho", [
+        (Kernel.CHI, 2, 1, 0.3),
+        (Kernel.CHI, 2, 20, 0.45),
+        (Kernel.DELTA, 4, 100, 0.6),
+    ])
+    def test_bit_identical_to_the_solve_ivp_reference(self, kernel, n_jumps, r, rho):
+        tensor, f0 = _diagram_problem(kernel, n_jumps, r, rho)
+        got = find_steady_state(f0, tensor, 1.0, residual_tol=1e-10, t_max=1e7)
+        want = solve_ivp_steady_state(f0, tensor, 1.0, residual_tol=1e-10, t_max=1e7)
+        assert np.array_equal(got.masses, want.masses)
+
+    def test_near_critical_failure_matches_the_reference(self):
+        # criterion 09's spread sample at rho=0.49, r=20 dips below the floor
+        tensor, f0 = _diagram_problem(Kernel.CHI, 2, 20, 0.01 + 0.02 * 24)
+        with pytest.raises(NumericalError) as want:
+            solve_ivp_steady_state(f0, tensor, 1.0, residual_tol=1e-10, t_max=1e7)
+        with pytest.raises(NumericalError) as got:
+            find_steady_state(f0, tensor, 1.0, residual_tol=1e-10, t_max=1e7)
+        assert type(got.value) is NumericalError
+        assert str(got.value) == str(want.value)
+        assert "-1.737e-09" in str(got.value)
+
+    def test_failed_stepping_raises_without_a_warning(self):
+        # chunks end at 20 and 100; a last chunk one ulp long is too short
+        # for LSODA to start, so the solver reports illegal input
+        grid = VelocityGrid(n_cells=7, v_max=1.0)
+        tensor = build_delta_tensor_integer(grid, GridRatio(Fraction(2)), 0.4)
+        f0 = np.zeros(7)
+        f0[0] = 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="steady-state stepping failed: ") as exc:
+                find_steady_state(
+                    f0, tensor, 1.0, residual_tol=1e-30, t_max=np.nextafter(100.0, 200.0)
+                )
+        assert type(exc.value) is NumericalError
+
+
+def _diagram_problem(kernel, n_jumps, r, rho):
+    """Tensor and uniform start of one fundamental-diagram sample."""
+    params = ModelParams(delta_v=1.0 / n_jumps, kernel=kernel)
+    grid, ratio = build_grid(params, r)
+    tensor = build_tensor(kernel, grid, ratio, evaluate_probability(PowerLaw(1.0), rho, params))
+    return tensor, np.full(grid.n_cells, rho / grid.n_cells)
+
+
+BAD_INPUTS = [
+    (call, eta, None)
+    for call in ("integrate", "find_steady_state")
+    for eta in (-1.0, 0.0, math.inf, math.nan)
+] + [
+    (call, 1.0, mass)
+    for call in ("integrate", "find_steady_state", "state")
+    for mass in (math.nan, math.inf)
+]
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("call", ["integrate", "find_steady_state"])
+    def test_overflow_is_a_numerical_error(self, call):
+        # finite masses whose products overflow: the NaN state must not pass
+        # the mass-drift guard as if it were a result
+        grid = VelocityGrid(n_cells=7, v_max=1.0)
+        tensor = build_delta_tensor_integer(grid, GridRatio(Fraction(2)), 0.4)
+        f0 = np.full(7, 1e160)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="drift"):
+                if call == "integrate":
+                    integrate(f0, tensor, 1.0, 1.0, IntegratorControls(step=1.0))
+                else:
+                    find_steady_state(f0, tensor, 1.0, t_max=10.0)
+
+    @pytest.mark.parametrize("call,eta,bad_mass", BAD_INPUTS)
+    def test_rejected_before_any_stepping(self, call, eta, bad_mass):
+        grid = VelocityGrid(n_cells=7, v_max=1.0)
+        tensor = build_delta_tensor_integer(grid, GridRatio(Fraction(2)), 0.4)
+        f0 = np.full(7, 0.5 / 7)
+        if bad_mass is not None:
+            f0[3] = bad_mass
+        with pytest.raises(ConfigurationError):
+            if call == "integrate":
+                integrate(f0, tensor, eta, 1.0)
+            elif call == "find_steady_state":
+                find_steady_state(f0, tensor, eta, t_max=10.0)
+            else:
+                CellMassVector(f0, grid)
 
 
 class TestRateFitting:

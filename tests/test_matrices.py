@@ -270,6 +270,30 @@ class TestBand:
         with pytest.raises(ConfigurationError):
             InteractionTensor(kernel=Kernel.DELTA, p=0.5, grid=grid, band=np.zeros((3, 2)))
 
+    def test_probability_outside_the_unit_interval_rejected(self):
+        # a band whose columns sum to 1.5 would pass the column-sum check
+        grid = VelocityGrid(n_cells=4, v_max=1.0)
+        band = build_delta_tensor_integer(grid, GridRatio(Fraction(1)), 0.5).band * 3.0
+        with pytest.raises(ConfigurationError, match="outside"):
+            InteractionTensor(kernel=Kernel.DELTA, p=1.5, grid=grid, band=band)
+
+    @pytest.mark.parametrize("bad", [-1e-3, math.nan, math.inf])
+    def test_negative_or_non_finite_weight_rejected(self, bad):
+        grid = VelocityGrid(n_cells=4, v_max=1.0)
+        band = build_delta_tensor_integer(grid, GridRatio(Fraction(1)), 0.4).band.copy()
+        band[2, 1] = bad
+        with pytest.raises(ConfigurationError, match="negative or non-finite"):
+            InteractionTensor(kernel=Kernel.DELTA, p=0.4, grid=grid, band=band)
+
+    def test_caller_band_stays_writable(self):
+        grid = VelocityGrid(n_cells=4, v_max=1.0)
+        band = build_delta_tensor_integer(grid, GridRatio(Fraction(1)), 0.4).band.copy()
+        tensor = InteractionTensor(kernel=Kernel.DELTA, p=0.4, grid=grid, band=band)
+        assert band.flags.writeable
+        assert not tensor.band.flags.writeable
+        band[2, 0] = 0.0  # the tensor keeps its own copy
+        assert tensor.band[2, 0] == 0.4
+
 
 class TestStochasticity:
     @pytest.mark.parametrize("t_jumps,r", GENERIC_CASES)
