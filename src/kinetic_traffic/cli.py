@@ -24,10 +24,7 @@ import numpy as np
 import yaml
 
 from .config import (
-    ConvergenceSettings,
-    DiagramSettings,
-    InitialCondition,
-    IntegratorSettings,
+    IC_KINDS,
     RunConfig,
     build_initial_state,
     load_config,
@@ -46,7 +43,6 @@ from .dynamics import (
 from .equilibrium import closed_form_equilibrium, equilibrium_on_grid
 from .macroscopics import (
     detect_capacity_drop,
-    flux_infinite_r,
     fundamental_diagram,
     moments,
 )
@@ -355,9 +351,8 @@ def _cmd_convergence(cfg: RunConfig) -> int:
     ]
     if not tasks:
         raise ConfigurationError("convergence needs a non-empty density set")
-    workers = max(cfg.convergence.workers, cfg.workers)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if cfg.workers > 1:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             rows = list(pool.map(_convergence_row, tasks))
     else:
         rows = [_convergence_row(t) for t in tasks]
@@ -377,7 +372,7 @@ def _cmd_convergence(cfg: RunConfig) -> int:
 
 def _add_shared_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", "-c", type=Path, help="YAML run description")
-    sp.add_argument("--kernel", choices=["delta", "chi"])
+    sp.add_argument("--kernel", choices=[k.value for k in Kernel])
     sp.add_argument("--gamma", type=float, help="power-law braking exponent")
     sp.add_argument("--eta", type=float, help="interaction rate")
     sp.add_argument("--rho", type=float, help="total vehicle density")
@@ -389,120 +384,52 @@ def _add_shared_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--rho-max", dest="rho_max", type=float)
     sp.add_argument("--out", type=Path, help="output directory")
     sp.add_argument("--prefix", help="output file name prefix")
-    sp.add_argument("--workers", type=int, help="worker processes for sweeps")
-    sp.add_argument("--ic", choices=list(
-        ("uniform", "all-at-rest", "congested", "custom", "equilibrium")
-    ), help="initial condition kind")
+    sp.add_argument("--workers", type=int,
+                    help="worker processes for spread-kernel diagrams and convergence")
+    sp.add_argument("--ic", choices=IC_KINDS, help="initial condition kind")
     sp.add_argument("--ic-epsilon", type=float, help="initial perturbation size")
     sp.add_argument("--ic-cell", type=int, help="perturbed cell (1-based)")
 
 
 def _overrides_from(args: argparse.Namespace) -> dict:
-    keys = ("kernel", "gamma", "eta", "rho", "N", "dv", "r", "T",
-            "v_max", "rho_max", "workers")
-    return {k: getattr(args, k, None) for k in keys}
+    """The flags as a run mapping with the YAML keys; None where a flag is unset."""
+    def flag(name):
+        return getattr(args, name, None)
 
+    def listed(name):
+        return flag(name).split(",") if flag(name) else None
 
-def _apply_common(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if args.out is not None or args.prefix is not None:
-        cfg = dataclasses.replace(
-            cfg,
-            output=dataclasses.replace(
-                cfg.output,
-                **{
-                    k: v
-                    for k, v in {
-                        "directory": args.out,
-                        "prefix": args.prefix,
-                    }.items()
-                    if v is not None
-                },
-            ),
-        )
-    if args.ic is not None or args.ic_epsilon is not None or args.ic_cell is not None:
-        ic = cfg.initial
-        cfg = dataclasses.replace(
-            cfg,
-            initial=InitialCondition(
-                kind=args.ic if args.ic is not None else ic.kind,
-                epsilon=args.ic_epsilon if args.ic_epsilon is not None else ic.epsilon,
-                cell=args.ic_cell if args.ic_cell is not None else ic.cell,
-                masses=ic.masses,
-            ),
-        )
-    integ = {}
-    for name in ("t_end", "step", "t_max", "residual_tol"):
-        value = getattr(args, name, None)
-        if value is not None:
-            integ[name] = value
-    if integ:
-        cfg = dataclasses.replace(
-            cfg, integrator=dataclasses.replace(cfg.integrator, **integ)
-        )
-    return cfg
-
-
-def _apply_diagram_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    base = cfg.diagram
-    rho_grid = base.rho_grid if base else ()
-    if args.rho_list:
-        rho_grid = tuple(float(x) for x in args.rho_list.split(","))
-    elif args.rho_count is not None:
-        start = args.rho_start if args.rho_start is not None else 0.01
-        stop = args.rho_stop if args.rho_stop is not None else cfg.params.rho_max
-        rho_grid = tuple(float(x) for x in np.linspace(start, stop, args.rho_count))
-    if base:
-        ratios = base.ratios
-    elif cfg.ratio is not None:
-        ratios = (float(cfg.ratio),)
-    else:
-        ratios = (1.0,)
-    if args.ratios:
-        ratios = tuple(
-            math.inf if token.strip().lower() in ("inf", "infinity")
-            else float(parse_ratio(token.strip()))
-            for token in args.ratios.split(",")
-        )
-    settings = DiagramSettings(
-        rho_grid=rho_grid,
-        ratios=ratios,
-        insert_critical=(
-            base.insert_critical if base and args.insert_critical is None
-            else bool(args.insert_critical if args.insert_critical is not None else True)
-        ),
-        kink_threshold=(
-            args.kink_threshold
-            if args.kink_threshold is not None
-            else (base.kink_threshold if base else 0.2)
-        ),
-    )
-    return dataclasses.replace(cfg, diagram=settings)
-
-
-def _apply_convergence_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    base = cfg.convergence
-    rho_set = base.rho_set if base else ()
-    if args.rho_set:
-        rho_set = tuple(float(x) for x in args.rho_set.split(","))
-    if base:
-        ratios = base.ratios
-    elif cfg.ratio is not None:
-        ratios = (float(cfg.ratio),)
-    else:
-        ratios = (1.0, 2.0)
-    if args.ratios:
-        ratios = tuple(
-            float(parse_ratio(tok.strip())) for tok in args.ratios.split(",")
-        )
-    settings = ConvergenceSettings(
-        rho_set=rho_set,
-        ratios=ratios,
-        t_end=args.fit_t_end if args.fit_t_end is not None else (
-            base.t_end if base else None
-        ),
-        workers=base.workers if base else 1,
-    )
-    return dataclasses.replace(cfg, convergence=settings)
+    overrides = {
+        k: flag(k)
+        for k in ("kernel", "gamma", "eta", "rho", "N", "dv", "r", "T",
+                  "v_max", "rho_max", "workers")
+    }
+    overrides["output"] = {"directory": args.out, "prefix": args.prefix}
+    overrides["initial_condition"] = {
+        "kind": args.ic, "epsilon": args.ic_epsilon, "cell": args.ic_cell,
+    }
+    overrides["integrator"] = {
+        k: flag(k) for k in ("step", "t_end", "t_max", "residual_tol")
+    }
+    if args.command == "diagram":
+        rho_grid = listed("rho_list")
+        if rho_grid is None and args.rho_count is not None:
+            rho_grid = {
+                "start": args.rho_start, "stop": args.rho_stop, "count": args.rho_count,
+            }
+        overrides["diagram"] = {
+            "rho_grid": rho_grid,
+            "ratios": listed("ratios"),
+            "insert_critical": args.insert_critical,
+            "kink_threshold": args.kink_threshold,
+        }
+    elif args.command == "convergence":
+        overrides["convergence"] = {
+            "rho_set": listed("rho_set"),
+            "ratios": listed("ratios"),
+            "t_end": args.fit_t_end,
+        }
+    return overrides
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -552,18 +479,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        overrides = _overrides_from(args)
-        cfg = load_config(args.config, overrides)
-        cfg = _apply_common(cfg, args)
-        if args.command == "diagram":
-            cfg = _apply_diagram_flags(cfg, args)
-        elif args.command == "convergence":
-            cfg = _apply_convergence_flags(cfg, args)
-        return args.handler(cfg)
-    except (ConfigurationError, yaml.YAMLError, KeyError) as exc:
+        return args.handler(load_config(args.config, _overrides_from(args)))
+    except (ConfigurationError, yaml.YAMLError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:

@@ -1,9 +1,13 @@
 """Run configuration: YAML files, flag overrides, and initial states.
 
 A run is described by one declarative mapping (usually a YAML file) that
-CLI flags may override key by key.  The velocity grid can be pinned by
-any two of (cell count, cell width, cells-per-jump ratio, jump count);
-the resolver derives the rest and rejects inconsistent combinations.
+CLI flags override key by key, inside its sections too; this module alone
+parses, defaults and validates it, and every malformed value raises
+ConfigurationError.  Each default lives once, on the dataclass that holds
+it; sweep ratio lists default to [r] when the run has a ratio.  The
+velocity grid can be pinned by any two of (cell count, cell width,
+cells-per-jump ratio, jump count); the resolver derives the rest and
+rejects inconsistent combinations.
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ import numpy as np
 import yaml
 
 from .equilibrium import closed_form_equilibrium, equilibrium_on_grid
-from .matrices import VelocityGrid, build_grid
+from .matrices import GridRatio, VelocityGrid
 from .params import (
     ConfigurationError,
     CustomLaw,
@@ -95,7 +99,8 @@ class OutputSettings:
 
 @dataclass(frozen=True)
 class DiagramSettings:
-    rho_grid: tuple[float, ...]
+    rho_grid: tuple[float, ...] = ()
+    # without a ratios key, load_config uses [r] when the run has a ratio
     ratios: tuple[float, ...] = (1.0,)
     insert_critical: bool = True
     kink_threshold: float = 0.2
@@ -103,10 +108,10 @@ class DiagramSettings:
 
 @dataclass(frozen=True)
 class ConvergenceSettings:
-    rho_set: tuple[float, ...]
+    rho_set: tuple[float, ...] = ()
+    # without a ratios key, load_config uses [r] when the run has a ratio
     ratios: tuple[float, ...] = (1.0, 2.0)
     t_end: Optional[float] = None
-    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -144,23 +149,16 @@ class RunConfig:
 
 
 def parse_ratio(value: Union[str, int, float, Fraction]) -> Fraction:
-    """Cells-per-jump ratio from 4, 4.0, '4', '14/3', or a Fraction."""
-    if isinstance(value, Fraction):
-        ratio = value
-    elif isinstance(value, str):
+    """Cells-per-jump ratio from 4, 4.0, '4', '14/3', or a Fraction.
+
+    Numbers become fractions by GridRatio's rule.
+    """
+    if isinstance(value, str):
         try:
-            ratio = Fraction(value.strip())
+            value = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigurationError(f"cannot parse ratio {value!r}") from exc
-    elif isinstance(value, int):
-        ratio = Fraction(value)
-    elif isinstance(value, float):
-        ratio = Fraction(value).limit_denominator(10**9)
-    else:
-        raise ConfigurationError(f"cannot parse ratio {value!r}")
-    if ratio <= 0:
-        raise ConfigurationError(f"ratio must be positive, got {ratio}")
-    return ratio
+    return GridRatio(value).fraction
 
 
 def _resolve_grid(
@@ -175,6 +173,10 @@ def _resolve_grid(
     The ratio may stay None: sweep subcommands carry their own ratio
     lists.  The jump count is always required.
     """
+    if cell_width is not None and not (math.isfinite(cell_width) and cell_width > 0):
+        raise ConfigurationError(
+            f"cell width dv must be finite and positive, got {cell_width!r}"
+        )
     r, t = ratio, n_jumps
     if t is None and r is not None and n_cells is not None:
         jumps = Fraction(n_cells - 1) / r
@@ -190,10 +192,6 @@ def _resolve_grid(
             raise ConfigurationError(
                 f"dv={cell_width} with r={r} gives a fractional jump count {t_val}"
             )
-    if r is None and t is not None and n_cells is not None:
-        r = Fraction(n_cells - 1, t)
-    if r is None and t is not None and cell_width is not None:
-        r = Fraction(v_max / (t * cell_width)).limit_denominator(10**9)
     if t is None:
         raise ConfigurationError(
             "the grid is underdetermined: give at least two of N, dv, r, T "
@@ -201,6 +199,10 @@ def _resolve_grid(
         )
     if t < 1:
         raise ConfigurationError(f"jump count must be at least 1, got {t}")
+    if r is None and n_cells is not None:
+        r = parse_ratio(Fraction(n_cells - 1, t))
+    if r is None and cell_width is not None:
+        r = parse_ratio(v_max / (t * cell_width))
     if r is not None:
         n_expected = r * t + 1
         if n_expected.denominator != 1:
@@ -222,35 +224,41 @@ def _resolve_grid(
     return r, t
 
 
-def _law_from_mapping(data: Mapping[str, Any]) -> ProbabilityLaw:
-    custom = data.get("law")
-    gamma = data.get("gamma")
-    if custom is not None:
-        if gamma is not None:
-            raise ConfigurationError("give either gamma or a custom law, not both")
-        points = custom.get("points") if isinstance(custom, Mapping) else custom
-        if not points:
-            raise ConfigurationError("custom law needs a points table")
-        return CustomLaw(tuple((float(a), float(b)) for a, b in points))
-    return PowerLaw(gamma=float(gamma if gamma is not None else 1.0))
+def _real(value: Any) -> float:
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return out
 
 
-def _tuple_of_floats(values: Any, what: str) -> tuple[float, ...]:
-    if isinstance(values, Mapping):
-        start, stop = float(values["start"]), float(values["stop"])
-        count = int(values["count"])
-        if count < 1:
-            raise ConfigurationError(f"{what}: count must be positive")
-        return tuple(float(x) for x in np.linspace(start, stop, count))
-    try:
-        return tuple(float(x) for x in values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{what}: expected a list of numbers") from exc
+def _items(values: Any) -> list:
+    if isinstance(values, (str, Mapping)):
+        raise TypeError(f"expected a list, got {values!r}")
+    return list(values)
 
 
-def _ratio_list(values: Any) -> tuple[float, ...]:
+def _reals(values: Any) -> tuple[float, ...]:
+    return tuple(_real(v) for v in _items(values))
+
+
+def _densities(values: Any, rho_max: float) -> tuple[float, ...]:
+    """A density list, or a {count, start=0.01, stop=rho_max} linspace."""
+    if not isinstance(values, Mapping):
+        return _reals(values)
+    if values.get("count") is None:
+        raise ValueError("a {start, stop, count} mapping needs a count")
+    count = int(values["count"])
+    if count < 1:
+        raise ValueError("count must be positive")
+    start, stop = values.get("start"), values.get("stop")
+    start = 0.01 if start is None else _real(start)
+    stop = rho_max if stop is None else _real(stop)
+    return tuple(float(x) for x in np.linspace(start, stop, count))
+
+
+def _ratios(values: Any) -> tuple[float, ...]:
     out = []
-    for v in values:
+    for v in _items(values):
         if isinstance(v, str) and v.strip().lower() in ("inf", "infinity"):
             out.append(math.inf)
         elif isinstance(v, float) and math.isinf(v):
@@ -260,110 +268,135 @@ def _ratio_list(values: Any) -> tuple[float, ...]:
     return tuple(out)
 
 
+def _read(section: Mapping[str, Any], prefix: str, /, **readers) -> dict[str, Any]:
+    """The keys of a section that are set, each passed through its reader.
+
+    The settings dataclasses' defaults fill the keys left out.  A value its
+    reader rejects raises ConfigurationError naming the key.
+    """
+    out = {}
+    for key, read in readers.items():
+        if section.get(key) is not None:
+            try:
+                out[key] = read(section[key])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigurationError(f"{prefix}{key}: {exc}") from exc
+    return out
+
+
+_SECTIONS = ("initial_condition", "integrator", "output", "diagram", "convergence")
+
+
+def _section(data: Mapping[str, Any], key: str) -> dict[str, Any]:
+    value = data.get(key)
+    if value is None:
+        return {}
+    if key == "initial_condition" and isinstance(value, str):
+        return {"kind": value}
+    if not isinstance(value, Mapping):
+        raise ConfigurationError(f"{key}: expected a mapping, got {value!r}")
+    return dict(value)
+
+
+def _sweep(
+    data: Mapping[str, Any], key: str, settings: type,
+    ratio: Optional[Fraction], **readers,
+) -> Any:
+    """A diagram or convergence section, or None when the run has none."""
+    if key not in data:
+        return None
+    fields = _read(_section(data, key), key + ".", ratios=_ratios, **readers)
+    if ratio is not None:
+        fields.setdefault("ratios", (float(ratio),))
+    return settings(**fields)
+
+
+def _law_from_mapping(data: Mapping[str, Any]) -> ProbabilityLaw:
+    custom = data.get("law")
+    if custom is None:
+        return PowerLaw(**_read(data, "", gamma=_real))
+    if data.get("gamma") is not None:
+        raise ConfigurationError("give either gamma or a custom law, not both")
+    points = custom.get("points") if isinstance(custom, Mapping) else custom
+    if not points:
+        raise ConfigurationError("custom law needs a points table")
+    try:
+        return CustomLaw(tuple((_real(a), _real(b)) for a, b in points))
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"law: {exc}") from exc
+
+
 def load_config(
     path: Optional[Union[str, Path]] = None,
     overrides: Optional[Mapping[str, Any]] = None,
 ) -> RunConfig:
-    """Read a YAML run description, apply flat overrides, validate.
+    """Read a YAML run description, merge overrides over it, validate.
 
-    Overrides use the top-level key names (kernel, gamma, eta, rho, N, dv,
-    r, T, ...); None values are ignored so CLI flags can pass through
-    unconditionally.
+    Overrides use the file's key names (kernel, gamma, eta, rho, N, dv, r,
+    T, ..., workers).  A mapping given for one of the sections
+    initial_condition, integrator, output, diagram or convergence is
+    merged key by key over the file's section and creates the section if
+    the file has none.  None values are ignored at both levels, so CLI
+    flags can pass through unconditionally.
     """
     data: dict[str, Any] = {}
     if path is not None:
-        raw = Path(path).read_text()
-        loaded = yaml.safe_load(raw)
+        loaded = yaml.safe_load(Path(path).read_text())
         if loaded is None:
             loaded = {}
         if not isinstance(loaded, Mapping):
             raise ConfigurationError(f"{path}: config must be a mapping")
         data.update(loaded)
     for key, value in (overrides or {}).items():
-        if value is not None:
+        if key in _SECTIONS and isinstance(value, Mapping):
+            given = {k: v for k, v in value.items() if v is not None}
+            data[key] = {**_section(data, key), **given}
+        elif value is not None:
             data[key] = value
-
-    kernel = Kernel(str(data.get("kernel", "delta")).lower())
-    v_max = float(data.get("v_max", 1.0))
-    rho_max = float(data.get("rho_max", 1.0))
-    eta = float(data.get("eta", 1.0))
-    law = _law_from_mapping(data)
-
-    n_cells = data.get("N")
-    n_cells = int(n_cells) if n_cells is not None else None
-    cell_width = data.get("dv")
-    cell_width = float(cell_width) if cell_width is not None else None
-    ratio_in = data.get("r")
-    ratio = parse_ratio(ratio_in) if ratio_in is not None else None
-    n_jumps = data.get("T")
-    n_jumps = int(n_jumps) if n_jumps is not None else None
-    ratio, n_jumps = _resolve_grid(v_max, n_cells, cell_width, ratio, n_jumps)
-
-    params = ModelParams(
-        v_max=v_max,
-        rho_max=rho_max,
-        delta_v=v_max / n_jumps,
-        eta=eta,
-        kernel=kernel,
-    )
-
-    rho = float(data["rho"]) if data.get("rho") is not None else None
-
-    ic_data = data.get("initial_condition", {})
-    if isinstance(ic_data, str):
-        ic_data = {"kind": ic_data}
-    initial = InitialCondition(
-        kind=str(ic_data.get("kind", "uniform")),
-        epsilon=float(ic_data.get("epsilon", 0.0)),
-        cell=int(ic_data.get("cell", 1)),
-        masses=tuple(float(x) for x in ic_data.get("masses", ())),
-    )
-
-    integ = data.get("integrator", {})
-    integrator = IntegratorSettings(
-        step=None if integ.get("step") is None else float(integ["step"]),
-        t_end=float(integ.get("t_end", 50.0)),
-        t_max=float(integ.get("t_max", 1e7)),
-        residual_tol=float(integ.get("residual_tol", 1e-10)),
-    )
-
-    out = data.get("output", {})
-    output = OutputSettings(
-        directory=Path(out.get("directory", "out")),
-        prefix=str(out.get("prefix", "run")),
-    )
-
-    diagram = None
-    if "diagram" in data:
-        d = data["diagram"]
-        diagram = DiagramSettings(
-            rho_grid=_tuple_of_floats(d.get("rho_grid", ()), "diagram.rho_grid"),
-            ratios=_ratio_list(d.get("ratios", [1])),
-            insert_critical=bool(d.get("insert_critical", True)),
-            kink_threshold=float(d.get("kink_threshold", 0.2)),
+    if "workers" in _section(data, "convergence"):
+        raise ConfigurationError(
+            "convergence.workers is not read; give workers at the top level"
         )
 
-    convergence = None
-    if "convergence" in data:
-        c = data["convergence"]
-        convergence = ConvergenceSettings(
-            rho_set=_tuple_of_floats(c.get("rho_set", ()), "convergence.rho_set"),
-            ratios=_ratio_list(c.get("ratios", [1, 2])),
-            t_end=None if c.get("t_end") is None else float(c["t_end"]),
-            workers=int(c.get("workers", data.get("workers", 1))),
-        )
+    model = _read(
+        data, "", kernel=lambda v: Kernel(str(v).lower()),
+        v_max=_real, rho_max=_real, eta=_real,
+    )
+    v_max = model.get("v_max", ModelParams.v_max)
+    grid = _read(data, "", N=int, dv=_real, r=parse_ratio, T=int)
+    ratio, n_jumps = _resolve_grid(
+        v_max, grid.get("N"), grid.get("dv"), grid.get("r"), grid.get("T")
+    )
+    params = ModelParams(delta_v=v_max / n_jumps, **model)
+
+    def densities(values: Any) -> tuple[float, ...]:
+        return _densities(values, params.rho_max)
 
     return RunConfig(
         params=params,
-        law=law,
+        law=_law_from_mapping(data),
         ratio=ratio,
-        rho=rho,
-        initial=initial,
-        integrator=integrator,
-        output=output,
-        diagram=diagram,
-        convergence=convergence,
-        workers=int(data.get("workers", 1)),
+        initial=InitialCondition(**_read(
+            _section(data, "initial_condition"), "initial_condition.",
+            kind=str, epsilon=_real, cell=int, masses=_reals,
+        )),
+        integrator=IntegratorSettings(**_read(
+            _section(data, "integrator"), "integrator.",
+            step=_real, t_end=_real, t_max=_real, residual_tol=_real,
+        )),
+        output=OutputSettings(**_read(
+            _section(data, "output"), "output.",
+            directory=Path, prefix=str,
+        )),
+        diagram=_sweep(
+            data, "diagram", DiagramSettings, ratio, rho_grid=densities,
+            insert_critical=bool, kink_threshold=_real,
+        ),
+        convergence=_sweep(
+            data, "convergence", ConvergenceSettings, ratio, rho_set=densities,
+            t_end=_real,
+        ),
+        **_read(data, "", rho=_real, workers=int),
     )
 
 

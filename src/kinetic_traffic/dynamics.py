@@ -355,20 +355,28 @@ def integrate(
     )
 
 
+def _chunk_end(t_hi: float, t_max: float) -> float:
+    """Chunk end capped at t_max; an end within LSODA's start threshold of
+    t_max (2 eps t_max) becomes t_max, since a last chunk that short is
+    illegal input to LSODA."""
+    if t_max - t_hi <= 2.0 * np.finfo(float).eps * t_max:
+        return t_max
+    return t_hi
+
+
 def find_steady_state(
     f0: Union[CellMassVector, np.ndarray],
     tensor: InteractionTensor,
     eta: float,
     residual_tol: float = 1e-10,
     t_max: float = 1e9,
-    rel_change_tol: Optional[float] = None,
 ) -> CellMassVector:
     """March the system until the right-hand side is numerically zero.
 
-    Stops when BOTH the residual max-norm is at or below residual_tol and
-    the state change per unit time (relative to the total mass) is at or
-    below rel_change_tol (defaults to residual_tol): the residual alone can
-    dip early while the state still drifts along a slow manifold.
+    Stops when BOTH the residual max-norm and the state change per unit
+    time (relative to the total mass) are at or below residual_tol: the
+    residual alone can dip early while the state still drifts along a slow
+    manifold.
 
     Stepping uses LSODA (scipy's odeint, with the analytic dense Jacobian)
     over horizon chunks ending at 10/(eta*rho) and then five times further
@@ -383,8 +391,6 @@ def find_steady_state(
     if residual_tol <= 0:
         raise ConfigurationError("residual_tol must be positive")
     _check_eta(eta)
-    if rel_change_tol is None:
-        rel_change_tol = residual_tol
     f = _as_array(f0, tensor).copy()
     _check_finite(f)
     _clamp_negativity(f, "initial state")
@@ -404,7 +410,7 @@ def find_steady_state(
     jac = _make_jac(tensor, eta)
     scale = eta * rho0
     t = 0.0
-    t_hi = min(10.0 / scale, t_max)
+    t_hi = _chunk_end(10.0 / scale, t_max)
     atol = 1e-15 * max(rho0, 1e-3)
     work = dict(steps=0, rhs_evals=0, jac_evals=0, chunks=0, t_reached=t)
     try:
@@ -442,7 +448,7 @@ def find_steady_state(
                 f *= rho0 / total
             residual = float(np.abs(rhs(f)).max())
             change_rate = float(np.abs(f - prev).max()) / (rho0 * (t_hi - t))
-            if residual <= residual_tol and change_rate <= rel_change_tol:
+            if residual <= residual_tol and change_rate <= residual_tol:
                 return CellMassVector(f, tensor.grid)
             if t_hi >= t_max:
                 raise SteadyStateTimeout(
@@ -453,7 +459,7 @@ def find_steady_state(
                     **work,
                 )
             t = t_hi
-            t_hi = min(t_hi * 5.0, t_max)
+            t_hi = _chunk_end(t_hi * 5.0, t_max)
     finally:
         logger.debug(
             "steady-state solve ended: t_reached=%.6g chunks=%d steps=%d "

@@ -111,10 +111,6 @@ class GridRatio:
             raise ConfigurationError("grid ratio r must be positive")
         object.__setattr__(self, "fraction", frac)
 
-    @classmethod
-    def from_value(cls, r: Union[int, float, Fraction]) -> "GridRatio":
-        return cls(r)
-
     @property
     def r(self) -> float:
         return float(self.fraction)
@@ -229,7 +225,7 @@ def build_grid(params: ModelParams, r: Union[int, float, Fraction]) -> tuple[Vel
     T = v_max/delta_v comes from the parameters; r may be fractional as
     long as r*T is an integer (so the last cell edge lands on v_max).
     """
-    ratio = GridRatio.from_value(r)
+    ratio = GridRatio(r)
     t = params.n_jumps
     n_minus_1 = ratio.fraction * t
     if n_minus_1.denominator != 1:

@@ -4,15 +4,32 @@ Every data file must be byte-identical across reruns of the same
 configuration; wall-clock details are confined to the JSON manifest.
 """
 import json
+from concurrent import futures
 
 import numpy as np
 import pytest
+import yaml
 
+from kinetic_traffic import cli
 from kinetic_traffic.cli import main
+from kinetic_traffic.config import load_config
 
 
 def run(tmp_path, *argv):
     return main([*argv, "--out", str(tmp_path)])
+
+
+def counting_pool(monkeypatch, module, attribute):
+    """Wrap a module's ProcessPoolExecutor; the returned list counts pools."""
+    made = []
+
+    class Pool(futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(module, attribute, Pool)
+    return made
 
 
 def read_csv(path):
@@ -143,16 +160,20 @@ class TestDiagram:
         assert bracket[0] < 0.5 < bracket[1]
         assert summary[0]["all_converged"] is True
 
-    def test_worker_pool_output_is_identical(self, tmp_path):
+    def test_worker_pool_output_is_identical(self, tmp_path, monkeypatch):
+        # the spread kernel has no closed form, so its samples go to the pool
+        pools = counting_pool(monkeypatch, futures, "ProcessPoolExecutor")
         outs = {}
         for tag, workers in (("serial", "1"), ("pool", "2")):
             out = tmp_path / tag
             code = main([
-                "diagram", "--T", "4", "--rho-list", "0.2,0.4,0.6,0.8",
-                "--ratios", "1,2", "--workers", workers, "--out", str(out),
+                "diagram", "--kernel", "chi", "--T", "2", "--rho-list", "0.2,0.4,0.7",
+                "--ratios", "1,2", "--no-insert-critical", "--workers", workers,
+                "--out", str(out),
             ])
             assert code == 0
             outs[tag] = (out / "run_diagram.csv").read_bytes()
+        assert pools == [2, 2]  # one pool per ratio, none for the serial run
         assert outs["serial"] == outs["pool"]
 
     def test_infinite_ratio_rows(self, tmp_path):
@@ -217,6 +238,112 @@ class TestConvergence:
             spread = abs(by_r[1.0] - by_r[2.0]) / by_r[1.0]
             assert spread < 0.05, (rho, by_r)
 
+    def test_worker_pool_output_is_identical(self, tmp_path, monkeypatch):
+        pools = counting_pool(monkeypatch, cli, "ProcessPoolExecutor")
+        outs = {}
+        for tag, workers in (("serial", "1"), ("pool", "2")):
+            out = tmp_path / tag
+            code = main([
+                "convergence", "--T", "3", "--rho-set", "0.2,0.8", "--ratios", "1,2",
+                "--fit-t-end", "100", "--workers", workers, "--out", str(out),
+            ])
+            assert code == 0
+            outs[tag] = (out / "run_convergence.csv").read_bytes()
+        assert pools == [2]
+        assert outs["serial"] == outs["pool"]
+
+
+# (command, flags, section, key, value): each flag next to the YAML key it
+# sets; section None is the top level.
+FLAG_KEYS = [
+    ("simulate", ["--kernel", "chi"], None, "kernel", "chi"),
+    ("simulate", ["--gamma", "0.5"], None, "gamma", 0.5),
+    ("simulate", ["--eta", "2"], None, "eta", 2.0),
+    ("simulate", ["--rho", "0.3"], None, "rho", 0.3),
+    ("simulate", ["-N", "9"], None, "N", 9),
+    ("simulate", ["--dv", "0.125"], None, "dv", 0.125),
+    ("simulate", ["--r", "14/3"], None, "r", "14/3"),
+    ("simulate", ["--v-max", "2"], None, "v_max", 2.0),
+    ("simulate", ["--rho-max", "2"], None, "rho_max", 2.0),
+    ("simulate", ["--workers", "3"], None, "workers", 3),
+    ("simulate", ["--out", "elsewhere"], "output", "directory", "elsewhere"),
+    ("simulate", ["--prefix", "p"], "output", "prefix", "p"),
+    ("simulate", ["--ic", "congested"], "initial_condition", "kind", "congested"),
+    ("simulate", ["--ic-epsilon", "0.1"], "initial_condition", "epsilon", 0.1),
+    ("simulate", ["--ic-cell", "2"], "initial_condition", "cell", 2),
+    ("simulate", ["--t-end", "7"], "integrator", "t_end", 7.0),
+    ("simulate", ["--step", "0.01"], "integrator", "step", 0.01),
+    ("equilibrium", ["--residual-tol", "1e-9"], "integrator", "residual_tol", 1e-9),
+    ("equilibrium", ["--t-max", "100"], "integrator", "t_max", 100.0),
+    ("diagram", ["--rho-list", "0.2,0.4"], "diagram", "rho_grid", [0.2, 0.4]),
+    ("diagram", ["--rho-count", "4"], "diagram", "rho_grid", {"count": 4}),
+    ("diagram", ["--rho-count", "4", "--rho-start", "0.2"], "diagram", "rho_grid",
+     {"count": 4, "start": 0.2}),
+    ("diagram", ["--rho-count", "4", "--rho-stop", "0.5"], "diagram", "rho_grid",
+     {"count": 4, "stop": 0.5}),
+    ("diagram", ["--ratios", "1,inf"], "diagram", "ratios", [1, "inf"]),
+    ("diagram", ["--no-insert-critical"], "diagram", "insert_critical", False),
+    ("diagram", ["--kink-threshold", "0.3"], "diagram", "kink_threshold", 0.3),
+    ("convergence", ["--rho-set", "0.2,0.8"], "convergence", "rho_set", [0.2, 0.8]),
+    ("convergence", ["--ratios", "3"], "convergence", "ratios", [3]),
+    ("convergence", ["--fit-t-end", "80"], "convergence", "t_end", 80.0),
+]
+
+
+class TestFlagsAreYamlKeys:
+    BASE = {"T": 3, "r": 2, "rho": 0.5}
+
+    def captured(self, monkeypatch, command, argv):
+        seen = []
+        monkeypatch.setattr(cli, f"_cmd_{command}", lambda cfg: seen.append(cfg) or 0)
+        assert main([command, *argv]) == 0
+        return seen[0]
+
+    @pytest.mark.parametrize("command,flags,section,key,value", FLAG_KEYS)
+    def test_flag_equals_its_yaml_key(
+        self, tmp_path, monkeypatch, command, flags, section, key, value
+    ):
+        base = dict(self.BASE)
+        if key in ("N", "dv"):
+            del base["r"]  # N or dv plus T pins the grid
+        doc = {**base, key: value} if section is None else {**base, section: {key: value}}
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        want = load_config(path)
+        path.write_text(yaml.safe_dump(base))
+        got = self.captured(monkeypatch, command, ["--config", str(path), *flags])
+        assert got == want
+
+    def test_flags_win_over_the_file_key_by_key(self, tmp_path, monkeypatch):
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump({
+            **self.BASE,
+            "integrator": {"t_end": 9.0, "step": 0.05},
+            "initial_condition": {"kind": "congested", "epsilon": 0.2},
+        }))
+        cfg = self.captured(
+            monkeypatch, "simulate",
+            ["--config", str(path), "--t-end", "3", "--ic-epsilon", "0.4"],
+        )
+        assert (cfg.integrator.t_end, cfg.integrator.step) == (3.0, 0.05)
+        assert (cfg.initial.kind, cfg.initial.epsilon) == ("congested", 0.4)
+
+    @pytest.mark.parametrize("command,default", [
+        ("diagram", (1.0,)), ("convergence", (1.0, 2.0)),
+    ])
+    def test_ratios_default_to_the_run_ratio(self, tmp_path, monkeypatch, command, default):
+        # one rule for flags and files: [r] when the run has r, else the default
+        def ratios(*argv):
+            return getattr(self.captured(monkeypatch, command, list(argv)), command).ratios
+
+        assert ratios("--T", "4", "--r", "20") == (20.0,)
+        assert ratios("--T", "4") == default
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump({"T": 4, "r": 20, command: {"rho_" + (
+            "grid" if command == "diagram" else "set"): [0.3]}}))
+        assert ratios("--config", str(path)) == (20.0,)
+        assert ratios("--config", str(path), "--ratios", "1") == (1.0,)
+
 
 class TestExitCodes:
     def test_configuration_error(self, tmp_path, capsys):
@@ -240,6 +367,23 @@ class TestExitCodes:
         ])
         assert code == 4
         assert "i/o failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,yaml_text,argv", [
+        ("simulate", "T: 3\nkernel: foo", []),
+        ("simulate", "T: 3\neta: abc", []),
+        ("simulate", "T: 3\nintegrator: 5", []),
+        ("simulate", "T: 3\nr: .nan", []),
+        ("simulate", "T: 3\nr: .inf", []),
+        ("simulate", "", ["--dv", "0", "--T", "3"]),
+        ("simulate", "", ["--r", "2", "--dv", "0"]),
+        ("diagram", "", ["--T", "4", "--rho-list", "0.3,abc"]),
+        ("convergence", "", ["--T", "4", "--rho-set", "abc"]),
+    ])
+    def test_malformed_run_input(self, tmp_path, capsys, command, yaml_text, argv):
+        path = tmp_path / "run.yaml"
+        path.write_text(f"rho: 0.5\n{yaml_text}\n")
+        assert run(tmp_path, command, "--config", str(path), *argv) == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_missing_density(self, tmp_path, capsys):
         assert run(tmp_path, "simulate", "--T", "3", "--r", "1") == 2

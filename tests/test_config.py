@@ -147,7 +147,8 @@ class TestYamlRoundTrip:
                 "rho_grid": {"start": 0.1, "stop": 0.9, "count": 5},
                 "ratios": [1, "inf"],
             },
-            "convergence": {"rho_set": [0.2, 0.8], "ratios": [1, 2], "workers": 2},
+            "convergence": {"rho_set": [0.2, 0.8], "ratios": [1, 2]},
+            "workers": 2,
         }
         path = tmp_path / "run.yaml"
         path.write_text(yaml.safe_dump(doc))
@@ -159,7 +160,72 @@ class TestYamlRoundTrip:
         assert cfg.output.prefix == "demo"
         assert cfg.diagram.rho_grid == pytest.approx(np.linspace(0.1, 0.9, 5))
         assert cfg.diagram.ratios[1] == float("inf")
-        assert cfg.convergence.workers == 2
+        assert cfg.workers == 2
+
+    def test_section_overrides_merge_key_by_key(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text(
+            "T: 3\nr: 2\ninitial_condition: congested\n"
+            "integrator: {t_end: 25.0, residual_tol: 1.0e-9}\n"
+            "diagram: {rho_grid: [0.3], kink_threshold: 0.5}\n"
+        )
+        cfg = load_config(path, overrides={
+            "initial_condition": {"epsilon": 0.1, "cell": None},
+            "integrator": {"t_end": 5.0, "step": None},
+            "diagram": {"rho_grid": [0.4, 0.6], "ratios": None},
+        })
+        assert (cfg.initial.kind, cfg.initial.epsilon) == ("congested", 0.1)
+        assert (cfg.integrator.t_end, cfg.integrator.residual_tol) == (5.0, 1e-9)
+        assert cfg.diagram.rho_grid == (0.4, 0.6)
+        assert cfg.diagram.kink_threshold == 0.5
+
+    def test_density_count_defaults_to_the_full_range(self):
+        cfg = load_config(overrides={
+            "T": 3, "rho_max": 2.0, "diagram": {"rho_grid": {"count": 3}},
+        })
+        assert cfg.diagram.rho_grid == tuple(np.linspace(0.01, 2.0, 3))
+        cfg = load_config(overrides={
+            "T": 3, "convergence": {"rho_set": {"count": 2, "start": 0.5}},
+        })
+        assert cfg.convergence.rho_set == (0.5, 1.0)
+
+    @pytest.mark.parametrize("section,default", [
+        ("diagram", (1.0,)), ("convergence", (1.0, 2.0)),
+    ])
+    def test_ratios_default_to_the_run_ratio(self, section, default):
+        with_r = load_config(overrides={"T": 4, "r": 20, section: {}})
+        assert getattr(with_r, section).ratios == (20.0,)
+        without_r = load_config(overrides={"T": 4, section: {}})
+        assert getattr(without_r, section).ratios == default
+        given = load_config(overrides={"T": 4, "r": 20, section: {"ratios": [3]}})
+        assert getattr(given, section).ratios == (3.0,)
+
+    def test_convergence_workers_key_is_rejected(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text("T: 3\nconvergence: {rho_set: [0.3], workers: 2}\n")
+        with pytest.raises(ConfigurationError, match="top level"):
+            load_config(path)
+
+    @pytest.mark.parametrize("overrides", [
+        {"kernel": "foo"},
+        {"eta": "abc"},
+        {"r": float("nan")},
+        {"r": float("inf")},
+        {"dv": 0.0},
+        {"dv": float("nan")},
+        {"N": "many"},
+        {"integrator": 5},
+        {"output": "out"},
+        {"integrator": {"t_end": "soon"}},
+        {"initial_condition": {"masses": 3}},
+        {"diagram": {"rho_grid": [0.3, "abc"]}},
+        {"diagram": {"rho_grid": {"start": 0.1}}},
+        {"diagram": {"ratios": 2}},
+        {"law": [[0.0, 1.0], [1.0]]},
+    ])
+    def test_malformed_values_are_configuration_errors(self, overrides):
+        with pytest.raises(ConfigurationError):
+            load_config(overrides={"T": 3, **overrides})
 
     def test_shipped_example_parses(self):
         cfg = load_config("configs/equilibrium_refined.yaml")

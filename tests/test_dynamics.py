@@ -45,6 +45,7 @@ from kinetic_traffic import (
     staircase_distance,
     unstable_equilibrium,
 )
+from kinetic_traffic import dynamics
 from kinetic_traffic.dynamics import _make_jac
 
 from _oracles import (
@@ -305,19 +306,36 @@ class TestSteadyState:
         assert str(got.value) == str(want.value)
         assert "-1.737e-09" in str(got.value)
 
-    def test_failed_stepping_raises_without_a_warning(self):
-        # chunks end at 20 and 100; a last chunk one ulp long is too short
-        # for LSODA to start, so the solver reports illegal input
+    def test_chunk_end_ulps_short_of_t_max_is_stretched_to_it(self):
+        # chunks end at 20 and 100; a last chunk one ulp long would be too
+        # short for LSODA to start, so the second chunk runs to t_max
+        grid = VelocityGrid(n_cells=7, v_max=1.0)
+        tensor = build_delta_tensor_integer(grid, GridRatio(Fraction(2)), 0.4)
+        f0 = np.zeros(7)
+        f0[0] = 0.5
+        t_max = np.nextafter(100.0, 200.0)
+        with pytest.raises(SteadyStateTimeout) as exc:
+            find_steady_state(f0, tensor, 1.0, residual_tol=1e-30, t_max=t_max)
+        assert exc.value.chunks == 2
+        assert exc.value.t_reached == t_max
+
+    def test_failed_stepping_raises_without_a_warning(self, monkeypatch):
+        def failing_odeint(func, y0, t, **kwargs):
+            warnings.warn("stub solver failure", dynamics.ODEintWarning)
+            info = {"nst": [3], "nfe": [5], "nje": [1], "message": "Illegal input detected."}
+            return np.array([y0, y0]), info
+
+        monkeypatch.setattr(dynamics, "odeint", failing_odeint)
         grid = VelocityGrid(n_cells=7, v_max=1.0)
         tensor = build_delta_tensor_integer(grid, GridRatio(Fraction(2)), 0.4)
         f0 = np.zeros(7)
         f0[0] = 0.5
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalError, match="steady-state stepping failed: ") as exc:
-                find_steady_state(
-                    f0, tensor, 1.0, residual_tol=1e-30, t_max=np.nextafter(100.0, 200.0)
-                )
+            with pytest.raises(
+                NumericalError, match="steady-state stepping failed: Illegal input"
+            ) as exc:
+                find_steady_state(f0, tensor, 1.0, residual_tol=1e-10, t_max=1e3)
         assert type(exc.value) is NumericalError
 
 

@@ -102,16 +102,13 @@ class TestGridRatio:
         assert GridRatio(2.0).is_integer
         assert GridRatio(2.5).fraction == Fraction(5, 2)
         assert GridRatio(3).fraction == Fraction(3)
+        assert GridRatio(3.5).fraction == Fraction(7, 2)
+        assert GridRatio(Fraction(14, 3)).fraction == Fraction(14, 3)
         grid = make_grid(3, Fraction(2))
         assert build_tensor(Kernel.DELTA, grid, GridRatio(2.0), 0.4).bandwidth == 2
         for bad in ("2", None, float("nan"), float("inf"), 1j):
             with pytest.raises(ConfigurationError):
                 GridRatio(bad)
-
-    def test_from_value_accepts_exact_floats(self):
-        assert GridRatio.from_value(3.5).fraction == Fraction(7, 2)
-        assert GridRatio.from_value(4).fraction == Fraction(4)
-        assert GridRatio.from_value(Fraction(14, 3)).fraction == Fraction(14, 3)
 
 
 class TestJumpTensorAgainstGeometry:
