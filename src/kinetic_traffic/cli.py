@@ -242,8 +242,6 @@ def _cmd_diagram(cfg: RunConfig) -> int:
             diagram = fundamental_diagram(
                 cfg.params, cfg.law, ratio, rhos,
                 residual_tol=cfg.integrator.residual_tol,
-                t_max=cfg.integrator.t_max,
-                workers=cfg.workers,
             )
             r_label = "inf" if math.isinf(diagram.ratio) else _fmt(diagram.ratio)
             for s in diagram.samples:
@@ -385,7 +383,7 @@ def _add_shared_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", type=Path, help="output directory")
     sp.add_argument("--prefix", help="output file name prefix")
     sp.add_argument("--workers", type=int,
-                    help="worker processes for spread-kernel diagrams and convergence")
+                    help="worker processes for convergence sweeps")
     sp.add_argument("--ic", choices=IC_KINDS, help="initial condition kind")
     sp.add_argument("--ic-epsilon", type=float, help="initial perturbation size")
     sp.add_argument("--ic-cell", type=int, help="perturbed cell (1-based)")
@@ -465,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--kink-threshold", dest="kink_threshold", type=float)
     sp.add_argument("--residual-tol", dest="residual_tol", type=float)
-    sp.add_argument("--t-max", dest="t_max", type=float)
     sp.set_defaults(handler=_cmd_diagram)
 
     sp = sub.add_parser("convergence", help="fit decay rates toward equilibrium")

@@ -12,6 +12,7 @@ rejects inconsistent combinations.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -224,6 +225,23 @@ def _resolve_grid(
     return r, t
 
 
+def _integer(value: Any) -> int:
+    # bool is an int subclass, and int() would truncate 3.7 to 3
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral)
+        or isinstance(value, float) and value.is_integer()
+    ):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _boolean(value: Any) -> bool:
+    # bool() would read the string "false" as True
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _real(value: Any) -> float:
     out = float(value)
     if not math.isfinite(out):
@@ -245,9 +263,10 @@ def _densities(values: Any, rho_max: float) -> tuple[float, ...]:
     """A density list, or a {count, start=0.01, stop=rho_max} linspace."""
     if not isinstance(values, Mapping):
         return _reals(values)
+    _reject_unknown(values, "", ("start", "stop", "count"))
     if values.get("count") is None:
         raise ValueError("a {start, stop, count} mapping needs a count")
-    count = int(values["count"])
+    count = _integer(values["count"])
     if count < 1:
         raise ValueError("count must be positive")
     start, stop = values.get("start"), values.get("stop")
@@ -285,6 +304,25 @@ def _read(section: Mapping[str, Any], prefix: str, /, **readers) -> dict[str, An
 
 
 _SECTIONS = ("initial_condition", "integrator", "output", "diagram", "convergence")
+_TOP_KEYS = (
+    "kernel", "v_max", "rho_max", "eta", "gamma", "law", "N", "dv", "r", "T",
+    "rho", "workers", *_SECTIONS,
+)
+
+
+def _reject_unknown(mapping: Mapping[str, Any], prefix: str, known) -> None:
+    """Raise ConfigurationError naming the first key not in known."""
+    for key in mapping:
+        if key not in known:
+            hint = f"; give {key} at the top level" if prefix and key in _TOP_KEYS else ""
+            raise ConfigurationError(f"unknown key {prefix}{key}{hint}")
+
+
+def _read_section(data: Mapping[str, Any], key: str, /, **readers) -> dict[str, Any]:
+    """_read over one section, whose keys must all be among the readers'."""
+    section = _section(data, key)
+    _reject_unknown(section, key + ".", readers)
+    return _read(section, key + ".", **readers)
 
 
 def _section(data: Mapping[str, Any], key: str) -> dict[str, Any]:
@@ -305,7 +343,7 @@ def _sweep(
     """A diagram or convergence section, or None when the run has none."""
     if key not in data:
         return None
-    fields = _read(_section(data, key), key + ".", ratios=_ratios, **readers)
+    fields = _read_section(data, key, ratios=_ratios, **readers)
     if ratio is not None:
         fields.setdefault("ratios", (float(ratio),))
     return settings(**fields)
@@ -317,6 +355,8 @@ def _law_from_mapping(data: Mapping[str, Any]) -> ProbabilityLaw:
         return PowerLaw(**_read(data, "", gamma=_real))
     if data.get("gamma") is not None:
         raise ConfigurationError("give either gamma or a custom law, not both")
+    if isinstance(custom, Mapping):
+        _reject_unknown(custom, "law.", ("points",))
     points = custom.get("points") if isinstance(custom, Mapping) else custom
     if not points:
         raise ConfigurationError("custom law needs a points table")
@@ -353,17 +393,14 @@ def load_config(
             data[key] = {**_section(data, key), **given}
         elif value is not None:
             data[key] = value
-    if "workers" in _section(data, "convergence"):
-        raise ConfigurationError(
-            "convergence.workers is not read; give workers at the top level"
-        )
+    _reject_unknown(data, "", _TOP_KEYS)
 
     model = _read(
         data, "", kernel=lambda v: Kernel(str(v).lower()),
         v_max=_real, rho_max=_real, eta=_real,
     )
     v_max = model.get("v_max", ModelParams.v_max)
-    grid = _read(data, "", N=int, dv=_real, r=parse_ratio, T=int)
+    grid = _read(data, "", N=_integer, dv=_real, r=parse_ratio, T=_integer)
     ratio, n_jumps = _resolve_grid(
         v_max, grid.get("N"), grid.get("dv"), grid.get("r"), grid.get("T")
     )
@@ -376,27 +413,26 @@ def load_config(
         params=params,
         law=_law_from_mapping(data),
         ratio=ratio,
-        initial=InitialCondition(**_read(
-            _section(data, "initial_condition"), "initial_condition.",
-            kind=str, epsilon=_real, cell=int, masses=_reals,
+        initial=InitialCondition(**_read_section(
+            data, "initial_condition",
+            kind=str, epsilon=_real, cell=_integer, masses=_reals,
         )),
-        integrator=IntegratorSettings(**_read(
-            _section(data, "integrator"), "integrator.",
+        integrator=IntegratorSettings(**_read_section(
+            data, "integrator",
             step=_real, t_end=_real, t_max=_real, residual_tol=_real,
         )),
-        output=OutputSettings(**_read(
-            _section(data, "output"), "output.",
-            directory=Path, prefix=str,
+        output=OutputSettings(**_read_section(
+            data, "output", directory=Path, prefix=str,
         )),
         diagram=_sweep(
             data, "diagram", DiagramSettings, ratio, rho_grid=densities,
-            insert_critical=bool, kink_threshold=_real,
+            insert_critical=_boolean, kink_threshold=_real,
         ),
         convergence=_sweep(
             data, "convergence", ConvergenceSettings, ratio, rho_set=densities,
             t_end=_real,
         ),
-        **_read(data, "", rho=_real, workers=int),
+        **_read(data, "", rho=_real, workers=_integer),
     )
 
 

@@ -54,6 +54,9 @@ logger = logging.getLogger(__name__)
 
 NEGATIVITY_TOL = -1e-12
 DRIFT_TOL = 1e-10
+# Most RK4 steps one integrate call may take; the test suite and the
+# benchmark ask for at most 7,200.
+MAX_STEPS = 10**7
 
 
 class NumericalError(RuntimeError):
@@ -290,9 +293,11 @@ def integrate(
     """Classical fourth-order Runge-Kutta with a fixed step.
 
     The default step 0.1/(eta*rho) resolves the quadratic timescale with a
-    wide stability margin.  Mass drift beyond 1e-10 or negativity
-    beyond -1e-12 abort the run; negative components above that tolerance
-    are clamped to zero with a logged warning.
+    wide stability margin.  A run that would take more than MAX_STEPS
+    steps is refused with ConfigurationError before the first one.  Mass
+    drift beyond 1e-10 or negativity beyond -1e-12 abort the run; negative
+    components above that tolerance are clamped to zero with a logged
+    warning.
     """
     if t_end <= 0:
         raise ConfigurationError("t_end must be positive")
@@ -306,6 +311,11 @@ def integrate(
 
     scale = eta * max(rho0, 1e-12)
     h = controls.step if controls.step is not None else 0.1 / scale
+    if not t_end / h <= MAX_STEPS:  # inf too
+        raise ConfigurationError(
+            f"t_end={t_end:.6g} at step {h:.6g} needs {t_end / h:.3g} steps, "
+            f"more than the budget of {MAX_STEPS:.0e}"
+        )
     n_steps = max(1, math.ceil(t_end / h - 1e-12))
     h = t_end / n_steps
 

@@ -7,7 +7,9 @@ classes obey a chain of quadratics solved class by class from the bottom.
 These functions evaluate that closed form (the analytic oracle the ODE
 solver is tested against), lay it onto a velocity grid, build the shifted
 unstable branch, and check whether an arbitrary grid state is supported
-on a quantized speed ladder.
+on a quantized speed ladder.  The same chain, solved cell by cell from an
+interaction tensor's acceleration band, gives the grid steady state of
+either kernel without a time march (`banded_equilibrium`).
 """
 from __future__ import annotations
 
@@ -17,14 +19,15 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .dynamics import CellMassVector, NumericalError
-from .matrices import VelocityGrid
+from .dynamics import NEGATIVITY_TOL, CellMassVector, NumericalError
+from .matrices import InteractionTensor, VelocityGrid
 from .params import ConfigurationError
 
 __all__ = [
     "QuantizedEquilibrium",
     "SupportCluster",
     "SupportReport",
+    "banded_equilibrium",
     "closed_form_equilibrium",
     "equilibrium_on_grid",
     "unstable_equilibrium",
@@ -126,6 +129,56 @@ def closed_form_equilibrium(rho: float, p: float, n_jumps: int) -> QuantizedEqui
     return QuantizedEquilibrium(
         masses=masses, rho=rho, p=p, discriminants=tuple(discs)
     )
+
+
+def banded_equilibrium(tensor: InteractionTensor, rho: float) -> CellMassVector:
+    """Steady state of total mass rho, solved cell by cell from the band.
+
+    Acceleration only raises a speed and braking only lowers one, so at a
+    fixed point equation j involves cells 1..j alone:
+
+        -(1-P) f_j^2 + b_j f_j + c_j = 0,
+        b_j = (1-2P) rho - 2(1-P) C_j + rho W_jj,  c_j = rho sum_{i<j} W_ji f_i,
+
+    with C_j the mass below cell j.  Cells 1..N-1 are solved in turn and
+    the top cell closes the mass balance, in O(N b) from `tensor.band`.
+    With c_j > 0 the positive root is taken (via the other root and the
+    root product when b_j < 0, so that a tiny root survives cancellation);
+    with c_j = 0 the root max(b_j/(1-P), 0), which never starts a state
+    with empty low cells when they can hold mass.  That is the branch a
+    march from a state occupying every cell ends on.  At P = 1 the
+    equations are linear and, from c_1 = 0 on, leave every cell but the
+    top one empty.  Raises NumericalError if the top cell's closing mass
+    falls below the -1e-12 negativity floor.
+    """
+    if not (math.isfinite(rho) and rho > 0.0):
+        raise ConfigurationError(f"density must be finite and positive, got {rho!r}")
+    n, b = tensor.n_cells, tensor.bandwidth
+    a = 1.0 - tensor.p
+    lin = (1.0 - 2.0 * tensor.p) * rho
+    lower = tensor.band[:, :b]
+    diag = tensor.band[:, b].tolist()
+    f = np.zeros(b + n)  # cell j at f[b + j], after b zeros for the band window
+    below = 0.0
+    for j in range(n - 1):
+        c = rho * float(lower[j] @ f[j:j + b])
+        bj = lin - 2.0 * a * below + rho * diag[j]
+        if c > 0.0:  # so P < 1: at P = 1 every c_j is 0
+            root = math.sqrt(bj * bj + 4.0 * a * c)
+            if bj < 0.0:
+                x = -c / (a * ((bj - root) / (2.0 * a)))
+            else:
+                x = (bj + root) / (2.0 * a)
+        else:
+            # roots 0 and b_j/(1-P); at P = 1 the equation is linear
+            x = max(bj / a, 0.0) if a > 0.0 else 0.0
+        f[b + j] = x
+        below += x
+    top = rho - below
+    if top < NEGATIVITY_TOL:
+        raise NumericalError(f"top cell mass {top:.3e} went negative")
+    f[-1] = max(top, 0.0)
+    return CellMassVector(f[b:], tensor.grid)
 
 
 def equilibrium_on_grid(

@@ -1,10 +1,11 @@
 """Macroscopic outputs: moments, fundamental diagrams, transition detection.
 
 Everything here reduces kinetic states to road-level quantities: density,
-flux, and mean speed.  Jump-kernel diagrams are evaluated straight from
-the closed-form equilibrium (no ODE runs); spread-kernel diagrams march
-the ODE to its steady state at every density and flag samples that fail
-to converge instead of dropping them.
+flux, and mean speed.  No diagram runs the ODE: jump-kernel diagrams are
+evaluated straight from the closed-form equilibrium, and spread-kernel
+diagrams from the same chain of quadratics solved cell by cell on the
+grid, with samples whose residual stays above the tolerance flagged
+rather than dropped.
 """
 from __future__ import annotations
 
@@ -15,14 +16,12 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .dynamics import (
-    CellMassVector,
-    IntegratorControls,
-    SteadyStateTimeout,
-    find_steady_state,
-    integrate,
+from .dynamics import CellMassVector, IntegratorControls, collision_rhs, integrate
+from .equilibrium import (
+    QuantizedEquilibrium,
+    banded_equilibrium,
+    closed_form_equilibrium,
 )
-from .equilibrium import QuantizedEquilibrium, closed_form_equilibrium, equilibrium_on_grid
 from .matrices import VelocityGrid, build_grid, build_tensor
 from .params import (
     ConfigurationError,
@@ -160,44 +159,22 @@ def _delta_flux(eq: QuantizedEquilibrium, grid: VelocityGrid, ratio: int) -> flo
     return float(eq.masses @ grid.centers[idx])
 
 
-def _spread_sample(task: tuple) -> DiagramSample:
-    """One spread-kernel steady state; module-level so pools can pickle it."""
-    params, law, ratio, rho, residual_tol, t_max = task
-    grid, ratio_obj = build_grid(params, ratio)
-    p = evaluate_probability(law, rho, params)
-    tensor = build_tensor(params.kernel, grid, ratio_obj, p)
-    f0 = np.full(grid.n_cells, rho / grid.n_cells)
-    converged = True
-    try:
-        f_inf = find_steady_state(
-            f0, tensor, params.eta, residual_tol=residual_tol, t_max=t_max
-        )
-    except SteadyStateTimeout as exc:
-        logger.warning("no steady state at rho=%g: %s", rho, exc)
-        f_inf = exc.state
-        converged = False
-    m = moments(f_inf)
-    return DiagramSample(rho, m.flux, m.mean_speed, converged)
-
-
 def fundamental_diagram(
     params: ModelParams,
     law: ProbabilityLaw,
     ratio: Union[int, float],
     rho_samples: Sequence[float],
     residual_tol: float = 1e-10,
-    t_max: float = 1e7,
-    workers: int = 1,
 ) -> FundamentalDiagram:
     """Equilibrium flux at each requested density.
 
     Jump kernel: the closed-form equilibrium is evaluated directly, with
     ratio=math.inf giving the infinitely-refined limit where class l sits
-    exactly at speed (l-1)*delta_v.  Spread kernel: each density runs the
-    ODE from a uniform start to steady state; a run that exhausts t_max
-    contributes its last state with converged=False.  workers > 1 fans the
-    spread-kernel densities across a process pool; results keep the input
-    order either way.
+    exactly at speed (l-1)*delta_v.  Spread kernel: each density's steady
+    state is solved cell by cell from the tensor's band
+    (`banded_equilibrium`), the state a march from a uniform start ends
+    on; a sample whose collision residual (max-norm) exceeds residual_tol
+    is kept with converged=False.
     """
     rhos = [float(r) for r in rho_samples]
     if not rhos:
@@ -240,17 +217,18 @@ def fundamental_diagram(
     else:
         if not ratio_obj.is_integer:
             raise ConfigurationError("spread-kernel grids require integer ratios")
-        tasks = [
-            (params, law, float(ratio_obj.r), rho, residual_tol, t_max)
-            for rho in rhos
-        ]
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                samples = list(pool.map(_spread_sample, tasks))
-        else:
-            samples = [_spread_sample(task) for task in tasks]
+        samples = []
+        for rho in rhos:
+            p = evaluate_probability(law, rho, params)
+            tensor = build_tensor(params.kernel, grid, ratio_obj, p)
+            f_inf = banded_equilibrium(tensor, rho)
+            residual = float(np.abs(collision_rhs(f_inf, tensor, params.eta)).max())
+            if residual > residual_tol:
+                logger.warning("no steady state at rho=%g: residual %.3e", rho, residual)
+            m = moments(f_inf)
+            samples.append(
+                DiagramSample(rho, m.flux, m.mean_speed, residual <= residual_tol)
+            )
     return FundamentalDiagram(
         samples=tuple(samples),
         kernel=params.kernel,

@@ -3,10 +3,10 @@
 Every routine here re-derives a quantity from first principles by a route
 different from the implementation: exact rational interval geometry for the
 jump-kernel weights, adaptive quadrature of the defining kernel for the
-spread weights, 60-digit arithmetic with the naive root formula for the
-equilibrium recursion, the dense (N, N, N) tensor and an einsum over it for
-the collision right-hand side, and an eigenvalue computation for decay
-rates.  Agreement is then evidence, not circularity.  Two routines are
+spread weights, 50- and 60-digit arithmetic with the naive root formula for
+the equilibrium recursions, the dense (N, N, N) tensor and an einsum over
+it for the collision right-hand side, and an eigenvalue computation for
+decay rates.  Agreement is then evidence, not circularity.  Two routines are
 references rather than oracles, earlier implementations that the package
 must match bit for bit: the original pairwise spread builder, and the
 steady-state search that stepped LSODA through scipy's solve_ivp with a
@@ -173,6 +173,31 @@ def equilibrium_mp(rho: float, p: float, n_jumps: int, dps: int = 60) -> list[fl
             masses.append((b + mpmath.sqrt(b * b + 4 * a * c)) / (2 * a))
         masses.append(rho_mp - mpmath.fsum(masses))
         return [float(x) for x in masses]
+
+
+def banded_equilibrium_mp(tensor, rho: float, dps: int = 50) -> np.ndarray:
+    """Grid steady state by the cell-by-cell chain at 50 significant digits.
+
+    Reads the weights from the dense `accel` matrix rather than the band,
+    and takes the positive root by the naive formula (max(b/a, 0) when the
+    inflow is zero).  Needs P < 1.
+    """
+    w = tensor.accel
+    n = tensor.n_cells
+    with mpmath.workdps(dps):
+        rho_mp, p_mp = mpmath.mpf(rho), mpmath.mpf(tensor.p)
+        a = 1 - p_mp
+        masses = []
+        for j in range(n - 1):
+            b = ((1 - 2 * p_mp) * rho_mp - 2 * a * mpmath.fsum(masses)
+                 + rho_mp * mpmath.mpf(w[j, j]))
+            c = rho_mp * mpmath.fsum(mpmath.mpf(w[j, i]) * masses[i] for i in range(j))
+            if c > 0:
+                masses.append((b + mpmath.sqrt(b * b + 4 * a * c)) / (2 * a))
+            else:
+                masses.append(max(b / a, mpmath.mpf(0)))
+        masses.append(rho_mp - mpmath.fsum(masses))
+        return np.array([float(x) for x in masses])
 
 
 def dense_tensor(tensor) -> np.ndarray:

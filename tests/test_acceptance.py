@@ -442,7 +442,7 @@ def test_criterion_09_kernel_diagram_proximity():
     converged = True
     for r in (1, 20):
         dd = fundamental_diagram(params_d, law, r, rhos)
-        dc = fundamental_diagram(params_c, law, r, rhos, workers=4)
+        dc = fundamental_diagram(params_c, law, r, rhos)
         converged &= dd.all_converged and dc.all_converged
         sups[r] = compare_diagrams(dd, dc)
         if r == 1:

@@ -160,21 +160,26 @@ class TestDiagram:
         assert bracket[0] < 0.5 < bracket[1]
         assert summary[0]["all_converged"] is True
 
-    def test_worker_pool_output_is_identical(self, tmp_path, monkeypatch):
-        # the spread kernel has no closed form, so its samples go to the pool
-        pools = counting_pool(monkeypatch, futures, "ProcessPoolExecutor")
-        outs = {}
-        for tag, workers in (("serial", "1"), ("pool", "2")):
-            out = tmp_path / tag
-            code = main([
-                "diagram", "--kernel", "chi", "--T", "2", "--rho-list", "0.2,0.4,0.7",
-                "--ratios", "1,2", "--no-insert-critical", "--workers", workers,
-                "--out", str(out),
-            ])
-            assert code == 0
-            outs[tag] = (out / "run_diagram.csv").read_bytes()
-        assert pools == [2, 2]  # one pool per ratio, none for the serial run
-        assert outs["serial"] == outs["pool"]
+    def test_near_critical_spread_sweep_converges(self, tmp_path):
+        # includes rho=0.49 at r=20, where a march from the uniform start
+        # dips below the negativity floor
+        code = run(
+            tmp_path, "diagram", "--kernel", "chi", "--T", "2",
+            "--rho-count", "30", "--ratios", "1,20",
+        )
+        assert code == 0
+        summary = json.loads((tmp_path / "run_summary.json").read_text())
+        assert [s["all_converged"] for s in summary] == [True, True]
+        _, rows = read_csv(tmp_path / "run_diagram.csv")
+        assert len(rows) == 2 * 32  # 30 densities plus two around rho_c
+        assert all(row[7] == "1" for row in rows)
+
+    def test_no_t_max_flag(self, tmp_path, capsys):
+        # spread samples are solved without a march, so nothing reads it
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "diagram", "--T", "2", "--t-max", "100")
+        assert exc.value.code == 2
+        assert "--t-max" in capsys.readouterr().err
 
     def test_infinite_ratio_rows(self, tmp_path):
         code = run(
@@ -384,6 +389,25 @@ class TestExitCodes:
         path.write_text(f"rho: 0.5\n{yaml_text}\n")
         assert run(tmp_path, command, "--config", str(path), *argv) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,yaml_text,message", [
+        ("simulate", "T: 3\nr: 2\nintegrator: {t_ned: 5}", "unknown key integrator.t_ned"),
+        ("simulate", "T: 3\nr: 2\nrhoo: 0.3", "unknown key rhoo"),
+        ("diagram", "T: 3\ndiagram: {rho_grid: [0.3], insert_critical: \"false\"}",
+         "diagram.insert_critical: expected true or false, got 'false'"),
+        ("simulate", "T: 3.7\nr: 2", "T: expected an integer, got 3.7"),
+        ("simulate", "N: 7.5\nT: 3", "N: expected an integer, got 7.5"),
+        ("simulate", "T: 3\nr: 2\ninitial_condition: {kind: equilibrium, cell: 1.5}",
+         "initial_condition.cell: expected an integer, got 1.5"),
+        ("simulate", "T: 3\nr: 2\nworkers: 2.5", "workers: expected an integer, got 2.5"),
+        ("diagram", "T: 3\ndiagram: {rho_grid: {count: 4.5}}",
+         "diagram.rho_grid: expected an integer, got 4.5"),
+    ])
+    def test_unknown_keys_and_loose_values(self, tmp_path, capsys, command, yaml_text, message):
+        path = tmp_path / "run.yaml"
+        path.write_text(f"rho: 0.5\n{yaml_text}\n")
+        assert run(tmp_path, command, "--config", str(path)) == 2
+        assert f"configuration error: {message}" in capsys.readouterr().err
 
     def test_missing_density(self, tmp_path, capsys):
         assert run(tmp_path, "simulate", "--T", "3", "--r", "1") == 2

@@ -241,6 +241,56 @@ class TestYamlRoundTrip:
             load_config(path)
 
 
+class TestStrictReading:
+    @pytest.mark.parametrize("overrides,key", [
+        ({"integrator": {"t_ned": 5}}, "integrator.t_ned"),
+        ({"rhoo": 0.3}, "rhoo"),
+        ({"output": {"dir": "out"}}, "output.dir"),
+        ({"initial_condition": {"kind": "uniform", "eps": 0.1}}, "initial_condition.eps"),
+        ({"diagram": {"ratio": [1]}}, "diagram.ratio"),
+        ({"convergence": {"rho_sets": [0.3]}}, "convergence.rho_sets"),
+        ({"diagram": {"rho_grid": {"count": 3, "end": 0.5}}}, "end"),
+        ({"law": {"points": [[0.0, 1.0], [1.0, 0.0]], "kind": "table"}}, "law.kind"),
+    ])
+    def test_unknown_keys_are_named(self, overrides, key):
+        with pytest.raises(ConfigurationError, match=f"unknown key {key}"):
+            load_config(overrides={"T": 3, **overrides})
+
+    def test_misspelt_keys_from_a_file(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text("T: 3\nr: 2\nintegrator: {t_ned: 5}\n")
+        with pytest.raises(ConfigurationError, match="integrator.t_ned"):
+            load_config(path)
+        path.write_text("T: 3\nr: 2\nrhoo: 0.3\n")
+        with pytest.raises(ConfigurationError, match="rhoo"):
+            load_config(path)
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1])
+    def test_insert_critical_takes_only_booleans(self, value):
+        with pytest.raises(ConfigurationError, match="diagram.insert_critical"):
+            load_config(overrides={"T": 3, "diagram": {"insert_critical": value}})
+        cfg = load_config(overrides={"T": 3, "diagram": {"insert_critical": False}})
+        assert cfg.diagram.insert_critical is False
+
+    @pytest.mark.parametrize("overrides,key", [
+        ({"T": 3.7}, "T"),
+        ({"N": 7.5}, "N"),
+        ({"T": True}, "T"),
+        ({"T": "3"}, "T"),
+        ({"initial_condition": {"cell": 1.5}}, "initial_condition.cell"),
+        ({"workers": 2.5}, "workers"),
+        ({"diagram": {"rho_grid": {"count": 4.5}}}, "diagram.rho_grid"),
+    ])
+    def test_integer_keys_take_only_integers(self, overrides, key):
+        base = {"T": 3, **overrides}
+        with pytest.raises(ConfigurationError, match=f"{key}: expected an integer"):
+            load_config(overrides=base)
+
+    def test_integral_floats_are_integers(self):
+        cfg = load_config(overrides={"T": 3.0, "r": 2, "workers": 2.0})
+        assert (cfg.params.n_jumps, cfg.workers) == (3, 2)
+
+
 class TestInitialStates:
     def make_cfg(self, **overrides):
         base = {"T": 3, "r": 2, "rho": 0.6}

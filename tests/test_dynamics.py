@@ -389,6 +389,25 @@ class TestBadInputs:
                 CellMassVector(f0, grid)
 
 
+    def test_step_budget_is_checked_before_stepping(self, monkeypatch):
+        # the default step 0.1/(eta*rho) would be about 1.4e-162 here, so the
+        # run asks for about 7e161 steps; it must be refused, not started
+        grid = VelocityGrid(n_cells=7, v_max=1.0)
+        tensor = build_delta_tensor_integer(grid, GridRatio(Fraction(2)), 0.4)
+
+        def no_stepping(*args):
+            def rhs(f):
+                raise AssertionError("integrate started stepping")
+            return rhs
+
+        monkeypatch.setattr(dynamics, "_make_rhs", no_stepping)
+        with pytest.raises(ConfigurationError, match="budget"):
+            integrate(np.full(7, 1e160), tensor, 1.0, 1.0)
+        with pytest.raises(ConfigurationError, match="budget"):
+            integrate(np.full(7, 0.1), tensor, 1.0, 1.0,
+                      IntegratorControls(step=1.0 / (dynamics.MAX_STEPS + 1)))
+
+
 class TestRateFitting:
     def test_exact_exponential_is_recovered(self):
         t = np.linspace(0.0, 10.0, 201)

@@ -2,9 +2,12 @@
 
 The package's double-precision evaluation is compared to an independent
 60-digit mpmath implementation of the same root recursion, then checked to
-actually be a fixed point of the discretized collision operator.
+actually be a fixed point of the discretized collision operator.  The
+cell-by-cell chain on the grid is checked the same way, and against the
+closed form and the ODE march.
 """
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,18 +18,28 @@ from kinetic_traffic import (
     CellMassVector,
     ConfigurationError,
     GridRatio,
+    InteractionTensor,
+    Kernel,
+    ModelParams,
+    NumericalError,
+    PowerLaw,
     VelocityGrid,
+    banded_equilibrium,
     build_chi_tensor,
     build_delta_tensor_integer,
+    build_grid,
+    build_tensor,
     closed_form_equilibrium,
     collision_rhs,
     equilibrium_on_grid,
+    evaluate_probability,
     find_steady_state,
     unstable_equilibrium,
     verify_quantized_support,
 )
+from kinetic_traffic.dynamics import NEGATIVITY_TOL
 
-from _oracles import equilibrium_mp
+from _oracles import banded_equilibrium_mp, equilibrium_mp
 
 
 class TestClosedForm:
@@ -168,3 +181,114 @@ class TestUnstable:
     def test_degenerate_shifts_rejected(self, shift):
         with pytest.raises(ConfigurationError):
             unstable_equilibrium(0.7, 0.3, 4, 4, shift)
+
+
+def uniform_start_cases(kernel, n_jumps, ratio, rhos):
+    """(tensor, rho) for each density, with P from the gamma = 1 power law."""
+    params = ModelParams(delta_v=1.0 / n_jumps, kernel=kernel)
+    grid, ratio_obj = build_grid(params, ratio)
+    for rho in rhos:
+        p = evaluate_probability(PowerLaw(1.0), rho, params)
+        yield build_tensor(kernel, grid, ratio_obj, p), rho
+
+
+def march(tensor, rho):
+    f0 = np.full(tensor.n_cells, rho / tensor.n_cells)
+    return find_steady_state(f0, tensor, 1.0, residual_tol=1e-10, t_max=1e7)
+
+
+CRITERION_09_RHOS = [0.01 + 0.02 * k for k in range(50)]
+
+
+class TestBandedEquilibrium:
+    def test_matches_the_march_on_the_criterion_09_sweep(self):
+        gaps, solved = [], 0
+        for r in (1, 20):
+            for tensor, rho in uniform_start_cases(Kernel.CHI, 2, r, CRITERION_09_RHOS):
+                chain = banded_equilibrium(tensor, rho)
+                assert np.abs(collision_rhs(chain, tensor, 1.0)).max() <= 1e-15
+                try:
+                    marched = march(tensor, rho)
+                except NumericalError:
+                    continue  # rho=0.49, r=20: the march dips below the floor
+                solved += 1
+                gaps.append(np.abs(chain.masses - marched.masses).max())
+        assert solved >= 99
+        assert max(gaps) <= 1e-15
+
+    @pytest.mark.parametrize("kernel,n_jumps,ratio,rhos", [
+        (Kernel.CHI, 4, 100, (0.3, 0.45, 0.6, 0.8)),
+        (Kernel.DELTA, 4, 100, (0.3, 0.45, 0.6, 0.8)),
+        (Kernel.DELTA, 3, Fraction(400, 3), (0.6,)),
+    ])
+    def test_matches_the_march_on_refined_grids(self, kernel, n_jumps, ratio, rhos):
+        # N = 401.  The march stops at residual 1e-10, which leaves its top
+        # cell 1.7e-15 off at chi rho=0.45; the chain is exact there (below)
+        for tensor, rho in uniform_start_cases(kernel, n_jumps, ratio, rhos):
+            gap = np.abs(banded_equilibrium(tensor, rho).masses - march(tensor, rho).masses)
+            assert gap.max() <= 2e-15
+
+    @pytest.mark.parametrize("kernel,n_jumps,ratio,rho", [
+        (Kernel.CHI, 4, 100, 0.45),
+        (Kernel.CHI, 2, 20, 0.49),
+        (Kernel.DELTA, 3, Fraction(400, 3), 0.6),
+        (Kernel.CHI, 3, 7, 0.2),
+    ])
+    def test_matches_50_digit_arithmetic(self, kernel, n_jumps, ratio, rho):
+        ((tensor, rho),) = uniform_start_cases(kernel, n_jumps, ratio, [rho])
+        want = banded_equilibrium_mp(tensor, rho)
+        assert np.abs(banded_equilibrium(tensor, rho).masses - want).max() <= 1e-16
+
+    @pytest.mark.parametrize("n_jumps", [2, 3, 5])
+    @pytest.mark.parametrize("r", [1, 2, 4, 20])
+    def test_jump_kernel_is_the_closed_form(self, n_jumps, r):
+        grid = VelocityGrid(n_cells=r * n_jumps + 1, v_max=1.0)
+        for rho in [0.025 + 0.05 * k for k in range(20)]:
+            p = 1.0 - rho
+            tensor = build_delta_tensor_integer(grid, GridRatio(r), p)
+            want = equilibrium_on_grid(closed_form_equilibrium(rho, p, n_jumps), r, grid=grid)
+            got = banded_equilibrium(tensor, rho).masses
+            assert np.abs(got - want.masses).max() <= 1e-15
+            # every class but the top one (which closes the mass balance by a
+            # subtraction) to a few ulps relative, however small it is
+            mp = np.array(equilibrium_mp(rho, p, n_jumps))
+            classes = got[np.arange(n_jumps + 1) * r]
+            assert np.abs(classes - mp).max() <= 1e-15
+            assert np.all(np.abs(classes - mp)[:-1] <= 4e-15 * mp[:-1])
+
+    def test_near_critical_sample_the_march_loses(self):
+        # test_dynamics pins the march's failure on this sample
+        ((tensor, rho),) = uniform_start_cases(Kernel.CHI, 2, 20, [0.49])
+        f = banded_equilibrium(tensor, rho)
+        assert np.abs(collision_rhs(f, tensor, 1.0)).max() <= 1e-15
+        assert f.masses.min() >= 0.0
+        assert f.rho == pytest.approx(rho, abs=1e-15)
+
+    @pytest.mark.parametrize("p,where", [(0.0, 0), (1.0, -1)])
+    @pytest.mark.parametrize("kernel", [Kernel.CHI, Kernel.DELTA])
+    def test_extreme_probabilities_without_a_warning(self, kernel, p, where):
+        # P = 0: everyone brakes to rest; P = 1: everyone reaches top speed,
+        # and the chain's equations are linear
+        tensor = build_tensor(kernel, VelocityGrid(n_cells=41, v_max=1.0), GridRatio(20), p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = banded_equilibrium(tensor, 0.4)
+        want = np.zeros(41)
+        want[where] = 0.4
+        assert np.array_equal(f.masses, want)
+
+    def test_overfull_low_cell_is_a_numerical_error(self):
+        # a hand-built band whose first cell keeps all its acceleration mass
+        # makes that cell hold 2 rho, so the top cell would need -rho
+        tensor = InteractionTensor(
+            kernel=Kernel.DELTA, p=0.5, grid=VelocityGrid(n_cells=3, v_max=1.0),
+            band=np.array([[1.0], [0.0], [0.0]]),
+        )
+        with pytest.raises(NumericalError, match="top cell"):
+            banded_equilibrium(tensor, 0.3)
+
+    @pytest.mark.parametrize("rho", [0.0, -0.1, math.inf, math.nan])
+    def test_density_must_be_positive(self, rho):
+        tensor = build_delta_tensor_integer(VelocityGrid(n_cells=7, v_max=1.0), GridRatio(2), 0.4)
+        with pytest.raises(ConfigurationError):
+            banded_equilibrium(tensor, rho)

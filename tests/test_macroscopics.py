@@ -4,6 +4,7 @@ Flux and mean-speed formulas are pinned against hand-computed values, the
 diagram machinery against exact free and jammed branches, and the capacity
 drop detector against a bisection-located transition.
 """
+import inspect
 import math
 from fractions import Fraction
 
@@ -18,6 +19,9 @@ from kinetic_traffic import (
     ModelParams,
     PowerLaw,
     VelocityGrid,
+    banded_equilibrium,
+    build_grid,
+    build_tensor,
     closed_form_equilibrium,
     compare_diagrams,
     deceleration_time,
@@ -28,6 +32,7 @@ from kinetic_traffic import (
     initial_acceleration,
     moments,
 )
+from kinetic_traffic import macroscopics
 
 LAW = PowerLaw(1.0)
 
@@ -125,6 +130,31 @@ class TestFundamentalDiagram:
             bound = sf.rho * 0.25 / (4 * r)
             # free branch attains the bound exactly; allow rounding slack
             assert abs(sf.flux - si.flux) <= bound * (1 + 1e-9)
+
+    def test_spread_samples_are_the_banded_equilibrium(self):
+        params = ModelParams(delta_v=0.5, kernel=Kernel.CHI)
+        grid, ratio = build_grid(params, 4)
+        d = fundamental_diagram(params, LAW, 4, [0.2, 0.6])
+        assert d.all_converged
+        for s in d.samples:
+            tensor = build_tensor(Kernel.CHI, grid, ratio, 1.0 - s.rho)
+            want = moments(banded_equilibrium(tensor, s.rho))
+            assert (s.flux, s.mean_speed) == (want.flux, want.mean_speed)
+
+    def test_spread_sample_above_the_residual_tolerance_is_flagged(self, monkeypatch):
+        # a state that is not a fixed point stays in the diagram, marked
+        def uniform(tensor, rho):
+            return CellMassVector(np.full(tensor.n_cells, rho / tensor.n_cells), tensor.grid)
+
+        monkeypatch.setattr(macroscopics, "banded_equilibrium", uniform)
+        d = fundamental_diagram(ModelParams(delta_v=0.5, kernel=Kernel.CHI), LAW, 4, [0.6])
+        assert not d.all_converged
+        assert d.samples[0].rho == 0.6
+
+    def test_no_march_settings(self):
+        assert list(inspect.signature(fundamental_diagram).parameters) == [
+            "params", "law", "ratio", "rho_samples", "residual_tol",
+        ]
 
     def test_quantized_limit_flux(self):
         eq = closed_form_equilibrium(0.6, 0.4, 3)
