@@ -15,7 +15,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Optional, Sequence
@@ -38,6 +37,7 @@ from .dynamics import (
     find_steady_state,
     fit_convergence_rate,
     integrate,
+    integrate_many,
     select_fit_window,
 )
 from .equilibrium import closed_form_equilibrium, equilibrium_on_grid
@@ -126,13 +126,13 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     )
     csv_path, manifest_path = _out_paths(cfg, "trajectory.csv", "manifest.json")
     n = grid.n_cells
+    residuals = np.abs(collision_rhs(traj.states, tensor, cfg.params.eta)).max(axis=1)
     with csv_path.open("w") as fh:
         fh.write("t," + ",".join(f"f_{j}" for j in range(1, n + 1)) + ",u,residual\n")
         for i, t in enumerate(traj.times):
             state = traj.states[i]
             u = moments(traj.state(i)).mean_speed
-            res = float(np.abs(collision_rhs(state, tensor, cfg.params.eta)).max())
-            row = [_fmt(t)] + [_fmt(v) for v in state] + [_fmt(u), _fmt(res)]
+            row = [_fmt(t)] + [_fmt(v) for v in state] + [_fmt(u), _fmt(residuals[i])]
             fh.write(",".join(row) + "\n")
     _write_manifest(
         manifest_path, "simulate", cfg, [csv_path], time.perf_counter() - t0,
@@ -303,57 +303,57 @@ def _cmd_diagram(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _convergence_row(task: tuple) -> tuple:
-    """One (density, ratio) decay-rate measurement for the worker pool."""
-    cfg, rho, ratio = task
+def _convergence_rows(cfg: RunConfig, ratio: float) -> list[tuple]:
+    """Decay-rate rows of every density on one grid, from one batched march."""
     params = cfg.params
-    run_cfg = dataclasses.replace(cfg, rho=rho, ratio=parse_ratio(ratio))
     grid, ratio_obj = build_grid(params, ratio)
-    tensor = _tensor_for(run_cfg, grid, ratio_obj)
-    f0 = build_initial_state(run_cfg, grid)
-    p = evaluate_probability(cfg.law, rho, params)
     t_end = cfg.convergence.t_end
     if t_end is None:
         t_end = 200.0 / params.eta
-    if params.kernel is Kernel.DELTA and ratio_obj.is_integer:
-        eq = closed_form_equilibrium(rho, p, params.n_jumps)
-        ref = equilibrium_on_grid(
-            eq, int(ratio_obj.r), grid=grid, v_max=params.v_max
-        ).masses
-    else:
-        ref = find_steady_state(
-            f0, tensor, params.eta,
-            residual_tol=cfg.integrator.residual_tol,
-            t_max=cfg.integrator.t_max,
-        ).masses
-    traj = integrate(f0, tensor, params.eta, t_end)
-    series = distance_to_equilibrium(traj, ref)
-    try:
-        window = select_fit_window(series)
-        fit = fit_convergence_rate(series, window, full=True)
-        return (rho, float(ratio_obj.r), params.delta_v, fit.rate,
-                fit.window[0], fit.window[1], fit.residual, "ok")
-    except NumericalError as exc:
-        return (rho, float(ratio_obj.r), params.delta_v, math.nan,
-                math.nan, math.nan, math.nan, f"failed: {exc}")
+    tensors, starts, refs = [], [], []
+    for rho in cfg.convergence.rho_set:
+        run_cfg = dataclasses.replace(cfg, rho=rho, ratio=ratio_obj.fraction)
+        tensor = _tensor_for(run_cfg, grid, ratio_obj)
+        f0 = build_initial_state(run_cfg, grid)
+        if params.kernel is Kernel.DELTA and ratio_obj.is_integer:
+            p = evaluate_probability(cfg.law, rho, params)
+            eq = closed_form_equilibrium(rho, p, params.n_jumps)
+            ref = equilibrium_on_grid(
+                eq, int(ratio_obj.r), grid=grid, v_max=params.v_max
+            ).masses
+        else:
+            ref = find_steady_state(
+                f0, tensor, params.eta,
+                residual_tol=cfg.integrator.residual_tol,
+                t_max=cfg.integrator.t_max,
+            ).masses
+        tensors.append(tensor)
+        starts.append(f0)
+        refs.append(ref)
+    trajs = integrate_many(starts, tensors, params.eta, t_end)
+    rows = []
+    for rho, traj, ref in zip(cfg.convergence.rho_set, trajs, refs):
+        series = distance_to_equilibrium(traj, ref)
+        try:
+            window = select_fit_window(series)
+            fit = fit_convergence_rate(series, window, full=True)
+            rows.append((rho, float(ratio_obj.r), params.delta_v, fit.rate,
+                         fit.window[0], fit.window[1], fit.residual, "ok"))
+        except NumericalError as exc:
+            rows.append((rho, float(ratio_obj.r), params.delta_v, math.nan,
+                         math.nan, math.nan, math.nan, f"failed: {exc}"))
+    return rows
 
 
 def _cmd_convergence(cfg: RunConfig) -> int:
     if cfg.convergence is None:
         raise ConfigurationError("the config lacks a convergence section")
+    if not (cfg.convergence.rho_set and cfg.convergence.ratios):
+        raise ConfigurationError("convergence needs a non-empty density set and ratio list")
     t0 = time.perf_counter()
-    tasks = [
-        (cfg, rho, ratio)
-        for rho in cfg.convergence.rho_set
-        for ratio in cfg.convergence.ratios
-    ]
-    if not tasks:
-        raise ConfigurationError("convergence needs a non-empty density set")
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(_convergence_row, tasks))
-    else:
-        rows = [_convergence_row(t) for t in tasks]
+    by_ratio = [_convergence_rows(cfg, ratio) for ratio in cfg.convergence.ratios]
+    # density-major, ratio-minor
+    rows = [row for density in zip(*by_ratio) for row in density]
     csv_path, manifest_path = _out_paths(cfg, "convergence.csv", "manifest.json")
     with csv_path.open("w") as fh:
         fh.write("rho,r,delta_v,rate,window_lo,window_hi,fit_residual,status\n")
@@ -382,8 +382,8 @@ def _add_shared_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--rho-max", dest="rho_max", type=float)
     sp.add_argument("--out", type=Path, help="output directory")
     sp.add_argument("--prefix", help="output file name prefix")
-    sp.add_argument("--workers", type=int,
-                    help="worker processes for convergence sweeps")
+    # removed; kept only so that load_config can reject it by name
+    sp.add_argument("--workers", help=argparse.SUPPRESS)
     sp.add_argument("--ic", choices=IC_KINDS, help="initial condition kind")
     sp.add_argument("--ic-epsilon", type=float, help="initial perturbation size")
     sp.add_argument("--ic-cell", type=int, help="perturbed cell (1-based)")

@@ -126,15 +126,12 @@ class RunConfig:
     output: OutputSettings = OutputSettings()
     diagram: Optional[DiagramSettings] = None
     convergence: Optional[ConvergenceSettings] = None
-    workers: int = 1
 
     def __post_init__(self):
         if self.rho is not None and not (0.0 <= self.rho <= self.params.rho_max):
             raise ConfigurationError(
                 f"rho={self.rho} outside [0, {self.params.rho_max}]"
             )
-        if self.workers < 1:
-            raise ConfigurationError("workers must be at least 1")
 
     def require_rho(self) -> float:
         if self.rho is None:
@@ -306,13 +303,23 @@ def _read(section: Mapping[str, Any], prefix: str, /, **readers) -> dict[str, An
 _SECTIONS = ("initial_condition", "integrator", "output", "diagram", "convergence")
 _TOP_KEYS = (
     "kernel", "v_max", "rho_max", "eta", "gamma", "law", "N", "dv", "r", "T",
-    "rho", "workers", *_SECTIONS,
+    "rho", *_SECTIONS,
 )
+# Keys that runs no longer take, with the reason; a file that still sets
+# one is refused rather than run without it.
+_REMOVED = {
+    "workers": "convergence sweeps march every density of a grid together "
+               "in one process",
+}
 
 
 def _reject_unknown(mapping: Mapping[str, Any], prefix: str, known) -> None:
     """Raise ConfigurationError naming the first key not in known."""
     for key in mapping:
+        if key in _REMOVED:
+            raise ConfigurationError(
+                f"{prefix}{key}: this key was removed; {_REMOVED[key]}"
+            )
         if key not in known:
             hint = f"; give {key} at the top level" if prefix and key in _TOP_KEYS else ""
             raise ConfigurationError(f"unknown key {prefix}{key}{hint}")
@@ -373,7 +380,7 @@ def load_config(
     """Read a YAML run description, merge overrides over it, validate.
 
     Overrides use the file's key names (kernel, gamma, eta, rho, N, dv, r,
-    T, ..., workers).  A mapping given for one of the sections
+    T, ...).  A mapping given for one of the sections
     initial_condition, integrator, output, diagram or convergence is
     merged key by key over the file's section and creates the section if
     the file has none.  None values are ignored at both levels, so CLI
@@ -432,7 +439,7 @@ def load_config(
             data, "convergence", ConvergenceSettings, ratio, rho_set=densities,
             t_end=_real,
         ),
-        **_read(data, "", rho=_real, workers=_integer),
+        **_read(data, "", rho=_real),
     )
 
 

@@ -16,6 +16,15 @@ where W is the acceleration weight matrix.  The two forms are identical
 algebraically; the second loses no precision when the state is within
 roundoff of a fixed point, which matters when measuring residuals at the
 1e-10 scale.
+
+Trajectories come from classical fourth-order Runge-Kutta with a fixed
+step.  `integrate_many` marches B states on one grid in one loop over
+(B, N) arrays: each row keeps its own tensor (so its own P and band) and
+its own step t_end/ceil(t_end*eta*rho/0.1), held as a column, and leaves
+the loop when its steps are done.  Every row gets the arithmetic of a lone
+run, so a trajectory does not depend on the batch it was marched in;
+`integrate` is the one-row case.  Steady states come from LSODA, see
+`find_steady_state`.
 """
 from __future__ import annotations
 
@@ -26,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import ODEintWarning, odeint
 
 from .matrices import InteractionTensor, VelocityGrid
@@ -41,6 +51,7 @@ __all__ = [
     "SteadyStateTimeout",
     "collision_rhs",
     "integrate",
+    "integrate_many",
     "find_steady_state",
     "distance_to_equilibrium",
     "fit_convergence_rate",
@@ -212,7 +223,7 @@ def _as_array(f: Union[CellMassVector, np.ndarray], tensor: InteractionTensor) -
 def _make_rhs(
     tensor: InteractionTensor, eta: float, accel_op: Callable[[np.ndarray], np.ndarray]
 ):
-    """RHS closure; accel_op(f) supplies the acceleration product W @ f."""
+    """RHS closure on one state; accel_op(f) supplies the product W @ f."""
     p = tensor.p
     one_minus_2p = 1.0 - 2.0 * p
 
@@ -261,12 +272,52 @@ def _make_jac(tensor: InteractionTensor, eta: float):
     return jac
 
 
+def _make_batch_rhs(tensors: Sequence[InteractionTensor], eta: float, rows: int):
+    """RHS closure on a stack of up to `rows` states, one per row.
+
+    Row i evolves under tensors[i], or every row under the tensor when only
+    one is given; all share the grid and bandwidth.  Called on the leading
+    rows f[:m] of the stack, it returns their rates.  The band product runs
+    as one vecdot of the band stack against windows of a zero-padded
+    buffer, and every row gets the operations `_make_rhs` gives one state
+    with the band product, so its rate does not depend on the batch.
+    """
+    n, b = tensors[0].n_cells, tensors[0].bandwidth
+    band = tensors[0].band[None] if len(tensors) == 1 else np.stack([t.band for t in tensors])
+    p = np.array([[t.p] for t in tensors])
+    one_minus_2p = 1.0 - 2.0 * p
+    padded = np.zeros((rows, n + b))
+    windows = sliding_window_view(padded, b + 1, axis=1)
+
+    def rhs(f: np.ndarray) -> np.ndarray:
+        m = len(f)
+        total = f.sum(axis=1, keepdims=True)
+        csum = f.cumsum(axis=1)
+        below = csum - f
+        above = total - csum
+        padded[:m, b:] = f
+        accel = np.vecdot(band[:m], windows[:m])
+        return eta * (f * (-below - p[:m] * f + one_minus_2p[:m] * above) + accel * total)
+
+    return rhs
+
+
 def collision_rhs(
     f: Union[CellMassVector, np.ndarray], tensor: InteractionTensor, eta: float
 ) -> np.ndarray:
-    """Rate of change of each cell mass; sums to zero up to rounding."""
-    arr = _as_array(f, tensor)
-    return _make_rhs(tensor, eta, tensor.accel_operator())(arr)
+    """Rate of change of each cell mass; sums to zero up to rounding.
+
+    f is one state or a (B, N) stack of states; a stack gets the rates of
+    every row from one batched evaluation.
+    """
+    stacked = np.ndim(f) == 2
+    arr = np.asarray(f, dtype=float) if stacked else _as_array(f, tensor)[None]
+    if arr.shape[1] != tensor.n_cells:
+        raise ConfigurationError(
+            f"states have {arr.shape[1]} cells, tensor expects {tensor.n_cells}"
+        )
+    out = _make_batch_rhs([tensor], eta, len(arr))(arr)
+    return out if stacked else out[0]
 
 
 def _clamp_negativity(f: np.ndarray, context: str) -> int:
@@ -283,41 +334,131 @@ def _clamp_negativity(f: np.ndarray, context: str) -> int:
     return count
 
 
-def integrate(
+def _row_label(i: int, rho: float) -> str:
+    """How a batch error names its row: index and density."""
+    return f"row {i} (rho={rho:.6g}): "
+
+
+def _start(
     f0: Union[CellMassVector, np.ndarray],
     tensor: InteractionTensor,
     eta: float,
     t_end: float,
-    controls: Optional[IntegratorControls] = None,
-) -> Trajectory:
-    """Classical fourth-order Runge-Kutta with a fixed step.
+    step: Optional[float],
+) -> tuple[np.ndarray, float, int]:
+    """Checked initial state, step and step count of one RK4 row.
 
-    The default step 0.1/(eta*rho) resolves the quadratic timescale with a
-    wide stability margin.  A run that would take more than MAX_STEPS
-    steps is refused with ConfigurationError before the first one.  Mass
-    drift beyond 1e-10 or negativity beyond -1e-12 abort the run; negative
-    components above that tolerance are clamped to zero with a logged
-    warning.
+    The step is `step`, else 0.1/(eta*rho), shortened to t_end/n so that n
+    whole steps end on t_end.  A row that would need more than MAX_STEPS
+    steps is refused with ConfigurationError.
     """
-    if t_end <= 0:
-        raise ConfigurationError("t_end must be positive")
-    _check_eta(eta)
-    controls = controls or IntegratorControls()
     f = _as_array(f0, tensor).copy()
     _check_finite(f)
     _clamp_negativity(f, "initial state")
-    rho0 = f.sum()
-    rhs = _make_rhs(tensor, eta, tensor.accel_operator())
-
-    scale = eta * max(rho0, 1e-12)
-    h = controls.step if controls.step is not None else 0.1 / scale
+    h = step if step is not None else 0.1 / (eta * max(f.sum(), 1e-12))
     if not t_end / h <= MAX_STEPS:  # inf too
         raise ConfigurationError(
             f"t_end={t_end:.6g} at step {h:.6g} needs {t_end / h:.3g} steps, "
             f"more than the budget of {MAX_STEPS:.0e}"
         )
     n_steps = max(1, math.ceil(t_end / h - 1e-12))
-    h = t_end / n_steps
+    return f, t_end / n_steps, n_steps
+
+
+def _store_steps(
+    h: float, n_steps: int, factor: float, wanted: Optional[np.ndarray]
+) -> list[int]:
+    """The steps after which a row of step h stores its state.
+
+    With t = k h and a slack of 1e-12 max(t, 1), step k stores when one of
+    the wanted times lies in (t - h, t + slack]; only steps within the
+    slack and two steps of a wanted time can qualify.  Without wanted
+    times, step k stores when t reaches the next storing time (h at first)
+    less the slack, and the next storing time becomes max(factor t, t + h).
+    That test only turns true as k grows, so each storing step is found by
+    walking from an estimate.  The last step always stores.
+    """
+    def reached(k: int, next_store: float) -> bool:
+        t = k * h
+        return t >= next_store - 1e-12 * max(t, 1.0)
+
+    steps = {n_steps}
+    if wanted is not None:
+        for w in wanted:
+            lo = math.floor((w - 1e-12 * max(w, 1.0)) / h) - 2
+            for k in range(max(lo, 1), min(math.floor(w / h) + 3, n_steps) + 1):
+                t = k * h
+                if t - h < w <= t + 1e-12 * max(t, 1.0):
+                    steps.add(k)
+        return sorted(steps)
+    k, next_store = 0, h
+    while k < n_steps:
+        first = max(k + 1, math.floor(next_store / h) - 1)
+        while first > k + 1 and reached(first - 1, next_store):
+            first -= 1
+        while first <= n_steps and not reached(first, next_store):
+            first += 1
+        k = first
+        if k <= n_steps:
+            steps.add(k)
+            t = k * h
+            next_store = max(t * factor, t + h)
+    return sorted(steps)
+
+
+def integrate_many(
+    states: Sequence[Union[CellMassVector, np.ndarray]],
+    tensors: Sequence[InteractionTensor],
+    eta: float,
+    t_end: float,
+    controls: Optional[IntegratorControls] = None,
+) -> list[Trajectory]:
+    """Classical fourth-order Runge-Kutta for B states on one grid at once.
+
+    Row i starts from states[i] and evolves under tensors[i]; the tensors
+    must share the grid and the bandwidth, and each keeps its own P and
+    band.  Each row takes its own fixed step h_i = t_end/ceil(t_end/s_i),
+    with s_i the controls' step or 0.1/(eta*rho_i), a tenth of the row's
+    fastest quadratic timescale, which resolves it with a wide stability
+    margin.  All rows march in one loop over (B, N) arrays, the steps held
+    as a column.  The rows are sorted by step count, longest first, so the
+    rows still marching are always a leading block, and each row drops out
+    when its own steps are done.  Every row gets exactly the arithmetic of
+    a lone run, so its trajectory does not depend on the batch.
+
+    Each row is checked on its own.  A row that would take more than
+    MAX_STEPS steps is refused with ConfigurationError before the first
+    step of any row.  Mass drift beyond 1e-10 or negativity beyond -1e-12
+    abort the run with NumericalError; negative components above that
+    tolerance are clamped to zero with a logged warning.  With more than
+    one row, every such error names the row's index and density.
+    """
+    if len(states) != len(tensors) or not tensors:
+        raise ConfigurationError(
+            f"{len(states)} states for {len(tensors)} tensors; need one per row"
+        )
+    if t_end <= 0:
+        raise ConfigurationError("t_end must be positive")
+    _check_eta(eta)
+    controls = controls or IntegratorControls()
+    first = tensors[0]
+    for i, tensor in enumerate(tensors):
+        if tensor.grid != first.grid or tensor.bandwidth != first.bandwidth:
+            raise ConfigurationError(
+                f"row {i} has a {tensor.n_cells}-cell grid and bandwidth "
+                f"{tensor.bandwidth}; row 0 has {first.n_cells} cells and "
+                f"bandwidth {first.bandwidth}"
+            )
+    batch = len(tensors) > 1
+    starts = []
+    for i, (f0, tensor) in enumerate(zip(states, tensors)):
+        try:
+            starts.append(_start(f0, tensor, eta, t_end, controls.step))
+        except (ConfigurationError, NumericalError) as exc:
+            if not batch:
+                raise
+            rho = float(np.sum(getattr(f0, "masses", f0)))
+            raise type(exc)(_row_label(i, rho) + str(exc)) from exc
 
     if controls.sample_times is not None:
         wanted = np.asarray(sorted(set(float(t) for t in controls.sample_times)))
@@ -326,43 +467,79 @@ def integrate(
     else:
         wanted = None
 
-    times = [0.0]
-    states = [f.copy()]
-    next_store = h if wanted is None else None
+    order = sorted(range(len(starts)), key=lambda i: -starts[i][2])
+    f_all = np.stack([starts[i][0] for i in order])
+    h = np.array([[starts[i][1]] for i in order])
+    n_steps = [starts[i][2] for i in order]
+    rho0 = f_all.sum(axis=1)
+    rhs = _make_batch_rhs([tensors[i] for i in order], eta, len(order))
+    storing: dict[int, list[int]] = {}  # step -> rows that store after it
+    for row, (_, h_row, n_row) in enumerate(starts[i] for i in order):
+        for k in _store_steps(h_row, n_row, controls.store_factor, wanted):
+            storing.setdefault(k, []).append(row)
+
+    def label(row: int) -> str:
+        return _row_label(order[row], rho0[row]) if batch else ""
+
+    times = [[0.0] for _ in order]
+    stored = [[f.copy()] for f in f_all]
     clamped = 0
-    t = 0.0
-    for k in range(1, n_steps + 1):
+    m = len(order)  # rows f_all[:m] are still marching
+    for k in range(1, n_steps[0] + 1):
+        f, hm = f_all[:m], h[:m]
         k1 = rhs(f)
-        k2 = rhs(f + 0.5 * h * k1)
-        k3 = rhs(f + 0.5 * h * k2)
-        k4 = rhs(f + h * k3)
-        f = f + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        clamped += _clamp_negativity(f, f"step {k} (t={k * h:.6g})")
-        t = k * h
-        if wanted is not None:
-            store = np.any((wanted > t - h) & (wanted <= t + 1e-12 * max(t, 1.0)))
-        else:
-            store = t >= next_store - 1e-12 * max(t, 1.0)
-            if store:
-                next_store = max(t * controls.store_factor, t + h)
-        if store or k == n_steps:
-            times.append(t)
-            states.append(f.copy())
+        k2 = rhs(f + 0.5 * hm * k1)
+        k3 = rhs(f + 0.5 * hm * k2)
+        k4 = rhs(f + hm * k3)
+        f += (hm / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if f.min(initial=0.0) < 0.0:
+            row = int(np.argmin(f)) // f.shape[1]
+            clamped += _clamp_negativity(f, f"{label(row)}step {k} (t={k * h[row, 0]:.6g})")
+        for row in storing.get(k, ()):
+            times[row].append(k * h[row, 0])
+            stored[row].append(f[row].copy())
+        while m and n_steps[m - 1] == k:
+            m -= 1
 
     if clamped:
         logger.warning("clamped %d slightly negative components to zero", clamped)
-    drift = abs(f.sum() - rho0)
-    if not drift <= DRIFT_TOL:  # NaN too
+    drift = np.abs(f_all.sum(axis=1) - rho0)
+    bad = np.flatnonzero(~(drift <= DRIFT_TOL))  # NaN too
+    if bad.size:
+        row = bad[0]
         raise NumericalError(
-            f"mass drift {drift:.3e} exceeds budget {DRIFT_TOL:.0e}"
+            f"{label(row)}mass drift {drift[row]:.3e} exceeds budget {DRIFT_TOL:.0e}"
         )
-    residual = float(np.abs(rhs(f)).max())
-    return Trajectory(
-        times=np.asarray(times),
-        states=np.asarray(states),
-        grid=tensor.grid,
-        terminal_residual=residual,
-    )
+    residuals = np.abs(rhs(f_all)).max(axis=1)
+    out: list[Optional[Trajectory]] = [None] * len(order)
+    for row, i in enumerate(order):
+        out[i] = Trajectory(
+            times=np.asarray(times[row]),
+            states=np.asarray(stored[row]),
+            grid=first.grid,
+            terminal_residual=float(residuals[row]),
+        )
+    return out
+
+
+def integrate(
+    f0: Union[CellMassVector, np.ndarray],
+    tensor: InteractionTensor,
+    eta: float,
+    t_end: float,
+    controls: Optional[IntegratorControls] = None,
+) -> Trajectory:
+    """Classical fourth-order Runge-Kutta with a fixed step: one row of
+    `integrate_many`.
+
+    The default step 0.1/(eta*rho), shortened so that whole steps end on
+    t_end, resolves the quadratic timescale with a wide stability margin.
+    A run that would take more than MAX_STEPS steps is refused with
+    ConfigurationError before the first one.  Mass drift beyond 1e-10 or
+    negativity beyond -1e-12 abort the run; negative components above that
+    tolerance are clamped to zero with a logged warning.
+    """
+    return integrate_many([f0], [tensor], eta, t_end, controls)[0]
 
 
 def _chunk_end(t_hi: float, t_max: float) -> float:

@@ -6,16 +6,18 @@ jump-kernel weights, adaptive quadrature of the defining kernel for the
 spread weights, 50- and 60-digit arithmetic with the naive root formula for
 the equilibrium recursions, the dense (N, N, N) tensor and an einsum over
 it for the collision right-hand side, and an eigenvalue computation for
-decay rates.  Agreement is then evidence, not circularity.  Two routines are
-references rather than oracles, earlier implementations that the package
-must match bit for bit: the original pairwise spread builder, and the
+decay rates.  Agreement is then evidence, not circularity.  Three routines
+are references rather than oracles, earlier implementations that the
+package must match bit for bit: the original pairwise spread builder, the
 steady-state search that stepped LSODA through scipy's solve_ivp with a
-Jacobian summed from a diagonal and two triangles.
+Jacobian summed from a diagonal and two triangles, and the scalar RK4 loop
+that marched one state at a time.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Optional, Union
 
 import mpmath
 import numpy as np
@@ -23,13 +25,21 @@ from scipy.integrate import quad, solve_ivp
 
 from kinetic_traffic import ConfigurationError
 from kinetic_traffic.dynamics import (
+    DRIFT_TOL,
+    MAX_STEPS,
     CellMassVector,
+    IntegratorControls,
     NumericalError,
     SteadyStateTimeout,
+    Trajectory,
     _as_array,
+    _check_eta,
+    _check_finite,
     _clamp_negativity,
     _make_rhs,
+    logger,
 )
+from kinetic_traffic.matrices import InteractionTensor
 
 
 def cell_edges(n: int, j: int) -> tuple[Fraction, Fraction]:
@@ -342,3 +352,81 @@ def solve_ivp_steady_state(
             )
         t = t_hi
         t_hi = min(t_hi * 5.0, t_max)
+
+
+def rk4_reference(
+    f0: Union[CellMassVector, np.ndarray],
+    tensor: InteractionTensor,
+    eta: float,
+    t_end: float,
+    controls: Optional[IntegratorControls] = None,
+) -> Trajectory:
+    """The original scalar RK4 loop of `integrate`, kept verbatim.
+
+    One state, one fixed step, one Python iteration per step; the batched
+    march must reproduce its times and states bit for bit, row by row.
+    """
+    if t_end <= 0:
+        raise ConfigurationError("t_end must be positive")
+    _check_eta(eta)
+    controls = controls or IntegratorControls()
+    f = _as_array(f0, tensor).copy()
+    _check_finite(f)
+    _clamp_negativity(f, "initial state")
+    rho0 = f.sum()
+    rhs = _make_rhs(tensor, eta, tensor.accel_operator())
+
+    scale = eta * max(rho0, 1e-12)
+    h = controls.step if controls.step is not None else 0.1 / scale
+    if not t_end / h <= MAX_STEPS:  # inf too
+        raise ConfigurationError(
+            f"t_end={t_end:.6g} at step {h:.6g} needs {t_end / h:.3g} steps, "
+            f"more than the budget of {MAX_STEPS:.0e}"
+        )
+    n_steps = max(1, math.ceil(t_end / h - 1e-12))
+    h = t_end / n_steps
+
+    if controls.sample_times is not None:
+        wanted = np.asarray(sorted(set(float(t) for t in controls.sample_times)))
+        if wanted.size and (wanted[0] < 0 or wanted[-1] > t_end * (1 + 1e-12)):
+            raise ConfigurationError("sample_times outside [0, t_end]")
+    else:
+        wanted = None
+
+    times = [0.0]
+    states = [f.copy()]
+    next_store = h if wanted is None else None
+    clamped = 0
+    t = 0.0
+    for k in range(1, n_steps + 1):
+        k1 = rhs(f)
+        k2 = rhs(f + 0.5 * h * k1)
+        k3 = rhs(f + 0.5 * h * k2)
+        k4 = rhs(f + h * k3)
+        f = f + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        clamped += _clamp_negativity(f, f"step {k} (t={k * h:.6g})")
+        t = k * h
+        if wanted is not None:
+            store = np.any((wanted > t - h) & (wanted <= t + 1e-12 * max(t, 1.0)))
+        else:
+            store = t >= next_store - 1e-12 * max(t, 1.0)
+            if store:
+                next_store = max(t * controls.store_factor, t + h)
+        if store or k == n_steps:
+            times.append(t)
+            states.append(f.copy())
+
+    if clamped:
+        logger.warning("clamped %d slightly negative components to zero", clamped)
+    drift = abs(f.sum() - rho0)
+    if not drift <= DRIFT_TOL:  # NaN too
+        raise NumericalError(
+            f"mass drift {drift:.3e} exceeds budget {DRIFT_TOL:.0e}"
+        )
+    residual = float(np.abs(rhs(f)).max())
+    return Trajectory(
+        times=np.asarray(times),
+        states=np.asarray(states),
+        grid=tensor.grid,
+        terminal_residual=residual,
+    )

@@ -4,7 +4,6 @@ Every data file must be byte-identical across reruns of the same
 configuration; wall-clock details are confined to the JSON manifest.
 """
 import json
-from concurrent import futures
 
 import numpy as np
 import pytest
@@ -17,19 +16,6 @@ from kinetic_traffic.config import load_config
 
 def run(tmp_path, *argv):
     return main([*argv, "--out", str(tmp_path)])
-
-
-def counting_pool(monkeypatch, module, attribute):
-    """Wrap a module's ProcessPoolExecutor; the returned list counts pools."""
-    made = []
-
-    class Pool(futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            made.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(module, attribute, Pool)
-    return made
 
 
 def read_csv(path):
@@ -243,19 +229,35 @@ class TestConvergence:
             spread = abs(by_r[1.0] - by_r[2.0]) / by_r[1.0]
             assert spread < 0.05, (rho, by_r)
 
-    def test_worker_pool_output_is_identical(self, tmp_path, monkeypatch):
-        pools = counting_pool(monkeypatch, cli, "ProcessPoolExecutor")
-        outs = {}
-        for tag, workers in (("serial", "1"), ("pool", "2")):
-            out = tmp_path / tag
-            code = main([
-                "convergence", "--T", "3", "--rho-set", "0.2,0.8", "--ratios", "1,2",
-                "--fit-t-end", "100", "--workers", workers, "--out", str(out),
-            ])
-            assert code == 0
-            outs[tag] = (out / "run_convergence.csv").read_bytes()
-        assert pools == [2]
-        assert outs["serial"] == outs["pool"]
+    def test_rows_are_density_major_from_one_march_per_grid(self, tmp_path, monkeypatch):
+        marches = []
+        real = cli.integrate_many
+
+        def counting(states, tensors, *args, **kwargs):
+            marches.append(len(states))
+            return real(states, tensors, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "integrate_many", counting)
+        code = run(
+            tmp_path, "convergence", "--T", "3", "--rho-set", "0.2,0.5,0.8",
+            "--ratios", "1,2", "--fit-t-end", "100",
+        )
+        assert code == 0
+        assert marches == [3, 3]
+        _, rows = read_csv(tmp_path / "run_convergence.csv")
+        assert [(float(r[0]), float(r[1])) for r in rows] == [
+            (rho, r) for rho in (0.2, 0.5, 0.8) for r in (1.0, 2.0)
+        ]
+
+    def test_removed_workers_flag_is_refused(self, tmp_path, capsys):
+        # the YAML key is refused the same way, see TestExitCodes
+        code = run(
+            tmp_path, "convergence", "--T", "3", "--rho-set", "0.2,0.8", "--ratios", "1",
+            "--workers", "2",
+        )
+        assert code == 2
+        assert "configuration error: workers: this key was removed" in capsys.readouterr().err
+        assert not (tmp_path / "run_convergence.csv").exists()
 
 
 # (command, flags, section, key, value): each flag next to the YAML key it
@@ -270,7 +272,6 @@ FLAG_KEYS = [
     ("simulate", ["--r", "14/3"], None, "r", "14/3"),
     ("simulate", ["--v-max", "2"], None, "v_max", 2.0),
     ("simulate", ["--rho-max", "2"], None, "rho_max", 2.0),
-    ("simulate", ["--workers", "3"], None, "workers", 3),
     ("simulate", ["--out", "elsewhere"], "output", "directory", "elsewhere"),
     ("simulate", ["--prefix", "p"], "output", "prefix", "p"),
     ("simulate", ["--ic", "congested"], "initial_condition", "kind", "congested"),
@@ -399,7 +400,7 @@ class TestExitCodes:
         ("simulate", "N: 7.5\nT: 3", "N: expected an integer, got 7.5"),
         ("simulate", "T: 3\nr: 2\ninitial_condition: {kind: equilibrium, cell: 1.5}",
          "initial_condition.cell: expected an integer, got 1.5"),
-        ("simulate", "T: 3\nr: 2\nworkers: 2.5", "workers: expected an integer, got 2.5"),
+        ("simulate", "T: 3\nr: 2\nworkers: 2", "workers: this key was removed"),
         ("diagram", "T: 3\ndiagram: {rho_grid: {count: 4.5}}",
          "diagram.rho_grid: expected an integer, got 4.5"),
     ])

@@ -123,9 +123,10 @@ class TestLawsAndValidation:
         with pytest.raises(ConfigurationError):
             load_config(overrides={"T": 3, "rho": 1.5})
 
-    def test_worker_count(self):
-        with pytest.raises(ConfigurationError):
-            load_config(overrides={"T": 3, "workers": 0})
+    @pytest.mark.parametrize("workers", [0, 1, 2])
+    def test_workers_key_is_removed(self, workers):
+        with pytest.raises(ConfigurationError, match="workers: this key was removed"):
+            load_config(overrides={"T": 3, "workers": workers})
 
     def test_kernel_spelling(self):
         cfg = load_config(overrides={"T": 3, "kernel": "CHI"})
@@ -148,7 +149,6 @@ class TestYamlRoundTrip:
                 "ratios": [1, "inf"],
             },
             "convergence": {"rho_set": [0.2, 0.8], "ratios": [1, 2]},
-            "workers": 2,
         }
         path = tmp_path / "run.yaml"
         path.write_text(yaml.safe_dump(doc))
@@ -160,7 +160,7 @@ class TestYamlRoundTrip:
         assert cfg.output.prefix == "demo"
         assert cfg.diagram.rho_grid == pytest.approx(np.linspace(0.1, 0.9, 5))
         assert cfg.diagram.ratios[1] == float("inf")
-        assert cfg.workers == 2
+        assert cfg.convergence.rho_set == (0.2, 0.8)
 
     def test_section_overrides_merge_key_by_key(self, tmp_path):
         path = tmp_path / "run.yaml"
@@ -203,7 +203,8 @@ class TestYamlRoundTrip:
     def test_convergence_workers_key_is_rejected(self, tmp_path):
         path = tmp_path / "run.yaml"
         path.write_text("T: 3\nconvergence: {rho_set: [0.3], workers: 2}\n")
-        with pytest.raises(ConfigurationError, match="top level"):
+        with pytest.raises(ConfigurationError,
+                           match="convergence.workers: this key was removed"):
             load_config(path)
 
     @pytest.mark.parametrize("overrides", [
@@ -278,7 +279,6 @@ class TestStrictReading:
         ({"T": True}, "T"),
         ({"T": "3"}, "T"),
         ({"initial_condition": {"cell": 1.5}}, "initial_condition.cell"),
-        ({"workers": 2.5}, "workers"),
         ({"diagram": {"rho_grid": {"count": 4.5}}}, "diagram.rho_grid"),
     ])
     def test_integer_keys_take_only_integers(self, overrides, key):
@@ -287,8 +287,8 @@ class TestStrictReading:
             load_config(overrides=base)
 
     def test_integral_floats_are_integers(self):
-        cfg = load_config(overrides={"T": 3.0, "r": 2, "workers": 2.0})
-        assert (cfg.params.n_jumps, cfg.workers) == (3, 2)
+        cfg = load_config(overrides={"T": 3.0, "N": 7.0})
+        assert (cfg.params.n_jumps, cfg.ratio) == (3, 2)
 
 
 class TestInitialStates:

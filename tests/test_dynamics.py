@@ -41,16 +41,19 @@ from kinetic_traffic import (
     find_steady_state,
     fit_convergence_rate,
     integrate,
+    integrate_many,
     select_fit_window,
     staircase_distance,
     unstable_equilibrium,
 )
 from kinetic_traffic import dynamics
 from kinetic_traffic.dynamics import _make_jac
+from kinetic_traffic.matrices import InteractionTensor
 
 from _oracles import (
     dense_jacobian,
     dense_rhs,
+    rk4_reference,
     slowest_decay_rate,
     solve_ivp_steady_state,
     triangle_jacobian,
@@ -105,6 +108,15 @@ class TestCollisionRhs:
         _, tensor = zoo_tensor(3, Fraction(2), build_delta_tensor_integer, 0.4)
         with pytest.raises(ConfigurationError):
             collision_rhs(np.full(5, 0.1), tensor, 1.0)
+        with pytest.raises(ConfigurationError):
+            collision_rhs(np.full((2, 5), 0.1), tensor, 1.0)
+
+    @pytest.mark.parametrize("t_jumps,r,builder", TENSOR_ZOO)
+    def test_stack_gives_each_row_its_own_rate(self, t_jumps, r, builder):
+        grid, tensor = zoo_tensor(t_jumps, r, builder, 0.35)
+        states = np.random.default_rng(13).uniform(0.0, 0.2, (6, grid.n_cells))
+        rows = np.array([collision_rhs(f, tensor, 1.5) for f in states])
+        assert np.array_equal(collision_rhs(states, tensor, 1.5), rows)
 
     def test_band_product_allocates_no_square_array(self):
         # one dense (N, N) float64 array at N=1001 would take 8 MB
@@ -230,6 +242,133 @@ class TestIntegrate:
         traj = integrate(f0, tensor, eta, 5.0)
         assert np.abs(traj.states.sum(axis=1) - f0.sum()).max() <= 1e-10
         assert traj.states.min() >= -1e-12
+
+
+def same_run(got, want) -> bool:
+    """Bit-identical times, states and terminal residual."""
+    return (np.array_equal(got.times, want.times)
+            and np.array_equal(got.states, want.states)
+            and got.terminal_residual == want.terminal_residual)
+
+
+def density_batch(kernel, t_jumps, r, rhos):
+    """Uniform starts and per-density tensors of a convergence sweep grid."""
+    params = ModelParams(delta_v=1.0 / t_jumps, kernel=kernel)
+    grid, ratio = build_grid(params, r)
+    tensors = [
+        build_tensor(kernel, grid, ratio, evaluate_probability(PowerLaw(), rho, params))
+        for rho in rhos
+    ]
+    return [np.full(grid.n_cells, rho / grid.n_cells) for rho in rhos], tensors
+
+
+def overdriven_tensor(grid, weight):
+    """A hand-built band whose acceleration weight far exceeds P = 1."""
+    band = np.zeros((grid.n_cells, 2))
+    band[1:, 0] = weight
+    band[-1, 1] = weight
+    return InteractionTensor(kernel=Kernel.DELTA, p=1.0, grid=grid, band=band)
+
+
+class TestIntegrateMany:
+    """The batched march against the scalar RK4 loop it replaced, row by row."""
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_default_convergence_sweep(self, r):
+        # the CLI's default sweep: T=5, t_end = 200/eta, six densities
+        states, tensors = density_batch(Kernel.DELTA, 5, r, (0.2, 0.3, 0.4, 0.6, 0.7, 0.8))
+        trajs = integrate_many(states, tensors, 1.0, 200.0)
+        for f0, tensor, traj in zip(states, tensors, trajs):
+            assert same_run(traj, rk4_reference(f0, tensor, 1.0, 200.0))
+
+    def test_spread_rows_with_different_step_counts(self):
+        rhos = (0.35, 0.8, 0.1, 0.55, 0.8)
+        _, tensors = density_batch(Kernel.CHI, 3, 2, rhos)
+        rng = np.random.default_rng(5)
+        states = [rng.dirichlet(np.ones(7)) * rho for rho in rhos]
+        trajs = integrate_many(states, tensors, 1.7, 20.0)
+        wants = [rk4_reference(f0, t, 1.7, 20.0) for f0, t in zip(states, tensors)]
+        assert len({want.times[1] for want in wants}) == 4
+        assert all(same_run(traj, want) for traj, want in zip(trajs, wants))
+
+    @pytest.mark.parametrize("t_end,controls", [
+        (10.0, IntegratorControls(step=0.07)),
+        (10.0, IntegratorControls(step=0.1, sample_times=[0.5, 1.0, 2.5, 7.0])),
+        (10.0, IntegratorControls(sample_times=[0.0, 0.33, 3.0, 9.99, 10.0])),
+        (10.0, IntegratorControls(store_factor=1.05)),
+        # steps shorter than the 1e-12 storing slack
+        (5e-11, IntegratorControls(step=3e-13)),
+        (5e-11, IntegratorControls(step=3e-13, sample_times=[1e-11, 2.5e-11])),
+    ])
+    def test_explicit_controls(self, t_end, controls):
+        states, tensors = density_batch(Kernel.DELTA, 3, Fraction(14, 3), (0.25, 0.6, 0.9))
+        trajs = integrate_many(states, tensors, 1.0, t_end, controls)
+        for f0, tensor, traj in zip(states, tensors, trajs):
+            assert same_run(traj, rk4_reference(f0, tensor, 1.0, t_end, controls))
+
+    def test_one_row_at_n_1001(self):
+        # the N=1001 spread-kernel simulate run, over a short horizon
+        (f0,), (tensor,) = density_batch(Kernel.CHI, 10, 100, (0.6,))
+        traj = integrate(f0, tensor, 1.0, 2.0)
+        assert same_run(traj, rk4_reference(f0, tensor, 1.0, 2.0))
+        assert len(traj.times) > 3
+
+    def test_huge_row_is_refused_before_any_step(self, monkeypatch):
+        grid = VelocityGrid(n_cells=7, v_max=1.0)
+        tensor = build_delta_tensor_integer(grid, GridRatio(Fraction(2)), 0.4)
+
+        def no_stepping(*args):
+            raise AssertionError("integrate_many started stepping")
+
+        monkeypatch.setattr(dynamics, "_make_batch_rhs", no_stepping)
+        states = [np.full(7, 0.1), np.full(7, 0.05), np.full(7, 1e160)]
+        with pytest.raises(ConfigurationError, match=r"^row 2 \(rho=7e\+160\): .*budget"):
+            integrate_many(states, [tensor] * 3, 1.0, 1.0)
+
+    def test_negative_component_names_its_row(self):
+        # row 0 takes 10 steps and row 1 takes 40, so row 0 marches second
+        grid = VelocityGrid(n_cells=4, v_max=1.0)
+        bad = overdriven_tensor(grid, 5.0)
+        good = build_delta_tensor_integer(grid, GridRatio(Fraction(1)), 0.4)
+        states = [np.full(4, 0.05), np.full(4, 0.2)]
+        with pytest.raises(NumericalError, match=r"^row 0 \(rho=0\.2\): step 3 \(t=1\.5\): "
+                                                 r"component -4\.939e-01 below"):
+            integrate_many(states, [bad, good], 1.0, 5.0)
+
+    def test_drift_names_its_row(self):
+        grid = VelocityGrid(n_cells=7, v_max=1.0)
+        tensor = build_delta_tensor_integer(grid, GridRatio(Fraction(2)), 0.4)
+        states = [np.full(7, 0.1), np.full(7, 1e160)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match=r"^row 1 \(rho=7e\+160\): mass drift"):
+                integrate_many(states, [tensor] * 2, 1.0, 1.0, IntegratorControls(step=1.0))
+
+    def test_rows_must_share_the_grid(self):
+        small = build_delta_tensor_integer(VelocityGrid(7, 1.0), GridRatio(Fraction(2)), 0.4)
+        large = build_delta_tensor_integer(VelocityGrid(9, 1.0), GridRatio(Fraction(2)), 0.4)
+        with pytest.raises(ConfigurationError, match="row 1 has a 9-cell grid"):
+            integrate_many([np.full(7, 0.1), np.full(9, 0.1)], [small, large], 1.0, 1.0)
+        with pytest.raises(ConfigurationError, match="one per row"):
+            integrate_many([np.full(7, 0.1)], [small, small], 1.0, 1.0)
+
+    @pytest.mark.parametrize("f0,tensor,step", [
+        (np.full(7, 1e160), "jump", None),
+        (np.full(7, 1e160), "jump", 1.0),
+        (np.full(4, 0.05), "overdriven", None),
+        (np.array([0.1, -0.05, 0.1, 0.1, 0.1, 0.1, 0.1]), "jump", None),
+    ])
+    def test_one_row_keeps_the_scalar_messages(self, f0, tensor, step):
+        if tensor == "jump":
+            tensor = build_delta_tensor_integer(VelocityGrid(7, 1.0), GridRatio(Fraction(2)), 0.4)
+        else:
+            tensor = overdriven_tensor(VelocityGrid(4, 1.0), 5.0)
+        messages = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for march in (integrate, rk4_reference):
+                with pytest.raises((ConfigurationError, NumericalError)) as info:
+                    march(f0, tensor, 1.0, 5.0, IntegratorControls(step=step))
+                messages.append((type(info.value), str(info.value)))
+        assert messages[0] == messages[1]
 
 
 class TestSteadyState:
@@ -400,7 +539,7 @@ class TestBadInputs:
                 raise AssertionError("integrate started stepping")
             return rhs
 
-        monkeypatch.setattr(dynamics, "_make_rhs", no_stepping)
+        monkeypatch.setattr(dynamics, "_make_batch_rhs", no_stepping)
         with pytest.raises(ConfigurationError, match="budget"):
             integrate(np.full(7, 1e160), tensor, 1.0, 1.0)
         with pytest.raises(ConfigurationError, match="budget"):
