@@ -56,10 +56,10 @@ class QuantizedEquilibrium:
         if m.ndim != 1 or m.size < 2:
             raise ConfigurationError("need at least two speed classes")
         scale = max(self.rho, 1.0)
-        if m.min() < -MASS_TOL * scale:
+        if not -MASS_TOL * scale <= m.min():  # NaN too
             raise NumericalError(f"negative class mass {m.min():.3e}")
         m[m < 0.0] = 0.0
-        if abs(m.sum() - self.rho) > MASS_TOL * scale:
+        if not abs(m.sum() - self.rho) <= MASS_TOL * scale:
             raise NumericalError(
                 f"class masses sum to {m.sum()!r}, expected {self.rho!r}"
             )
@@ -89,8 +89,8 @@ def closed_form_equilibrium(rho: float, p: float, n_jumps: int) -> QuantizedEqui
     positive root survives cancellation.  The top class closes the mass
     balance exactly.
     """
-    if not (0.0 < rho):
-        raise ConfigurationError(f"density must be positive, got {rho}")
+    if not (math.isfinite(rho) and rho > 0.0):
+        raise ConfigurationError(f"density must be finite and positive, got {rho!r}")
     if not (0.0 <= p <= 1.0):
         raise ConfigurationError(f"probability {p} outside [0, 1]")
     if n_jumps < 1:

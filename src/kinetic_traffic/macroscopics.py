@@ -185,55 +185,38 @@ def fundamental_diagram(
     t = params.n_jumps
 
     if params.kernel is Kernel.DELTA and math.isinf(ratio):
-        samples = []
-        for rho in rhos:
-            p = evaluate_probability(law, rho, params)
-            eq = closed_form_equilibrium(rho, p, t)
-            flux = flux_infinite_r(eq, params.v_max)
-            samples.append(DiagramSample(rho, flux, flux / rho))
-        return FundamentalDiagram(
-            samples=tuple(samples),
-            kernel=params.kernel,
-            n_jumps=t,
-            ratio=math.inf,
-            eta=params.eta,
-            gamma=gamma,
-        )
-
-    grid, ratio_obj = build_grid(params, ratio)
-    if params.kernel is Kernel.DELTA:
+        grid, reported = None, math.inf
+    else:
+        grid, ratio_obj = build_grid(params, ratio)
         if not ratio_obj.is_integer:
             raise ConfigurationError(
-                "diagram sampling on a non-integer ratio grid is not defined: "
+                "spread-kernel grids require integer ratios" if params.kernel is Kernel.CHI
+                else "diagram sampling on a non-integer ratio grid is not defined: "
                 "the closed-form masses sit between cells"
             )
-        r = int(ratio_obj.r)
-        samples = []
-        for rho in rhos:
-            p = evaluate_probability(law, rho, params)
+        reported = float(ratio_obj.r)
+
+    samples = []
+    for rho in rhos:
+        p = evaluate_probability(law, rho, params)
+        if params.kernel is Kernel.DELTA:
             eq = closed_form_equilibrium(rho, p, t)
-            flux = _delta_flux(eq, grid, r)
+            flux = (flux_infinite_r(eq, params.v_max) if grid is None
+                    else _delta_flux(eq, grid, int(reported)))
             samples.append(DiagramSample(rho, flux, flux / rho))
-    else:
-        if not ratio_obj.is_integer:
-            raise ConfigurationError("spread-kernel grids require integer ratios")
-        samples = []
-        for rho in rhos:
-            p = evaluate_probability(law, rho, params)
-            tensor = build_tensor(params.kernel, grid, ratio_obj, p)
-            f_inf = banded_equilibrium(tensor, rho)
-            residual = float(np.abs(collision_rhs(f_inf, tensor, params.eta)).max())
-            if residual > residual_tol:
-                logger.warning("no steady state at rho=%g: residual %.3e", rho, residual)
-            m = moments(f_inf)
-            samples.append(
-                DiagramSample(rho, m.flux, m.mean_speed, residual <= residual_tol)
-            )
+            continue
+        tensor = build_tensor(params.kernel, grid, ratio_obj, p)
+        f_inf = banded_equilibrium(tensor, rho)
+        residual = float(np.abs(collision_rhs(f_inf, tensor, params.eta)).max())
+        if residual > residual_tol:
+            logger.warning("no steady state at rho=%g: residual %.3e", rho, residual)
+        m = moments(f_inf)
+        samples.append(DiagramSample(rho, m.flux, m.mean_speed, residual <= residual_tol))
     return FundamentalDiagram(
         samples=tuple(samples),
         kernel=params.kernel,
         n_jumps=t,
-        ratio=float(ratio_obj.r),
+        ratio=reported,
         eta=params.eta,
         gamma=gamma,
     )

@@ -14,10 +14,11 @@ over candidate rows only (field-independent): the weight matrix W, with
 W[j, h] the acceleration probability mass sent from candidate cell h to
 output cell j.  Acceleration never lowers the speed and raises it by at
 most ceil(r) cells, so W is lower-banded with bandwidth b <= ceil(r).
-The builders store only that band, an (N, b + 1) array, and the band plus
-P is the whole tensor: W @ f costs O(N * b) from it, stochasticity reduces
-to every column of W summing to P, and the dense (N, N) matrix is derived
-on demand for the steady-state solver.
+Each kernel has one builder, which stores only that band, an (N, b + 1)
+array; the band plus P is the whole tensor: the collision right-hand side
+takes W @ f from it in O(N * b), stochasticity reduces to every column of
+W summing to P, and the dense (N, N) matrix is derived on demand for the
+steady-state solver.
 """
 from __future__ import annotations
 
@@ -26,10 +27,9 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .params import ConfigurationError, Kernel, ModelParams
 
@@ -152,7 +152,7 @@ class InteractionTensor:
     The acceleration weights (P baked in) are stored as `band`, an
     (N, b + 1) array holding row j of accel over columns j - b .. j:
     band[j, k] = accel[j, j - b + k] (0-based), so column b - d is the d-th
-    lower diagonal.  Entries left of column 0 are zero.  `accel_operator`
+    lower diagonal.  Entries left of column 0 are zero.  `collision_rhs`
     applies the weights from the band; `accel` is the dense (N, N) matrix,
     built from the band on first use for the steady-state solver.  The
     constructor requires 0 <= p <= 1 and a finite, nonnegative band, the
@@ -201,23 +201,6 @@ class InteractionTensor:
         dense.setflags(write=False)
         return dense
 
-    def accel_operator(self) -> Callable[[np.ndarray], np.ndarray]:
-        """The map f -> accel @ f, computed from the band in O(N * b).
-
-        Row j of the band meets the window f[j - b .. j] of a zero-padded
-        copy of f.  The padded buffer is reused from call to call, so each
-        caller makes its own operator.
-        """
-        band, b = self.band, self.bandwidth
-        padded = np.zeros(self.n_cells + b)
-        windows = sliding_window_view(padded, b + 1)
-
-        def apply(f: np.ndarray) -> np.ndarray:
-            padded[b:] = f
-            return np.vecdot(band, windows)
-
-        return apply
-
 
 def build_grid(params: ModelParams, r: Union[int, float, Fraction]) -> tuple[VelocityGrid, GridRatio]:
     """Velocity grid with N = r*T + 1 cells plus the exact grid ratio.
@@ -244,24 +227,15 @@ def _check_probability(p: float):
 
 
 def build_delta_tensor_integer(grid: VelocityGrid, ratio: GridRatio, p: float) -> InteractionTensor:
-    """Jump-kernel tensor for integer grid ratio.
+    """Jump-kernel tensor for an integer grid ratio.
 
     A candidate in cell h accelerates to cell h + r, except that every cell
-    within r of the top saturates into cell N.  So matrix j (r < j < N)
-    has acceleration weight P on row j - r, and matrix N collects rows
-    N - r .. N.
+    within r of the top saturates into cell N.  The integer-ratio entry
+    point of `build_delta_tensor_generic`, which builds the tensor.
     """
-    _check_probability(p)
     if not ratio.is_integer:
         raise ConfigurationError("integer-ratio builder called with fractional r")
-    n = grid.n_cells
-    r = int(ratio.fraction)
-    if r > n - 1:
-        raise ConfigurationError(f"jump spans {r} cells but the grid has only {n}")
-    band = np.zeros((n, r + 1))
-    band[r:n - 1, 0] = p  # 1-based output cells r+1 .. N-1, candidate j - r
-    band[n - 1, :] = p    # top cell, candidates N - r .. N
-    return InteractionTensor(kernel=Kernel.DELTA, p=p, grid=grid, band=band)
+    return build_delta_tensor_generic(grid, ratio, p)
 
 
 def build_delta_tensor_generic(grid: VelocityGrid, ratio: GridRatio, p: float) -> InteractionTensor:
@@ -269,11 +243,14 @@ def build_delta_tensor_generic(grid: VelocityGrid, ratio: GridRatio, p: float) -
 
     When the jump is not a whole number of cells, the image of cell h under
     v -> v + delta_v straddles two cells, splitting the acceleration weight
-    by the exact overlap lengths.  The split coefficients are assembled
-    here in exact rational arithmetic (the ceiling expressions have ties at
-    half-integer r) and reduce bit-for-bit to the integer builder when r is
-    whole.  The top matrix accumulates every candidate within one jump of
-    full speed, weighted by how much of its cell saturates.
+    by the exact overlap lengths: 1 + r - ceil(r) to cell h + ceil(r) and
+    ceil(r) - r to cell h + ceil(r) - 1 (for whole r, all of it to h + r).
+    Those two constant diagonals fill the interior rows.  The O(1) edge
+    weights -- the first output cells and the top cell's partial
+    candidates -- are assembled in exact rational arithmetic (the ceiling
+    expressions have ties at half-integer r).  The top matrix accumulates
+    every candidate within one jump of full speed, weighted by how much of
+    its cell saturates.  The bandwidth is ceil(r).
     """
     _check_probability(p)
     rf = ratio.fraction
@@ -283,13 +260,14 @@ def build_delta_tensor_generic(grid: VelocityGrid, ratio: GridRatio, p: float) -
         )
     n = grid.n_cells
     if rf > n - 1:
-        raise ConfigurationError(f"jump spans {float(rf)} cells but the grid has only {n}")
+        raise ConfigurationError(f"jump spans {float(rf):g} cells but the grid has only {n}")
     half = Fraction(1, 2)
     cp = math.ceil(rf + half)   # cell index containing speed dv/4 + delta_v's cell top
     cm = math.ceil(rf - half)
     cr = math.ceil(rf)
-    tie_hi = cr == cp           # r exactly half past an integer (or integer r: False)
+    tie_hi = cr == cp           # fractional part of r in (0, 1/2]
     tie_lo = cr == cm           # integer r, or r within (k-1/2, k]
+    lead, trail = 1 + rf - cr, cr - rf  # interior weights at offsets cr and cr - 1
 
     w: dict[tuple[int, int], Fraction] = {}
 
@@ -303,12 +281,11 @@ def build_delta_tensor_generic(grid: VelocityGrid, ratio: GridRatio, p: float) -
         add(cp, 1, 2 * min(half, cp - half - rf))
         if tie_lo:
             add(cp, 2, cm - rf)
-    for j in range(cp + 1, n):  # interior output cells past the first image cell
-        lead = Fraction(1 + rf - cr)
-        if tie_hi and j == cp + 1:
-            lead *= 2
-        add(j, j - cr, lead)
-        add(j, j - cr + 1, Fraction(cr - rf))
+    first = cp + 1              # first interior row
+    if tie_hi and first < n:    # its lead candidate is the half-width bottom cell
+        add(first, 1, 2 * lead)
+        add(first, 2, trail)
+        first += 1
     # Top cell: everything whose image pokes past v_max - dv/2.
     if tie_hi:
         add(n, n - cp, rf - cm)
@@ -316,20 +293,20 @@ def build_delta_tensor_generic(grid: VelocityGrid, ratio: GridRatio, p: float) -
     if tie_lo:
         add(n, n - cm, half)
     add(n, n - cm, rf - cm + half)
-    for h in range(n - cp + 2, n + 1):
-        add(n, h, Fraction(1))
 
     for (j, h), weight in w.items():
-        if not 1 <= h <= j <= n:
+        if not (1 <= h <= j <= n and j - h <= cr):
             raise ConfigurationError(
                 f"acceleration weight out of range: output {j}, candidate {h}"
             )
         if weight < 0:
             raise ConfigurationError(f"negative acceleration weight at ({j}, {h})")
-    b = max(j - h for j, h in w)
-    band = np.zeros((n, b + 1))
+    band = np.zeros((n, cr + 1))  # column cr - d is the d-th lower diagonal
+    band[first - 1:n - 1, 0] = p * float(lead)
+    band[first - 1:n - 1, 1] = p * float(trail)
+    band[n - 1, cr - cp + 2:] = p  # candidates n - cp + 2 .. n saturate whole
     for (j, h), weight in w.items():
-        band[j - 1, b - (j - h)] += p * float(weight)
+        band[j - 1, cr - (j - h)] = p * float(weight)
     return InteractionTensor(kernel=Kernel.DELTA, p=p, grid=grid, band=band)
 
 
@@ -421,13 +398,10 @@ def _chi_cell_mass(h: int, j: int, m: int, r: int) -> float:
 def build_tensor(kernel: Kernel, grid: VelocityGrid, ratio: GridRatio, p: float) -> InteractionTensor:
     """Tensor of either kernel on this grid at braking level p.
 
-    Dispatches to the spread builder, or to the integer or generic
-    jump-kernel builder by the ratio.
+    One builder per kernel; the jump-kernel builder takes every ratio.
     """
     if kernel is Kernel.CHI:
         return build_chi_tensor(grid, ratio, p)
-    if ratio.is_integer:
-        return build_delta_tensor_integer(grid, ratio, p)
     return build_delta_tensor_generic(grid, ratio, p)
 
 

@@ -6,12 +6,13 @@ jump-kernel weights, adaptive quadrature of the defining kernel for the
 spread weights, 50- and 60-digit arithmetic with the naive root formula for
 the equilibrium recursions, the dense (N, N, N) tensor and an einsum over
 it for the collision right-hand side, and an eigenvalue computation for
-decay rates.  Agreement is then evidence, not circularity.  Three routines
+decay rates.  Agreement is then evidence, not circularity.  Four routines
 are references rather than oracles, earlier implementations that the
-package must match bit for bit: the original pairwise spread builder, the
-steady-state search that stepped LSODA through scipy's solve_ivp with a
-Jacobian summed from a diagonal and two triangles, and the scalar RK4 loop
-that marched one state at a time.
+package must match bit for bit: the original cell-by-cell jump-kernel
+builder, the original pairwise spread builder, the steady-state search
+that stepped LSODA through scipy's solve_ivp with a Jacobian summed from a
+diagonal and two triangles, and the scalar RK4 loop that marched one state
+at a time.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from typing import Optional, Union
 
 import mpmath
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import quad, solve_ivp
 
 from kinetic_traffic import ConfigurationError
@@ -74,6 +76,65 @@ def delta_accel_exact(n: int, r: Fraction) -> dict[tuple[int, int], Fraction]:
         if hi > a:  # saturated stretch pins to the top cell
             out[(n, h)] = out.get((n, h), Fraction(0)) + (hi - a) / width
     return out
+
+
+def delta_band_reference(n: int, rf: Fraction, p: float) -> np.ndarray:
+    """Jump-kernel acceleration band, one exact rational weight at a time.
+
+    The package's original generic-ratio builder, kept as the reference for
+    the vectorised one: every weight, interior rows included, accumulated
+    as a Fraction in a dict keyed by (output cell, candidate cell), then
+    scaled by p into an (n, b + 1) band whose width b is the widest jump
+    that carries weight.  The builder must reproduce the band bit for bit,
+    shape included.
+    """
+    half = Fraction(1, 2)
+    cp = math.ceil(rf + half)   # cell index containing speed dv/4 + delta_v's cell top
+    cm = math.ceil(rf - half)
+    cr = math.ceil(rf)
+    tie_hi = cr == cp           # r exactly half past an integer (or integer r: False)
+    tie_lo = cr == cm           # integer r, or r within (k-1/2, k]
+
+    w: dict[tuple[int, int], Fraction] = {}
+
+    def add(j: int, h: int, weight: Fraction):
+        if weight != 0:
+            w[(j, h)] = w.get((j, h), Fraction(0)) + weight
+
+    # First output cell receiving accelerated mass: the bottom half-cell's
+    # image [delta_v, delta_v + dv/2] meets cells cm(+1) depending on ties.
+    if cp <= n - 1:
+        add(cp, 1, 2 * min(half, cp - half - rf))
+        if tie_lo:
+            add(cp, 2, cm - rf)
+    for j in range(cp + 1, n):  # interior output cells past the first image cell
+        lead = Fraction(1 + rf - cr)
+        if tie_hi and j == cp + 1:
+            lead *= 2
+        add(j, j - cr, lead)
+        add(j, j - cr + 1, Fraction(cr - rf))
+    # Top cell: everything whose image pokes past v_max - dv/2.
+    if tie_hi:
+        add(n, n - cp, rf - cm)
+        add(n, n - cm, cp - half - rf)
+    if tie_lo:
+        add(n, n - cm, half)
+    add(n, n - cm, rf - cm + half)
+    for h in range(n - cp + 2, n + 1):
+        add(n, h, Fraction(1))
+
+    for (j, h), weight in w.items():
+        if not 1 <= h <= j <= n:
+            raise ConfigurationError(
+                f"acceleration weight out of range: output {j}, candidate {h}"
+            )
+        if weight < 0:
+            raise ConfigurationError(f"negative acceleration weight at ({j}, {h})")
+    b = max(j - h for j, h in w)
+    band = np.zeros((n, b + 1))
+    for (j, h), weight in w.items():
+        band[j - 1, b - (j - h)] += p * float(weight)
+    return band
 
 
 def chi_accel_quad(n: int, r: int) -> np.ndarray:
@@ -354,6 +415,25 @@ def solve_ivp_steady_state(
         t_hi = min(t_hi * 5.0, t_max)
 
 
+def _accel_operator(tensor: InteractionTensor):
+    """The map f -> accel @ f, computed from the band in O(N * b).
+
+    Row j of the band meets the window f[j - b .. j] of a zero-padded
+    copy of f.  The padded buffer is reused from call to call, so each
+    caller makes its own operator.  The band product `rk4_reference`
+    marched with, from the tensor method the package once had.
+    """
+    band, b = tensor.band, tensor.bandwidth
+    padded = np.zeros(tensor.n_cells + b)
+    windows = sliding_window_view(padded, b + 1)
+
+    def apply(f: np.ndarray) -> np.ndarray:
+        padded[b:] = f
+        return np.vecdot(band, windows)
+
+    return apply
+
+
 def rk4_reference(
     f0: Union[CellMassVector, np.ndarray],
     tensor: InteractionTensor,
@@ -374,7 +454,7 @@ def rk4_reference(
     _check_finite(f)
     _clamp_negativity(f, "initial state")
     rho0 = f.sum()
-    rhs = _make_rhs(tensor, eta, tensor.accel_operator())
+    rhs = _make_rhs(tensor, eta, _accel_operator(tensor))
 
     scale = eta * max(rho0, 1e-12)
     h = controls.step if controls.step is not None else 0.1 / scale

@@ -1,0 +1,60 @@
+"""The package names the benchmark in perfbench/ reaches for must exist.
+
+perfbench traces functions by (module, name) and calls the package through
+`kt.<name>`; a rename in the package would otherwise surface only when the
+benchmark runs.  The two files are read as syntax trees, never imported.
+"""
+import ast
+import importlib
+from pathlib import Path
+
+import kinetic_traffic
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _tree(name: str) -> ast.Module:
+    return ast.parse((PERFBENCH / name).read_text(), filename=name)
+
+
+def _traced_pairs() -> list[tuple[str, str]]:
+    for node in _tree("layers.py").body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            return [tuple(pair) for pair in ast.literal_eval(node.value)]
+    raise AssertionError("perfbench/layers.py defines no TRACED")
+
+
+def _kt_names() -> set[str]:
+    return {
+        node.attr
+        for node in ast.walk(_tree("workloads.py"))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "kt"
+    }
+
+
+def _resolve(module: str, name: str):
+    return getattr(importlib.import_module(f"kinetic_traffic.{module}"), name, None)
+
+
+def test_traced_functions_resolve():
+    missing = [f"{m}.{n}" for m, n in _traced_pairs() if not callable(_resolve(m, n))]
+    assert not missing, f"perfbench traces names the package lacks: {missing}"
+
+
+def test_workload_names_resolve():
+    missing = sorted(n for n in _kt_names() if not hasattr(kinetic_traffic, n))
+    assert not missing, f"perfbench calls names the package lacks: {missing}"
+
+
+def test_traced_functions_are_distinct():
+    # one function object wrapped under two names would be wrapped twice,
+    # and restoring would leave one wrapper installed
+    seen: dict[int, str] = {}
+    for module, name in _traced_pairs():
+        fn = _resolve(module, name)
+        assert id(fn) not in seen, f"{module}.{name} is {seen[id(fn)]}"
+        seen[id(fn)] = f"{module}.{name}"

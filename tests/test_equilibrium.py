@@ -23,6 +23,7 @@ from kinetic_traffic import (
     ModelParams,
     NumericalError,
     PowerLaw,
+    QuantizedEquilibrium,
     VelocityGrid,
     banded_equilibrium,
     build_chi_tensor,
@@ -97,6 +98,17 @@ class TestClosedForm:
             closed_form_equilibrium(0.6, 1.2, 3)
         with pytest.raises(ConfigurationError):
             closed_form_equilibrium(0.6, 0.4, 0)
+
+    @pytest.mark.parametrize("p", [0.6, 0.3])
+    def test_infinite_density_rejected(self, p):
+        # once gave masses [0, 0, 0, inf] (p >= 1/2) and [inf, nan, nan, nan]
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            closed_form_equilibrium(math.inf, p, 3)
+
+    def test_nan_class_mass_rejected(self):
+        # NaN passes a `>` check; the mass checks are written to fail on it
+        with pytest.raises(NumericalError):
+            QuantizedEquilibrium(masses=[math.nan, 1.0], rho=1.0, p=0.3)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -1,9 +1,10 @@
 """Velocity grids and interaction tensors against from-scratch oracles.
 
 The jump-kernel builder is checked entrywise against exact rational interval
-geometry, the spread-kernel builder against adaptive quadrature of its
-defining kernel plus closed-form spot values, and both against the
-column-stochasticity contract.
+geometry and bit for bit against its original cell-by-cell form, the
+spread-kernel builder against adaptive quadrature of its defining kernel
+plus closed-form spot values, and both against the column-stochasticity
+contract and their refusals.
 """
 import math
 import tracemalloc
@@ -25,10 +26,18 @@ from kinetic_traffic import (
     build_delta_tensor_integer,
     build_grid,
     build_tensor,
+    collision_rhs,
     verify_stochasticity,
 )
 
-from _oracles import chi_accel_pairwise, chi_accel_quad, delta_accel_exact, dense_tensor
+from _oracles import (
+    chi_accel_pairwise,
+    chi_accel_quad,
+    delta_accel_exact,
+    delta_band_reference,
+    dense_rhs,
+    dense_tensor,
+)
 
 # integer ladders plus non-integer ratios, including half-integer ties
 INTEGER_CASES = [(t, Fraction(r)) for t in (1, 3, 5) for r in (1, 2, 4, 20)]
@@ -44,6 +53,8 @@ GENERIC_CASES = [
     (3, Fraction(5, 3)),
 ]
 P_VALUES = (0.0, 0.3, 0.85, 1.0)
+# the benchmark's jump-kernel grids: N=401 (r=100, 400/3), N=1001, N=25
+BENCHMARK_CASES = [(4, Fraction(100)), (3, Fraction(400, 3)), (3, Fraction(1000, 3)), (3, Fraction(8))]
 
 
 def make_grid(t_jumps: int, r: Fraction) -> VelocityGrid:
@@ -131,11 +142,31 @@ class TestJumpTensorAgainstGeometry:
 
     @pytest.mark.parametrize("t_jumps,r", INTEGER_CASES)
     def test_generic_builder_reduces_to_integer_builder(self, t_jumps, r):
+        # at whole r the original cell-by-cell builder and the integer
+        # builder both give the two-slice jump: P at offset r, top row full
         grid = make_grid(t_jumps, r)
+        n, k = grid.n_cells, int(r)
         for p in P_VALUES:
-            gen = build_delta_tensor_generic(grid, GridRatio(r), p)
+            two_slice = np.zeros((n, k + 1))
+            two_slice[k:n - 1, 0] = p
+            two_slice[n - 1, :] = p
             fix = build_delta_tensor_integer(grid, GridRatio(r), p)
-            assert np.array_equal(gen.accel, fix.accel)
+            assert np.array_equal(delta_band_reference(n, r, p), two_slice)
+            assert np.array_equal(fix.band, two_slice)
+
+    @pytest.mark.parametrize("t_jumps,r", INTEGER_CASES + GENERIC_CASES + BENCHMARK_CASES)
+    def test_band_matches_the_cell_by_cell_reference(self, t_jumps, r):
+        grid = make_grid(t_jumps, r)
+        ratio = GridRatio(r)
+        for p in P_VALUES:
+            want = delta_band_reference(grid.n_cells, r, p)
+            got = [build_delta_tensor_generic(grid, ratio, p),
+                   build_tensor(Kernel.DELTA, grid, ratio, p)]
+            if r.denominator == 1:
+                got.append(build_delta_tensor_integer(grid, ratio, p))
+            for tensor in got:
+                assert tensor.band.shape == want.shape
+                assert np.array_equal(tensor.band, want)
 
     def test_known_matrix_rows(self):
         # N=4, r=1, P=0.4: second matrix's acceleration row is P everywhere
@@ -243,7 +274,9 @@ class TestBand:
             tensor = build_tensor(kernel, grid, GridRatio(r), 0.85)
             assert tensor.bandwidth <= math.ceil(r)
             f = np.random.default_rng(1).uniform(0.0, 0.2, grid.n_cells)
-            assert np.abs(tensor.accel_operator()(f) - tensor.accel @ f).max() <= 1e-15
+            # relative to eta * rho^2, the size of the gain and loss terms
+            got = collision_rhs(f, tensor, 2.0)
+            assert np.abs(got - dense_rhs(f, tensor, 2.0)).max() <= 1e-15 * 2.0 * f.sum() ** 2
 
     def test_dispatch_picks_the_builder(self):
         grid = make_grid(3, Fraction(14, 3))
@@ -290,6 +323,45 @@ class TestBand:
         assert not tensor.band.flags.writeable
         band[2, 0] = 0.0  # the tensor keeps its own copy
         assert tensor.band[2, 0] == 0.4
+
+
+class TestBuilderRefusals:
+    """Each builder names what it refuses; the message is checked exactly."""
+
+    @staticmethod
+    def refuses(builder, grid, r, p, message):
+        with pytest.raises(ConfigurationError) as caught:
+            builder(grid, GridRatio(r), p)
+        assert str(caught.value) == message
+
+    def test_integer_builder_refuses_a_fractional_ratio(self):
+        self.refuses(build_delta_tensor_integer, make_grid(2, Fraction(5, 2)), Fraction(5, 2),
+                     0.3, "integer-ratio builder called with fractional r")
+
+    def test_generic_builder_refuses_a_jump_under_one_cell(self):
+        self.refuses(build_delta_tensor_generic, VelocityGrid(n_cells=7, v_max=1.0),
+                     Fraction(1, 2), 0.3,
+                     "generic-ratio builder requires r >= 1 (jump at least one cell wide)")
+
+    @pytest.mark.parametrize("builder,message", [
+        (build_delta_tensor_integer, "jump spans 7 cells but the grid has only 7"),
+        (build_delta_tensor_generic, "jump spans 7 cells but the grid has only 7"),
+        (build_chi_tensor, "jump of 7 cells incompatible with 7-cell grid"),
+    ])
+    def test_jump_wider_than_the_grid(self, builder, message):
+        self.refuses(builder, VelocityGrid(n_cells=7, v_max=1.0), Fraction(7), 0.3, message)
+
+    def test_spread_builder_refuses_a_fractional_ratio(self):
+        self.refuses(build_chi_tensor, make_grid(2, Fraction(5, 2)), Fraction(5, 2), 0.3,
+                     "spread-kernel tensor requires integer r")
+
+    @pytest.mark.parametrize("builder", [
+        build_delta_tensor_integer, build_delta_tensor_generic, build_chi_tensor,
+    ])
+    @pytest.mark.parametrize("p,shown", [(1.5, "1.5"), (math.nan, "nan")])
+    def test_probability_outside_the_unit_interval(self, builder, p, shown):
+        self.refuses(builder, make_grid(3, Fraction(2)), Fraction(2), p,
+                     f"probability P={shown} outside [0, 1]")
 
 
 class TestStochasticity:
