@@ -27,7 +27,6 @@ from .config import (
     RunConfig,
     build_initial_state,
     load_config,
-    parse_ratio,
 )
 from .dynamics import (
     IntegratorControls,
@@ -40,7 +39,7 @@ from .dynamics import (
     integrate_many,
     select_fit_window,
 )
-from .equilibrium import closed_form_equilibrium, equilibrium_on_grid
+from .equilibrium import closed_form_on_grid
 from .macroscopics import (
     detect_capacity_drop,
     fundamental_diagram,
@@ -157,16 +156,14 @@ def _cmd_equilibrium(cfg: RunConfig) -> int:
     residual = float(
         np.abs(collision_rhs(f_inf, tensor, cfg.params.eta)).max()
     )
-    has_oracle = cfg.params.kernel is Kernel.DELTA and ratio_obj.is_integer
+    closed = closed_form_on_grid(
+        cfg.params, cfg.law, cfg.require_rho(), ratio_obj.fraction, grid
+    )
+    has_oracle = closed is not None
     note = None
     oracle = None
     if has_oracle:
-        rho = cfg.require_rho()
-        p = evaluate_probability(cfg.law, rho, cfg.params)
-        eq = closed_form_equilibrium(rho, p, cfg.params.n_jumps)
-        oracle = equilibrium_on_grid(
-            eq, int(ratio_obj.r), grid=grid, v_max=cfg.params.v_max
-        ).masses
+        oracle = closed.masses
     elif cfg.params.kernel is Kernel.CHI:
         note = "no closed form exists for the spread kernel; ODE result only"
     else:
@@ -315,21 +312,16 @@ def _convergence_rows(cfg: RunConfig, ratio: float) -> list[tuple]:
         run_cfg = dataclasses.replace(cfg, rho=rho, ratio=ratio_obj.fraction)
         tensor = _tensor_for(run_cfg, grid, ratio_obj)
         f0 = build_initial_state(run_cfg, grid)
-        if params.kernel is Kernel.DELTA and ratio_obj.is_integer:
-            p = evaluate_probability(cfg.law, rho, params)
-            eq = closed_form_equilibrium(rho, p, params.n_jumps)
-            ref = equilibrium_on_grid(
-                eq, int(ratio_obj.r), grid=grid, v_max=params.v_max
-            ).masses
-        else:
+        ref = closed_form_on_grid(params, cfg.law, rho, ratio_obj.fraction, grid)
+        if ref is None:
             ref = find_steady_state(
                 f0, tensor, params.eta,
                 residual_tol=cfg.integrator.residual_tol,
                 t_max=cfg.integrator.t_max,
-            ).masses
+            )
         tensors.append(tensor)
         starts.append(f0)
-        refs.append(ref)
+        refs.append(ref.masses)
     trajs = integrate_many(starts, tensors, params.eta, t_end)
     rows = []
     for rho, traj, ref in zip(cfg.convergence.rho_set, trajs, refs):

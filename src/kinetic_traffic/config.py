@@ -21,7 +21,7 @@ from typing import Any, Mapping, Optional, Union
 import numpy as np
 import yaml
 
-from .equilibrium import closed_form_equilibrium, equilibrium_on_grid
+from .equilibrium import closed_form_on_grid
 from .matrices import GridRatio, VelocityGrid
 from .params import (
     ConfigurationError,
@@ -30,7 +30,6 @@ from .params import (
     ModelParams,
     PowerLaw,
     ProbabilityLaw,
-    evaluate_probability,
 )
 
 __all__ = [
@@ -277,7 +276,7 @@ def _ratios(values: Any) -> tuple[float, ...]:
     for v in _items(values):
         if isinstance(v, str) and v.strip().lower() in ("inf", "infinity"):
             out.append(math.inf)
-        elif isinstance(v, float) and math.isinf(v):
+        elif isinstance(v, float) and v == math.inf:
             out.append(math.inf)
         else:
             out.append(float(parse_ratio(v)))
@@ -481,16 +480,12 @@ def build_initial_state(cfg: RunConfig, grid: VelocityGrid) -> np.ndarray:
         raise ConfigurationError(
             "equilibrium initial conditions need the jump kernel's closed form"
         )
-    ratio = cfg.require_ratio()
-    if ratio.denominator != 1:
+    closed = closed_form_on_grid(cfg.params, cfg.law, rho, cfg.require_ratio(), grid)
+    if closed is None:
         raise ConfigurationError(
             "equilibrium initial conditions need an integer cells-per-jump ratio"
         )
-    p = evaluate_probability(cfg.law, rho, cfg.params)
-    eq = closed_form_equilibrium(rho, p, cfg.params.n_jumps)
-    f = equilibrium_on_grid(
-        eq, int(ratio), grid=grid, v_max=cfg.params.v_max
-    ).masses.copy()
+    f = closed.masses.copy()
     if ic.cell > n:
         raise ConfigurationError(f"perturbation cell {ic.cell} beyond grid size {n}")
     f[ic.cell - 1] += ic.epsilon

@@ -19,19 +19,20 @@ roundoff of a fixed point, which matters when measuring residuals at the
 
 Trajectories come from classical fourth-order Runge-Kutta with a fixed
 step.  `integrate_many` marches B states on one grid in one loop over
-(B, N) arrays: each row keeps its own tensor (so its own P and band) and
-its own step t_end/ceil(t_end*eta*rho/0.1), held as a column, and leaves
-the loop when its steps are done.  Every row gets the arithmetic of a lone
-run, so a trajectory does not depend on the batch it was marched in;
-`integrate` is the one-row case.  Steady states come from LSODA, see
-`find_steady_state`.
+(B, N) arrays, rows in the order given: each row keeps its own tensor (so
+its own P and band) and its own step t_end/ceil(t_end*eta*rho/0.1), held
+as a column, and stands still once its steps are done.  Every row gets
+the arithmetic of a lone run, so a trajectory does not depend on the
+batch it was marched in; `integrate` is the one-row case.  Steady states
+come from LSODA, see `find_steady_state`.
 """
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -68,6 +69,9 @@ DRIFT_TOL = 1e-10
 # Most RK4 steps one integrate call may take; the test suite and the
 # benchmark ask for at most 7,200.
 MAX_STEPS = 10**7
+# select_fit_window's guard bands, see there
+HEAD_DROP = 1e-2
+DECADES_ABOVE_FLOOR = 1.5
 
 
 class NumericalError(RuntimeError):
@@ -273,11 +277,10 @@ def _make_jac(tensor: InteractionTensor, eta: float):
 
 
 def _make_batch_rhs(tensors: Sequence[InteractionTensor], eta: float, rows: int):
-    """RHS closure on a stack of up to `rows` states, one per row.
+    """RHS closure on a stack of `rows` states, one per row.
 
     Row i evolves under tensors[i], or every row under the tensor when only
-    one is given; all share the grid and bandwidth.  Called on the leading
-    rows f[:m] of the stack, it returns their rates.  The band product runs
+    one is given; all share the grid and bandwidth.  The band product runs
     as one vecdot of the band stack against windows of a zero-padded
     buffer, and every row gets the operations `_make_rhs` gives one state
     with the band product, so its rate does not depend on the batch.
@@ -290,14 +293,13 @@ def _make_batch_rhs(tensors: Sequence[InteractionTensor], eta: float, rows: int)
     windows = sliding_window_view(padded, b + 1, axis=1)
 
     def rhs(f: np.ndarray) -> np.ndarray:
-        m = len(f)
         total = f.sum(axis=1, keepdims=True)
         csum = f.cumsum(axis=1)
         below = csum - f
         above = total - csum
-        padded[:m, b:] = f
-        accel = np.vecdot(band[:m], windows[:m])
-        return eta * (f * (-below - p[:m] * f + one_minus_2p[:m] * above) + accel * total)
+        padded[:, b:] = f
+        return eta * (f * (-below - p * f + one_minus_2p * above)
+                      + np.vecdot(band, windows) * total)
 
     return rhs
 
@@ -366,44 +368,30 @@ def _start(
 
 
 def _store_steps(
-    h: float, n_steps: int, factor: float, wanted: Optional[np.ndarray]
+    h: float, n_steps: int, factor: float, wanted: Optional[list[float]]
 ) -> list[int]:
     """The steps after which a row of step h stores its state.
 
-    With t = k h and a slack of 1e-12 max(t, 1), step k stores when one of
-    the wanted times lies in (t - h, t + slack]; only steps within the
-    slack and two steps of a wanted time can qualify.  Without wanted
-    times, step k stores when t reaches the next storing time (h at first)
-    less the slack, and the next storing time becomes max(factor t, t + h).
-    That test only turns true as k grows, so each storing step is found by
-    walking from an estimate.  The last step always stores.
+    The storing rule of a lone run, applied step by step: with t = k h and
+    a slack of 1e-12 max(t, 1), step k stores when a wanted time lies in
+    (t - h, t + slack]; without wanted times, when t reaches the next
+    storing time (h at first) less the slack, which then becomes
+    max(factor t, t + h).  The last step always stores.
     """
-    def reached(k: int, next_store: float) -> bool:
+    steps, next_store = [], h
+    for k in range(1, n_steps + 1):
         t = k * h
-        return t >= next_store - 1e-12 * max(t, 1.0)
-
-    steps = {n_steps}
-    if wanted is not None:
-        for w in wanted:
-            lo = math.floor((w - 1e-12 * max(w, 1.0)) / h) - 2
-            for k in range(max(lo, 1), min(math.floor(w / h) + 3, n_steps) + 1):
-                t = k * h
-                if t - h < w <= t + 1e-12 * max(t, 1.0):
-                    steps.add(k)
-        return sorted(steps)
-    k, next_store = 0, h
-    while k < n_steps:
-        first = max(k + 1, math.floor(next_store / h) - 1)
-        while first > k + 1 and reached(first - 1, next_store):
-            first -= 1
-        while first <= n_steps and not reached(first, next_store):
-            first += 1
-        k = first
-        if k <= n_steps:
-            steps.add(k)
-            t = k * h
-            next_store = max(t * factor, t + h)
-    return sorted(steps)
+        slack = 1e-12 * max(t, 1.0)
+        if wanted is not None:
+            i = bisect.bisect_right(wanted, t - h)  # first wanted time past t - h
+            store = i < len(wanted) and wanted[i] <= t + slack
+        else:
+            store = t >= next_store - slack
+            if store:
+                next_store = max(t * factor, t + h)
+        if store or k == n_steps:
+            steps.append(k)
+    return steps
 
 
 def integrate_many(
@@ -420,11 +408,10 @@ def integrate_many(
     band.  Each row takes its own fixed step h_i = t_end/ceil(t_end/s_i),
     with s_i the controls' step or 0.1/(eta*rho_i), a tenth of the row's
     fastest quadratic timescale, which resolves it with a wide stability
-    margin.  All rows march in one loop over (B, N) arrays, the steps held
-    as a column.  The rows are sorted by step count, longest first, so the
-    rows still marching are always a leading block, and each row drops out
-    when its own steps are done.  Every row gets exactly the arithmetic of
-    a lone run, so its trajectory does not depend on the batch.
+    margin.  All rows march in input order in one loop over (B, N) arrays,
+    the steps held as a column, until the longest row is done; a finished
+    row takes steps of zero, and f + 0*k is exactly f.  Every row gets the
+    arithmetic of a lone run, so its trajectory does not depend on the batch.
 
     Each row is checked on its own.  A row that would take more than
     MAX_STEPS steps is refused with ConfigurationError before the first
@@ -460,66 +447,58 @@ def integrate_many(
             rho = float(np.sum(getattr(f0, "masses", f0)))
             raise type(exc)(_row_label(i, rho) + str(exc)) from exc
 
+    wanted = None
     if controls.sample_times is not None:
-        wanted = np.asarray(sorted(set(float(t) for t in controls.sample_times)))
-        if wanted.size and (wanted[0] < 0 or wanted[-1] > t_end * (1 + 1e-12)):
+        wanted = sorted(set(float(t) for t in controls.sample_times))
+        if wanted and (wanted[0] < 0 or wanted[-1] > t_end * (1 + 1e-12)):
             raise ConfigurationError("sample_times outside [0, t_end]")
-    else:
-        wanted = None
 
-    order = sorted(range(len(starts)), key=lambda i: -starts[i][2])
-    f_all = np.stack([starts[i][0] for i in order])
-    h = np.array([[starts[i][1]] for i in order])
-    n_steps = [starts[i][2] for i in order]
-    rho0 = f_all.sum(axis=1)
-    rhs = _make_batch_rhs([tensors[i] for i in order], eta, len(order))
+    f = np.stack([start[0] for start in starts])
+    h = np.array([[start[1]] for start in starts])
+    n_steps = np.array([[start[2]] for start in starts])
+    rho0 = f.sum(axis=1)
+    rhs = _make_batch_rhs(tensors, eta, len(starts))
     storing: dict[int, list[int]] = {}  # step -> rows that store after it
-    for row, (_, h_row, n_row) in enumerate(starts[i] for i in order):
+    for row, (_, h_row, n_row) in enumerate(starts):
         for k in _store_steps(h_row, n_row, controls.store_factor, wanted):
             storing.setdefault(k, []).append(row)
 
     def label(row: int) -> str:
-        return _row_label(order[row], rho0[row]) if batch else ""
+        return _row_label(row, rho0[row]) if batch else ""
 
-    times = [[0.0] for _ in order]
-    stored = [[f.copy()] for f in f_all]
+    times = [[0.0] for _ in starts]
+    stored = [[row.copy()] for row in f]
     clamped = 0
-    m = len(order)  # rows f_all[:m] are still marching
-    for k in range(1, n_steps[0] + 1):
-        f, hm = f_all[:m], h[:m]
+    hk = h.copy()
+    for k in range(1, int(n_steps.max()) + 1):
         k1 = rhs(f)
-        k2 = rhs(f + 0.5 * hm * k1)
-        k3 = rhs(f + 0.5 * hm * k2)
-        k4 = rhs(f + hm * k3)
-        f += (hm / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 = rhs(f + 0.5 * hk * k1)
+        k3 = rhs(f + 0.5 * hk * k2)
+        k4 = rhs(f + hk * k3)
+        f += (hk / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if f.min(initial=0.0) < 0.0:
             row = int(np.argmin(f)) // f.shape[1]
             clamped += _clamp_negativity(f, f"{label(row)}step {k} (t={k * h[row, 0]:.6g})")
         for row in storing.get(k, ()):
             times[row].append(k * h[row, 0])
             stored[row].append(f[row].copy())
-        while m and n_steps[m - 1] == k:
-            m -= 1
+        hk[n_steps == k] = 0.0  # a finished row steps by zero from now on
 
     if clamped:
         logger.warning("clamped %d slightly negative components to zero", clamped)
-    drift = np.abs(f_all.sum(axis=1) - rho0)
+    drift = np.abs(f.sum(axis=1) - rho0)
     bad = np.flatnonzero(~(drift <= DRIFT_TOL))  # NaN too
     if bad.size:
         row = bad[0]
         raise NumericalError(
             f"{label(row)}mass drift {drift[row]:.3e} exceeds budget {DRIFT_TOL:.0e}"
         )
-    residuals = np.abs(rhs(f_all)).max(axis=1)
-    out: list[Optional[Trajectory]] = [None] * len(order)
-    for row, i in enumerate(order):
-        out[i] = Trajectory(
-            times=np.asarray(times[row]),
-            states=np.asarray(stored[row]),
-            grid=first.grid,
-            terminal_residual=float(residuals[row]),
-        )
-    return out
+    residuals = np.abs(rhs(f)).max(axis=1)
+    return [
+        Trajectory(times=np.asarray(ts), states=np.asarray(ss), grid=first.grid,
+                   terminal_residual=float(res))
+        for ts, ss, res in zip(times, stored, residuals)
+    ]
 
 
 def integrate(
@@ -667,12 +646,11 @@ def distance_to_equilibrium(
     return TimeSeries(times=traj.times.copy(), values=values)
 
 
-def select_fit_window(series: TimeSeries, decades_above_floor: float = 1.5,
-                      head_drop: float = 1e-2) -> tuple[float, float]:
+def select_fit_window(series: TimeSeries) -> tuple[float, float]:
     """Pick a tail window where log e(t) is cleanly linear.
 
-    Skips the initial transient (until e drops below head_drop * e(0)) and
-    stops before the rounding floor (a safety band of decades_above_floor
+    Skips the initial transient (until e drops below HEAD_DROP * e(0)) and
+    stops before the rounding floor (a safety band of DECADES_ABOVE_FLOOR
     decades above the smallest positive value).
     """
     e = series.values
@@ -680,8 +658,8 @@ def select_fit_window(series: TimeSeries, decades_above_floor: float = 1.5,
     positive = e > 0
     if not positive.any():
         raise NumericalError("distance series is identically zero; nothing to fit")
-    floor = e[positive].min() * 10.0 ** decades_above_floor
-    start = e <= max(head_drop * e[0], floor)
+    floor = e[positive].min() * 10.0 ** DECADES_ABOVE_FLOOR
+    start = e <= max(HEAD_DROP * e[0], floor)
     usable = positive & (e >= floor) & start
     idx = np.nonzero(usable)[0]
     if idx.size < 3:

@@ -15,13 +15,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Union
 
 import numpy as np
 
 from .dynamics import NEGATIVITY_TOL, CellMassVector, NumericalError
 from .matrices import InteractionTensor, VelocityGrid
-from .params import ConfigurationError
+from .params import (
+    ConfigurationError,
+    Kernel,
+    ModelParams,
+    ProbabilityLaw,
+    evaluate_probability,
+)
 
 __all__ = [
     "QuantizedEquilibrium",
@@ -29,6 +36,7 @@ __all__ = [
     "SupportReport",
     "banded_equilibrium",
     "closed_form_equilibrium",
+    "closed_form_on_grid",
     "equilibrium_on_grid",
     "unstable_equilibrium",
     "verify_quantized_support",
@@ -202,6 +210,24 @@ def equilibrium_on_grid(
     f = np.zeros(n)
     f[np.arange(eq.n_jumps + 1) * r] = eq.masses
     return CellMassVector(f, grid)
+
+
+def closed_form_on_grid(
+    params: ModelParams,
+    law: ProbabilityLaw,
+    rho: float,
+    ratio: Fraction,
+    grid: VelocityGrid,
+) -> Optional[CellMassVector]:
+    """The closed-form equilibrium at density rho on a grid of exact
+    cells-per-jump ratio `ratio`, or None where it has no place there: the
+    spread kernel has no closed form, and on a non-integer-ratio grid the
+    class masses fall between cells."""
+    if params.kernel is not Kernel.DELTA or ratio.denominator != 1:
+        return None
+    p = evaluate_probability(law, rho, params)
+    eq = closed_form_equilibrium(rho, p, params.n_jumps)
+    return equilibrium_on_grid(eq, int(ratio), grid=grid, v_max=params.v_max)
 
 
 def unstable_equilibrium(

@@ -184,7 +184,7 @@ def fundamental_diagram(
     gamma = law.gamma if isinstance(law, PowerLaw) else None
     t = params.n_jumps
 
-    if params.kernel is Kernel.DELTA and math.isinf(ratio):
+    if params.kernel is Kernel.DELTA and ratio == math.inf:
         grid, reported = None, math.inf
     else:
         grid, ratio_obj = build_grid(params, ratio)

@@ -200,6 +200,13 @@ class TestYamlRoundTrip:
         given = load_config(overrides={"T": 4, "r": 20, section: {"ratios": [3]}})
         assert getattr(given, section).ratios == (3.0,)
 
+    def test_negative_infinite_ratio_is_refused(self):
+        # only +inf is the infinite-resolution limit
+        with pytest.raises(ConfigurationError, match=r"^diagram\.ratios: grid ratio -inf"):
+            load_config(overrides={
+                "T": 3, "kernel": "delta", "diagram": {"ratios": [-float("inf")]},
+            })
+
     def test_convergence_workers_key_is_rejected(self, tmp_path):
         path = tmp_path / "run.yaml"
         path.write_text("T: 3\nconvergence: {rho_set: [0.3], workers: 2}\n")

@@ -291,6 +291,22 @@ class TestIntegrateMany:
         assert len({want.times[1] for want in wants}) == 4
         assert all(same_run(traj, want) for traj, want in zip(trajs, wants))
 
+    @pytest.mark.parametrize("rhos,t_end", [
+        # ascending step counts 1, 6, 60, 360, 1080: row 0 stands still
+        # for all but the first of the 1080 steps
+        ((0.0005, 0.005, 0.05, 0.3, 0.9), 120.0),
+    ])
+    def test_finished_rows_stand_still(self, rhos, t_end):
+        states, tensors = density_batch(Kernel.DELTA, 3, 2, rhos)
+        trajs = integrate_many(states, tensors, 1.0, t_end)
+        n_steps = [round(t_end / traj.times[1]) for traj in trajs]
+        assert n_steps[0] == 1 and n_steps[-1] >= 1000 and n_steps == sorted(n_steps)
+        for f0, tensor, traj in zip(states, tensors, trajs):
+            want = rk4_reference(f0, tensor, 1.0, t_end)
+            assert np.array_equal(traj.times, want.times)
+            assert np.array_equal(traj.states, want.states)
+            assert traj.terminal_residual == want.terminal_residual
+
     @pytest.mark.parametrize("t_end,controls", [
         (10.0, IntegratorControls(step=0.07)),
         (10.0, IntegratorControls(step=0.1, sample_times=[0.5, 1.0, 2.5, 7.0])),

@@ -31,6 +31,7 @@ from kinetic_traffic import (
     build_grid,
     build_tensor,
     closed_form_equilibrium,
+    closed_form_on_grid,
     collision_rhs,
     equilibrium_on_grid,
     evaluate_probability,
@@ -142,6 +143,22 @@ class TestOnGrid:
         occupied = np.nonzero(masses)[0]
         assert occupied.tolist() == [0, 4, 8, 12]
         assert masses[occupied] == pytest.approx(list(map(float, eq.masses)))
+
+    @pytest.mark.parametrize("kernel,ratio,has_closed_form", [
+        (Kernel.DELTA, Fraction(4), True),
+        (Kernel.DELTA, Fraction(14, 3), False),
+        (Kernel.CHI, Fraction(4), False),
+    ])
+    def test_closed_form_on_grid_only_where_it_exists(self, kernel, ratio, has_closed_form):
+        params = ModelParams(delta_v=1 / 3, kernel=kernel)
+        grid, _ = build_grid(params, ratio)
+        got = closed_form_on_grid(params, PowerLaw(), 0.6, ratio, grid)
+        if not has_closed_form:
+            assert got is None
+            return
+        p = evaluate_probability(PowerLaw(), 0.6, params)
+        want = equilibrium_on_grid(closed_form_equilibrium(0.6, p, 3), 4, grid=grid)
+        assert got.grid == grid and np.array_equal(got.masses, want.masses)
 
     def test_support_check_accepts_quantized_state(self):
         eq = closed_form_equilibrium(0.6, 0.4, 3)

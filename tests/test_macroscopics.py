@@ -120,6 +120,10 @@ class TestFundamentalDiagram:
         assert d.samples[0].flux == pytest.approx(0.3)
         assert d.samples[0].mean_speed == pytest.approx(1.0)
 
+    def test_negative_infinite_ratio_is_refused(self):
+        with pytest.raises(ConfigurationError, match="grid ratio -inf"):
+            fundamental_diagram(ModelParams(delta_v=1 / 3), LAW, -math.inf, [0.3])
+
     @pytest.mark.parametrize("r", [1, 4])
     def test_finite_ratio_flux_stays_near_the_limit(self, r):
         params = ModelParams(delta_v=0.25)
