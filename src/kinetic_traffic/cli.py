@@ -1,10 +1,13 @@
 """Command-line entry point: simulate, equilibrium, diagram, convergence.
 
-Every run is driven by a YAML config and/or flags; outputs are CSV data
-files plus a JSON manifest.  Data files are deterministic for a given
-config (17 significant digits, no timestamps); wall-clock information
-lives only in the manifest.  Exit codes: 0 success, 2 configuration
-error, 3 numerical failure, 4 I/O failure.
+Every run is driven by a YAML config and/or flags.  One table, _FLAGS,
+declares each flag once, next to the YAML key it sets; the parser and the
+override mapping handed to load_config are both read from it.  Outputs are
+CSV data files, all written by _write_csv, plus a JSON manifest.  Data
+files are deterministic for a given config (17 significant digits, no
+timestamps); wall-clock information lives only in the manifest.  Exit
+codes: 0 success, 2 configuration error, 3 numerical failure, 4 I/O
+failure.
 """
 from __future__ import annotations
 
@@ -13,21 +16,17 @@ import dataclasses
 import datetime
 import json
 import math
+import numbers
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 import yaml
 
-from .config import (
-    IC_KINDS,
-    RunConfig,
-    build_initial_state,
-    load_config,
-)
+from .config import IC_KINDS, RunConfig, build_initial_state, load_config
 from .dynamics import (
     IntegratorControls,
     NumericalError,
@@ -40,11 +39,7 @@ from .dynamics import (
     select_fit_window,
 )
 from .equilibrium import closed_form_on_grid
-from .macroscopics import (
-    detect_capacity_drop,
-    fundamental_diagram,
-    moments,
-)
+from .macroscopics import detect_capacity_drop, fundamental_diagram, moments
 from .matrices import build_grid, build_tensor
 from .params import (
     ConfigurationError,
@@ -66,6 +61,22 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _cell(value: Any) -> str:
+    if isinstance(value, float):  # numpy's float64 too; the common case, tested first
+        return _fmt(value)
+    if isinstance(value, str):
+        return value
+    return str(int(value)) if isinstance(value, numbers.Integral) else _fmt(value)
+
+
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A CSV file: reals to 17 significant digits, ints in decimal, strings as given."""
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
+
+
 def _jsonable(obj: Any) -> Any:
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
@@ -73,18 +84,14 @@ def _jsonable(obj: Any) -> Any:
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, Path):
+    if isinstance(obj, (Fraction, Path)):
         return str(obj)
     if isinstance(obj, Kernel):
         return obj.value
     if isinstance(obj, float) and math.isinf(obj):
         return "inf"
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
+    if isinstance(obj, np.generic):
+        return obj.item()
     return obj
 
 
@@ -124,15 +131,12 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         IntegratorControls(step=cfg.integrator.step),
     )
     csv_path, manifest_path = _out_paths(cfg, "trajectory.csv", "manifest.json")
-    n = grid.n_cells
     residuals = np.abs(collision_rhs(traj.states, tensor, cfg.params.eta)).max(axis=1)
-    with csv_path.open("w") as fh:
-        fh.write("t," + ",".join(f"f_{j}" for j in range(1, n + 1)) + ",u,residual\n")
-        for i, t in enumerate(traj.times):
-            state = traj.states[i]
-            u = moments(traj.state(i)).mean_speed
-            row = [_fmt(t)] + [_fmt(v) for v in state] + [_fmt(u), _fmt(residuals[i])]
-            fh.write(",".join(row) + "\n")
+    cells = [f"f_{j}" for j in range(1, grid.n_cells + 1)]
+    _write_csv(csv_path, ["t", *cells, "u", "residual"], (
+        [t, *traj.states[i], moments(traj.state(i)).mean_speed, residuals[i]]
+        for i, t in enumerate(traj.times)
+    ))
     _write_manifest(
         manifest_path, "simulate", cfg, [csv_path], time.perf_counter() - t0,
         extra={
@@ -153,54 +157,26 @@ def _cmd_equilibrium(cfg: RunConfig) -> int:
         f0, tensor, cfg.params.eta,
         residual_tol=cfg.integrator.residual_tol, t_max=cfg.integrator.t_max,
     )
-    residual = float(
-        np.abs(collision_rhs(f_inf, tensor, cfg.params.eta)).max()
-    )
+    residual = float(np.abs(collision_rhs(f_inf, tensor, cfg.params.eta)).max())
     closed = closed_form_on_grid(
         cfg.params, cfg.law, cfg.require_rho(), ratio_obj.fraction, grid
     )
-    has_oracle = closed is not None
-    note = None
-    oracle = None
-    if has_oracle:
-        oracle = closed.masses
-    elif cfg.params.kernel is Kernel.CHI:
-        note = "no closed form exists for the spread kernel; ODE result only"
+    columns = {"cell": range(1, grid.n_cells + 1), "speed": grid.centers}
+    extra = {"terminal_residual": residual}
+    if closed is not None:
+        difference = f_inf.masses - closed.masses
+        columns.update(oracle=closed.masses, ode=f_inf.masses, difference=difference)
+        extra["max_oracle_difference"] = float(np.abs(difference).max())
     else:
-        note = (
+        columns["ode"] = f_inf.masses
+        extra["note"] = (
+            "no closed form exists for the spread kernel; ODE result only"
+            if cfg.params.kernel is Kernel.CHI else
             "closed-form masses fall between cells on a non-integer-ratio "
             "grid; ODE result only"
         )
     csv_path, manifest_path = _out_paths(cfg, "equilibrium.csv", "manifest.json")
-    with csv_path.open("w") as fh:
-        if has_oracle:
-            fh.write("cell,speed,oracle,ode,difference\n")
-            for j in range(grid.n_cells):
-                fh.write(
-                    ",".join(
-                        [
-                            str(j + 1),
-                            _fmt(grid.centers[j]),
-                            _fmt(oracle[j]),
-                            _fmt(f_inf.masses[j]),
-                            _fmt(f_inf.masses[j] - oracle[j]),
-                        ]
-                    )
-                    + "\n"
-                )
-        else:
-            fh.write("cell,speed,ode\n")
-            for j in range(grid.n_cells):
-                fh.write(
-                    f"{j + 1},{_fmt(grid.centers[j])},{_fmt(f_inf.masses[j])}\n"
-                )
-    extra = {"terminal_residual": residual}
-    if has_oracle:
-        extra["max_oracle_difference"] = float(
-            np.abs(f_inf.masses - oracle).max()
-        )
-    if note:
-        extra["note"] = note
+    _write_csv(csv_path, list(columns), zip(*columns.values()))
     _write_manifest(
         manifest_path, "equilibrium", cfg, [csv_path],
         time.perf_counter() - t0, extra=extra,
@@ -223,73 +199,54 @@ def _diagram_rhos(cfg: RunConfig) -> list[float]:
     return out
 
 
+def _diagram_summary(diagram, kink_threshold: float) -> dict:
+    """The summary.json entry of one ratio's diagram."""
+    entry = {"r": diagram.ratio, "all_converged": diagram.all_converged}
+    if len(diagram.samples) < 3:
+        best = max(diagram.samples, key=lambda s: s.flux)
+        return {
+            **entry,
+            "rho_at_max_flux": best.rho,
+            "warnings": ["fewer than three samples; transition detection skipped"],
+        }
+    report = detect_capacity_drop(diagram, kink_threshold)
+    return {
+        **entry,
+        "rho_at_max_flux": report.rho_at_max_flux,
+        "drop_magnitude": report.drop_magnitude,
+        "critical_density_bracket": list(report.bracket),
+        "transitions": [
+            {"rho_lo": tr.rho_lo, "rho_hi": tr.rho_hi, "flux_change": tr.flux_change}
+            for tr in report.transitions
+        ],
+        "warnings": list(report.warnings),
+    }
+
+
 def _cmd_diagram(cfg: RunConfig) -> int:
     if cfg.diagram is None:
         raise ConfigurationError("the config lacks a diagram section")
     t0 = time.perf_counter()
     rhos = _diagram_rhos(cfg)
-    gamma = cfg.law.gamma if isinstance(cfg.law, PowerLaw) else None
+    gamma = cfg.law.gamma if isinstance(cfg.law, PowerLaw) else ""
     csv_path, summary_path, manifest_path = _out_paths(
         cfg, "diagram.csv", "summary.json", "manifest.json"
     )
-    summaries = []
-    with csv_path.open("w") as fh:
-        fh.write("rho,flux,u,kernel,T,r,gamma,converged\n")
-        for ratio in cfg.diagram.ratios:
-            diagram = fundamental_diagram(
-                cfg.params, cfg.law, ratio, rhos,
-                residual_tol=cfg.integrator.residual_tol,
-            )
-            r_label = "inf" if math.isinf(diagram.ratio) else _fmt(diagram.ratio)
-            for s in diagram.samples:
-                fh.write(
-                    ",".join(
-                        [
-                            _fmt(s.rho),
-                            _fmt(s.flux),
-                            _fmt(s.mean_speed),
-                            diagram.kernel.value,
-                            str(diagram.n_jumps),
-                            r_label,
-                            "" if gamma is None else _fmt(gamma),
-                            str(int(s.converged)),
-                        ]
-                    )
-                    + "\n"
-                )
-            entry = {
-                "r": "inf" if math.isinf(diagram.ratio) else diagram.ratio,
-                "all_converged": diagram.all_converged,
-            }
-            if len(diagram.samples) >= 3:
-                report = detect_capacity_drop(diagram, cfg.diagram.kink_threshold)
-                entry.update(
-                    {
-                        "rho_at_max_flux": report.rho_at_max_flux,
-                        "drop_magnitude": report.drop_magnitude,
-                        "critical_density_bracket": list(report.bracket),
-                        "transitions": [
-                            {
-                                "rho_lo": tr.rho_lo,
-                                "rho_hi": tr.rho_hi,
-                                "flux_change": tr.flux_change,
-                            }
-                            for tr in report.transitions
-                        ],
-                        "warnings": list(report.warnings),
-                    }
-                )
-            else:
-                best = max(diagram.samples, key=lambda s: s.flux)
-                entry.update(
-                    {
-                        "rho_at_max_flux": best.rho,
-                        "warnings": [
-                            "fewer than three samples; transition detection skipped"
-                        ],
-                    }
-                )
-            summaries.append(entry)
+    rows, summaries = [], []
+    for ratio in cfg.diagram.ratios:
+        diagram = fundamental_diagram(
+            cfg.params, cfg.law, ratio, rhos,
+            residual_tol=cfg.integrator.residual_tol,
+        )
+        rows += [
+            (s.rho, s.flux, s.mean_speed, diagram.kernel.value, diagram.n_jumps,
+             diagram.ratio, gamma, s.converged)
+            for s in diagram.samples
+        ]
+        summaries.append(_diagram_summary(diagram, cfg.diagram.kink_threshold))
+    _write_csv(
+        csv_path, ["rho", "flux", "u", "kernel", "T", "r", "gamma", "converged"], rows
+    )
     summary_path.write_text(
         json.dumps(_jsonable(summaries), indent=2, sort_keys=True) + "\n"
     )
@@ -347,11 +304,9 @@ def _cmd_convergence(cfg: RunConfig) -> int:
     # density-major, ratio-minor
     rows = [row for density in zip(*by_ratio) for row in density]
     csv_path, manifest_path = _out_paths(cfg, "convergence.csv", "manifest.json")
-    with csv_path.open("w") as fh:
-        fh.write("rho,r,delta_v,rate,window_lo,window_hi,fit_residual,status\n")
-        for row in rows:
-            cells = [_fmt(v) for v in row[:-1]] + [row[-1]]
-            fh.write(",".join(cells) + "\n")
+    _write_csv(csv_path, [
+        "rho", "r", "delta_v", "rate", "window_lo", "window_hi", "fit_residual", "status",
+    ], rows)
     n_failed = sum(1 for row in rows if row[-1] != "ok")
     _write_manifest(
         manifest_path, "convergence", cfg, [csv_path],
@@ -360,65 +315,92 @@ def _cmd_convergence(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _add_shared_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", "-c", type=Path, help="YAML run description")
-    sp.add_argument("--kernel", choices=[k.value for k in Kernel])
-    sp.add_argument("--gamma", type=float, help="power-law braking exponent")
-    sp.add_argument("--eta", type=float, help="interaction rate")
-    sp.add_argument("--rho", type=float, help="total vehicle density")
-    sp.add_argument("-N", "--n-cells", dest="N", type=int, help="grid cell count")
-    sp.add_argument("--dv", type=float, help="grid cell width")
-    sp.add_argument("--r", dest="r", help="cells per speed jump (e.g. 4 or 14/3)")
-    sp.add_argument("--T", dest="T", type=int, help="speed jumps per v_max")
-    sp.add_argument("--v-max", dest="v_max", type=float)
-    sp.add_argument("--rho-max", dest="rho_max", type=float)
-    sp.add_argument("--out", type=Path, help="output directory")
-    sp.add_argument("--prefix", help="output file name prefix")
+_COMMANDS = {
+    "simulate": "integrate one trajectory",
+    "equilibrium": "steady state vs closed form",
+    "diagram": "fundamental diagram sweep",
+    "convergence": "fit decay rates toward equilibrium",
+}
+_ALL = tuple(_COMMANDS)
+
+
+def _listed(text: str) -> Optional[list[str]]:
+    """A comma-separated flag value as a list; an empty one leaves the key unset."""
+    return text.split(",") if text else None
+
+
+# (commands, names, YAML key, argparse keywords): each flag once, in --help
+# order.  A key "section.key" sets a key of that section; a flag left out
+# sets None, which load_config ignores.
+_FLAGS = (
+    (_ALL, ("--config", "-c"), None, dict(type=Path, help="YAML run description")),
+    (_ALL, ("--kernel",), "kernel", dict(choices=[k.value for k in Kernel])),
+    (_ALL, ("--gamma",), "gamma", dict(type=float, help="power-law braking exponent")),
+    (_ALL, ("--eta",), "eta", dict(type=float, help="interaction rate")),
+    (_ALL, ("--rho",), "rho", dict(type=float, help="total vehicle density")),
+    (_ALL, ("-N", "--n-cells"), "N", dict(dest="N", type=int, help="grid cell count")),
+    (_ALL, ("--dv",), "dv", dict(type=float, help="grid cell width")),
+    (_ALL, ("--r",), "r", dict(help="cells per speed jump (e.g. 4 or 14/3)")),
+    (_ALL, ("--T",), "T", dict(type=int, help="speed jumps per v_max")),
+    (_ALL, ("--v-max",), "v_max", dict(type=float)),
+    (_ALL, ("--rho-max",), "rho_max", dict(type=float)),
+    (_ALL, ("--out",), "output.directory", dict(type=Path, help="output directory")),
+    (_ALL, ("--prefix",), "output.prefix", dict(help="output file name prefix")),
     # removed; kept only so that load_config can reject it by name
-    sp.add_argument("--workers", help=argparse.SUPPRESS)
-    sp.add_argument("--ic", choices=IC_KINDS, help="initial condition kind")
-    sp.add_argument("--ic-epsilon", type=float, help="initial perturbation size")
-    sp.add_argument("--ic-cell", type=int, help="perturbed cell (1-based)")
+    (_ALL, ("--workers",), "workers", dict(help=argparse.SUPPRESS)),
+    (_ALL, ("--ic",), "initial_condition.kind",
+     dict(choices=IC_KINDS, help="initial condition kind")),
+    (_ALL, ("--ic-epsilon",), "initial_condition.epsilon",
+     dict(type=float, help="initial perturbation size")),
+    (_ALL, ("--ic-cell",), "initial_condition.cell",
+     dict(type=int, help="perturbed cell (1-based)")),
+    (("simulate",), ("--t-end",), "integrator.t_end",
+     dict(type=float, help="time horizon")),
+    (("simulate",), ("--step",), "integrator.step",
+     dict(type=float, help="fixed integrator step")),
+    (("diagram",), ("--rho-start",), "diagram.rho_grid.start", dict(type=float)),
+    (("diagram",), ("--rho-stop",), "diagram.rho_grid.stop", dict(type=float)),
+    (("diagram",), ("--rho-count",), "diagram.rho_grid.count", dict(type=int)),
+    (("diagram",), ("--rho-list",), "diagram.rho_grid",
+     dict(type=_listed, help="comma-separated densities")),
+    (("diagram",), ("--ratios",), "diagram.ratios",
+     dict(type=_listed, help="comma-separated ratios, 'inf' allowed")),
+    (("diagram",), ("--insert-critical",), "diagram.insert_critical",
+     dict(action=argparse.BooleanOptionalAction,
+          help="add samples just below/above the critical density")),
+    (("diagram",), ("--kink-threshold",), "diagram.kink_threshold", dict(type=float)),
+    (("equilibrium", "diagram"), ("--residual-tol",), "integrator.residual_tol",
+     dict(type=float)),
+    (("equilibrium",), ("--t-max",), "integrator.t_max", dict(type=float)),
+    (("convergence",), ("--rho-set",), "convergence.rho_set",
+     dict(type=_listed, help="comma-separated densities")),
+    (("convergence",), ("--ratios",), "convergence.ratios",
+     dict(type=_listed, help="comma-separated integer ratios")),
+    (("convergence",), ("--fit-t-end",), "convergence.t_end",
+     dict(type=float, help="integration horizon for the decay fit")),
+)
+
+
+def _dest(names: Sequence[str], kwargs: dict) -> str:
+    """argparse's attribute name for a flag: its dest, else its first long name."""
+    long_name = next(n for n in names if n.startswith("--"))
+    return kwargs.get("dest", long_name[2:].replace("-", "_"))
 
 
 def _overrides_from(args: argparse.Namespace) -> dict:
     """The flags as a run mapping with the YAML keys; None where a flag is unset."""
-    def flag(name):
-        return getattr(args, name, None)
-
-    def listed(name):
-        return flag(name).split(",") if flag(name) else None
-
-    overrides = {
-        k: flag(k)
-        for k in ("kernel", "gamma", "eta", "rho", "N", "dv", "r", "T",
-                  "v_max", "rho_max", "workers")
-    }
-    overrides["output"] = {"directory": args.out, "prefix": args.prefix}
-    overrides["initial_condition"] = {
-        "kind": args.ic, "epsilon": args.ic_epsilon, "cell": args.ic_cell,
-    }
-    overrides["integrator"] = {
-        k: flag(k) for k in ("step", "t_end", "t_max", "residual_tol")
-    }
-    if args.command == "diagram":
-        rho_grid = listed("rho_list")
-        if rho_grid is None and args.rho_count is not None:
-            rho_grid = {
-                "start": args.rho_start, "stop": args.rho_stop, "count": args.rho_count,
-            }
-        overrides["diagram"] = {
-            "rho_grid": rho_grid,
-            "ratios": listed("ratios"),
-            "insert_critical": args.insert_critical,
-            "kink_threshold": args.kink_threshold,
-        }
-    elif args.command == "convergence":
-        overrides["convergence"] = {
-            "rho_set": listed("rho_set"),
-            "ratios": listed("ratios"),
-            "t_end": args.fit_t_end,
-        }
+    overrides: dict[str, Any] = {}
+    for commands, names, key, kwargs in _FLAGS:
+        if key and args.command in commands:
+            section, dot, leaf = key.partition(".")
+            node = overrides.setdefault(section, {}) if dot else overrides
+            node[leaf or key] = getattr(args, _dest(names, kwargs))
+    # the density grid: --rho-list wins; --rho-count/--rho-start/--rho-stop
+    # form a {count, start, stop} mapping only when a count is given
+    diagram = overrides.get("diagram", {})
+    spacing = {k.partition(".")[2]: diagram.pop(k) for k in list(diagram) if "." in k}
+    if diagram.get("rho_grid") is None and spacing.get("count") is not None:
+        diagram["rho_grid"] = spacing
     return overrides
 
 
@@ -428,49 +410,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Homogeneous kinetic traffic models on a velocity grid",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("simulate", help="integrate one trajectory")
-    _add_shared_flags(sp)
-    sp.add_argument("--t-end", dest="t_end", type=float, help="time horizon")
-    sp.add_argument("--step", type=float, help="fixed integrator step")
-    sp.set_defaults(handler=_cmd_simulate)
-
-    sp = sub.add_parser("equilibrium", help="steady state vs closed form")
-    _add_shared_flags(sp)
-    sp.add_argument("--residual-tol", dest="residual_tol", type=float)
-    sp.add_argument("--t-max", dest="t_max", type=float)
-    sp.set_defaults(handler=_cmd_equilibrium)
-
-    sp = sub.add_parser("diagram", help="fundamental diagram sweep")
-    _add_shared_flags(sp)
-    sp.add_argument("--rho-start", dest="rho_start", type=float)
-    sp.add_argument("--rho-stop", dest="rho_stop", type=float)
-    sp.add_argument("--rho-count", dest="rho_count", type=int)
-    sp.add_argument("--rho-list", dest="rho_list", help="comma-separated densities")
-    sp.add_argument("--ratios", help="comma-separated ratios, 'inf' allowed")
-    sp.add_argument(
-        "--insert-critical", dest="insert_critical",
-        action=argparse.BooleanOptionalAction, default=None,
-        help="add samples just below/above the critical density",
-    )
-    sp.add_argument("--kink-threshold", dest="kink_threshold", type=float)
-    sp.add_argument("--residual-tol", dest="residual_tol", type=float)
-    sp.set_defaults(handler=_cmd_diagram)
-
-    sp = sub.add_parser("convergence", help="fit decay rates toward equilibrium")
-    _add_shared_flags(sp)
-    sp.add_argument("--rho-set", dest="rho_set", help="comma-separated densities")
-    sp.add_argument("--ratios", help="comma-separated integer ratios")
-    sp.add_argument("--fit-t-end", dest="fit_t_end", type=float,
-                    help="integration horizon for the decay fit")
-    sp.set_defaults(handler=_cmd_convergence)
+    for command, help_text in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        for commands, names, _, kwargs in _FLAGS:
+            if command in commands:
+                sp.add_argument(*names, **kwargs)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(load_config(args.config, _overrides_from(args)))
+        # looked up per run, so that a replaced _cmd_<command> takes effect
+        handler = globals()[f"_cmd_{args.command}"]
+        return handler(load_config(args.config, _overrides_from(args)))
     except (ConfigurationError, yaml.YAMLError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

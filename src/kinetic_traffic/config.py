@@ -454,12 +454,8 @@ def build_initial_state(cfg: RunConfig, grid: VelocityGrid) -> np.ndarray:
         f[0] = rho
         return f
     if ic.kind == "congested":
-        f = np.zeros(n)
-        if n > 1:
-            f[-1] = rho * (1.0 - ic.epsilon)
-            f[:-1] = rho * ic.epsilon / (n - 1)
-        else:
-            f[0] = rho
+        f = np.full(n, rho * ic.epsilon / (n - 1))
+        f[-1] = rho * (1.0 - ic.epsilon)
         return f
     if ic.kind == "custom":
         f = np.asarray(ic.masses, dtype=float)

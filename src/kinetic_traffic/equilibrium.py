@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -289,11 +289,10 @@ class SupportReport:
 
 
 def verify_quantized_support(
-    f: Union[CellMassVector, np.ndarray],
+    f: CellMassVector,
     delta_v: float,
     tol_mass: float,
     tol_loc: float,
-    grid: Optional[VelocityGrid] = None,
 ) -> SupportReport:
     """Check that the state is concentrated near multiples of delta_v.
 
@@ -302,14 +301,8 @@ def verify_quantized_support(
     multiple of delta_v, and the total mass of all sub-threshold cells
     must not exceed tol_mass.  Diagnostic only: never raises on failure.
     """
-    if isinstance(f, CellMassVector):
-        masses = f.masses
-        centers = f.grid.centers
-    else:
-        if grid is None:
-            raise ConfigurationError("bare arrays need an explicit grid")
-        masses = np.asarray(f, dtype=float)
-        centers = grid.centers
+    masses = f.masses
+    centers = f.grid.centers
     if delta_v <= 0 or tol_mass < 0 or tol_loc < 0:
         raise ConfigurationError("delta_v positive and tolerances non-negative")
 

@@ -249,6 +249,44 @@ class TestConvergence:
             (rho, r) for rho in (0.2, 0.5, 0.8) for r in (1.0, 2.0)
         ]
 
+    def test_a_failed_fit_is_reported_in_its_row(self, tmp_path):
+        # each row starts on its own fixed point, so its distance series is zero
+        code = run(
+            tmp_path, "convergence", "--T", "3", "--rho-set", "0.3,0.6",
+            "--ratios", "1", "--ic", "equilibrium",
+        )
+        assert code == 0
+        _, rows = read_csv(tmp_path / "run_convergence.csv")
+        assert [float(row[0]) for row in rows] == [0.3, 0.6]
+        for row in rows:
+            assert row[3:7] == ["nan"] * 4
+            assert row[7] == "failed: distance series is identically zero; nothing to fit"
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["failed_rows"] == 2
+
+    def test_spread_kernel_references_are_marched(self, tmp_path, monkeypatch):
+        # no closed form exists for the spread kernel, so every density and
+        # ratio gets its reference state from find_steady_state
+        solves = []
+        real = cli.find_steady_state
+
+        def counting(*args, **kwargs):
+            solves.append(args[0].size)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "find_steady_state", counting)
+        code = run(
+            tmp_path, "convergence", "--kernel", "chi", "--T", "2",
+            "--rho-set", "0.3,0.7", "--ratios", "1,2",
+        )
+        assert code == 0
+        assert solves == [3, 3, 5, 5]
+        _, rows = read_csv(tmp_path / "run_convergence.csv")
+        assert [row[7] for row in rows] == ["ok"] * 4
+        assert [float(row[3]) for row in rows] == pytest.approx(
+            [0.01616, 0.02386, 0.3326, 0.3062], rel=1e-3
+        )
+
     def test_removed_workers_flag_is_refused(self, tmp_path, capsys):
         # the YAML key is refused the same way, see TestExitCodes
         code = run(
@@ -270,6 +308,7 @@ FLAG_KEYS = [
     ("simulate", ["-N", "9"], None, "N", 9),
     ("simulate", ["--dv", "0.125"], None, "dv", 0.125),
     ("simulate", ["--r", "14/3"], None, "r", "14/3"),
+    ("simulate", ["--T", "5"], None, "T", 5),
     ("simulate", ["--v-max", "2"], None, "v_max", 2.0),
     ("simulate", ["--rho-max", "2"], None, "rho_max", 2.0),
     ("simulate", ["--out", "elsewhere"], "output", "directory", "elsewhere"),
@@ -290,6 +329,7 @@ FLAG_KEYS = [
     ("diagram", ["--ratios", "1,inf"], "diagram", "ratios", [1, "inf"]),
     ("diagram", ["--no-insert-critical"], "diagram", "insert_critical", False),
     ("diagram", ["--kink-threshold", "0.3"], "diagram", "kink_threshold", 0.3),
+    ("diagram", ["--residual-tol", "1e-9"], "integrator", "residual_tol", 1e-9),
     ("convergence", ["--rho-set", "0.2,0.8"], "convergence", "rho_set", [0.2, 0.8]),
     ("convergence", ["--ratios", "3"], "convergence", "ratios", [3]),
     ("convergence", ["--fit-t-end", "80"], "convergence", "t_end", 80.0),
@@ -312,6 +352,8 @@ class TestFlagsAreYamlKeys:
         base = dict(self.BASE)
         if key in ("N", "dv"):
             del base["r"]  # N or dv plus T pins the grid
+        if command in ("diagram", "convergence"):
+            base[command] = {}  # a sweep command always runs with its section
         doc = {**base, key: value} if section is None else {**base, section: {key: value}}
         path = tmp_path / "run.yaml"
         path.write_text(yaml.safe_dump(doc))
