@@ -38,7 +38,7 @@ from .dynamics import (
     integrate_many,
     select_fit_window,
 )
-from .equilibrium import closed_form_on_grid
+from .equilibrium import reference_equilibrium
 from .macroscopics import detect_capacity_drop, fundamental_diagram, moments
 from .matrices import build_grid, build_tensor
 from .params import (
@@ -158,28 +158,18 @@ def _cmd_equilibrium(cfg: RunConfig) -> int:
         residual_tol=cfg.integrator.residual_tol, t_max=cfg.integrator.t_max,
     )
     residual = float(np.abs(collision_rhs(f_inf, tensor, cfg.params.eta)).max())
-    closed = closed_form_on_grid(
-        cfg.params, cfg.law, cfg.require_rho(), ratio_obj.fraction, grid
-    )
-    columns = {"cell": range(1, grid.n_cells + 1), "speed": grid.centers}
-    extra = {"terminal_residual": residual}
-    if closed is not None:
-        difference = f_inf.masses - closed.masses
-        columns.update(oracle=closed.masses, ode=f_inf.masses, difference=difference)
-        extra["max_oracle_difference"] = float(np.abs(difference).max())
-    else:
-        columns["ode"] = f_inf.masses
-        extra["note"] = (
-            "no closed form exists for the spread kernel; ODE result only"
-            if cfg.params.kernel is Kernel.CHI else
-            "closed-form masses fall between cells on a non-integer-ratio "
-            "grid; ODE result only"
-        )
+    oracle = reference_equilibrium(
+        cfg.params, cfg.law, cfg.require_rho(), ratio_obj.fraction, tensor, f0
+    ).masses
+    difference = f_inf.masses - oracle
     csv_path, manifest_path = _out_paths(cfg, "equilibrium.csv", "manifest.json")
-    _write_csv(csv_path, list(columns), zip(*columns.values()))
+    _write_csv(csv_path, ["cell", "speed", "oracle", "ode", "difference"], zip(
+        range(1, grid.n_cells + 1), grid.centers, oracle, f_inf.masses, difference,
+    ))
     _write_manifest(
-        manifest_path, "equilibrium", cfg, [csv_path],
-        time.perf_counter() - t0, extra=extra,
+        manifest_path, "equilibrium", cfg, [csv_path], time.perf_counter() - t0,
+        extra={"terminal_residual": residual,
+               "max_oracle_difference": float(np.abs(difference).max())},
     )
     return EXIT_OK
 
@@ -269,15 +259,9 @@ def _convergence_rows(cfg: RunConfig, ratio: float) -> list[tuple]:
         run_cfg = dataclasses.replace(cfg, rho=rho, ratio=ratio_obj.fraction)
         tensor = _tensor_for(run_cfg, grid, ratio_obj)
         f0 = build_initial_state(run_cfg, grid)
-        ref = closed_form_on_grid(params, cfg.law, rho, ratio_obj.fraction, grid)
-        if ref is None:
-            ref = find_steady_state(
-                f0, tensor, params.eta,
-                residual_tol=cfg.integrator.residual_tol,
-                t_max=cfg.integrator.t_max,
-            )
         tensors.append(tensor)
         starts.append(f0)
+        ref = reference_equilibrium(params, cfg.law, rho, ratio_obj.fraction, tensor, f0)
         refs.append(ref.masses)
     trajs = integrate_many(starts, tensors, params.eta, t_end)
     rows = []
@@ -322,6 +306,7 @@ _COMMANDS = {
     "convergence": "fit decay rates toward equilibrium",
 }
 _ALL = tuple(_COMMANDS)
+_MARCHED = ("simulate", "equilibrium", "convergence")  # they read a start
 
 
 def _listed(text: str) -> Optional[list[str]]:
@@ -337,7 +322,8 @@ _FLAGS = (
     (_ALL, ("--kernel",), "kernel", dict(choices=[k.value for k in Kernel])),
     (_ALL, ("--gamma",), "gamma", dict(type=float, help="power-law braking exponent")),
     (_ALL, ("--eta",), "eta", dict(type=float, help="interaction rate")),
-    (_ALL, ("--rho",), "rho", dict(type=float, help="total vehicle density")),
+    (("simulate", "equilibrium"), ("--rho",), "rho",
+     dict(type=float, help="total vehicle density")),
     (_ALL, ("-N", "--n-cells"), "N", dict(dest="N", type=int, help="grid cell count")),
     (_ALL, ("--dv",), "dv", dict(type=float, help="grid cell width")),
     (_ALL, ("--r",), "r", dict(help="cells per speed jump (e.g. 4 or 14/3)")),
@@ -348,11 +334,11 @@ _FLAGS = (
     (_ALL, ("--prefix",), "output.prefix", dict(help="output file name prefix")),
     # removed; kept only so that load_config can reject it by name
     (_ALL, ("--workers",), "workers", dict(help=argparse.SUPPRESS)),
-    (_ALL, ("--ic",), "initial_condition.kind",
+    (_MARCHED, ("--ic",), "initial_condition.kind",
      dict(choices=IC_KINDS, help="initial condition kind")),
-    (_ALL, ("--ic-epsilon",), "initial_condition.epsilon",
+    (_MARCHED, ("--ic-epsilon",), "initial_condition.epsilon",
      dict(type=float, help="initial perturbation size")),
-    (_ALL, ("--ic-cell",), "initial_condition.cell",
+    (_MARCHED, ("--ic-cell",), "initial_condition.cell",
      dict(type=int, help="perturbed cell (1-based)")),
     (("simulate",), ("--t-end",), "integrator.t_end",
      dict(type=float, help="time horizon")),
@@ -395,11 +381,13 @@ def _overrides_from(args: argparse.Namespace) -> dict:
             section, dot, leaf = key.partition(".")
             node = overrides.setdefault(section, {}) if dot else overrides
             node[leaf or key] = getattr(args, _dest(names, kwargs))
-    # the density grid: --rho-list wins; --rho-count/--rho-start/--rho-stop
-    # form a {count, start, stop} mapping only when a count is given
+    # the density grid: --rho-list, or a {count, start, stop} mapping of the
+    # spacing flags given, checked by load_config as a YAML one is
     diagram = overrides.get("diagram", {})
     spacing = {k.partition(".")[2]: diagram.pop(k) for k in list(diagram) if "." in k}
-    if diagram.get("rho_grid") is None and spacing.get("count") is not None:
+    if any(v is not None for v in spacing.values()):
+        if diagram["rho_grid"] is not None:
+            raise ConfigurationError("give --rho-list or --rho-start/stop/count, not both")
         diagram["rho_grid"] = spacing
     return overrides
 

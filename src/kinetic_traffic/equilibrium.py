@@ -38,6 +38,7 @@ __all__ = [
     "closed_form_equilibrium",
     "closed_form_on_grid",
     "equilibrium_on_grid",
+    "reference_equilibrium",
     "unstable_equilibrium",
     "verify_quantized_support",
 ]
@@ -139,7 +140,7 @@ def closed_form_equilibrium(rho: float, p: float, n_jumps: int) -> QuantizedEqui
     )
 
 
-def banded_equilibrium(tensor: InteractionTensor, rho: float) -> CellMassVector:
+def banded_equilibrium(tensor: InteractionTensor, rho: float, empty: int = 0) -> CellMassVector:
     """Steady state of total mass rho, solved cell by cell from the band.
 
     Acceleration only raises a speed and braking only lowers one, so at a
@@ -154,7 +155,9 @@ def banded_equilibrium(tensor: InteractionTensor, rho: float) -> CellMassVector:
     root product when b_j < 0, so that a tiny root survives cancellation);
     with c_j = 0 the root max(b_j/(1-P), 0), which never starts a state
     with empty low cells when they can hold mass.  That is the branch a
-    march from a state occupying every cell ends on.  At P = 1 the
+    march from a state occupying every cell ends on.  Braking into cell k
+    goes at a rate proportional to f_k, so cells 1..`empty` (0 <= empty < N)
+    stay empty, and the chain starts at cell empty + 1.  At P = 1 the
     equations are linear and, from c_1 = 0 on, leave every cell but the
     top one empty.  Raises NumericalError if the top cell's closing mass
     falls below the -1e-12 negativity floor.
@@ -162,13 +165,15 @@ def banded_equilibrium(tensor: InteractionTensor, rho: float) -> CellMassVector:
     if not (math.isfinite(rho) and rho > 0.0):
         raise ConfigurationError(f"density must be finite and positive, got {rho!r}")
     n, b = tensor.n_cells, tensor.bandwidth
+    if not 0 <= empty < n:
+        raise ConfigurationError(f"empty prefix {empty!r} outside [0, {n - 1}]")
     a = 1.0 - tensor.p
     lin = (1.0 - 2.0 * tensor.p) * rho
     lower = tensor.band[:, :b]
     diag = tensor.band[:, b].tolist()
     f = np.zeros(b + n)  # cell j at f[b + j], after b zeros for the band window
     below = 0.0
-    for j in range(n - 1):
+    for j in range(empty, n - 1):
         c = rho * float(lower[j] @ f[j:j + b])
         bj = lin - 2.0 * a * below + rho * diag[j]
         if c > 0.0:  # so P < 1: at P = 1 every c_j is 0
@@ -222,12 +227,27 @@ def closed_form_on_grid(
     """The closed-form equilibrium at density rho on a grid of exact
     cells-per-jump ratio `ratio`, or None where it has no place there: the
     spread kernel has no closed form, and on a non-integer-ratio grid the
-    class masses fall between cells."""
+    class masses fall between cells.  A start must fill cell 1 to end on it."""
     if params.kernel is not Kernel.DELTA or ratio.denominator != 1:
         return None
     p = evaluate_probability(law, rho, params)
     eq = closed_form_equilibrium(rho, p, params.n_jumps)
     return equilibrium_on_grid(eq, int(ratio), grid=grid, v_max=params.v_max)
+
+
+def reference_equilibrium(
+    params: ModelParams, law: ProbabilityLaw, rho: float, ratio: Fraction,
+    tensor: InteractionTensor, f0: np.ndarray,
+) -> CellMassVector:
+    """The steady state the start f0 ends on at density rho, unmarched: the
+    empty state for an empty road, the closed form where one exists for a
+    start that fills cell 1, else the band chain above f0's empty cells."""
+    occupied = np.flatnonzero(np.asarray(f0) > 0.0)
+    if occupied.size == 0:
+        return CellMassVector(np.zeros(tensor.n_cells), tensor.grid)
+    empty = int(occupied[0])
+    closed = None if empty else closed_form_on_grid(params, law, rho, ratio, tensor.grid)
+    return banded_equilibrium(tensor, rho, empty) if closed is None else closed
 
 
 def unstable_equilibrium(

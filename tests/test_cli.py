@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 import yaml
 
-from kinetic_traffic import cli
+from kinetic_traffic import (
+    banded_equilibrium,
+    build_grid,
+    build_tensor,
+    cli,
+    evaluate_probability,
+)
 from kinetic_traffic.cli import main
 from kinetic_traffic.config import load_config
 
@@ -90,24 +96,70 @@ class TestEquilibrium:
         oracle = [float(r[2]) for r in rows]
         assert oracle == [0.0, 0.0, 0.0, 0.3]
 
-    def test_spread_kernel_has_no_oracle_column(self, tmp_path):
+    @pytest.mark.parametrize("kernel,r", [("chi", "4"), ("delta", "14/3")])
+    def test_band_chain_oracle_without_a_closed_form(self, tmp_path, kernel, r):
+        # the spread kernel has no closed form, and at r = 14/3 the jump
+        # kernel's closed-form masses fall between cells; the oracle is then
+        # the band chain
         code = run(
-            tmp_path, "equilibrium", "--kernel", "chi", "--rho", "0.6",
-            "--T", "3", "--r", "4",
+            tmp_path, "equilibrium", "--kernel", kernel, "--rho", "0.6",
+            "--T", "3", "--r", r,
         )
         assert code == 0
         header, rows = read_csv(tmp_path / "run_equilibrium.csv")
-        assert header == ["cell", "speed", "ode"]
+        assert header == ["cell", "speed", "oracle", "ode", "difference"]
+        cfg = load_config(overrides={"kernel": kernel, "rho": 0.6, "T": 3, "r": r})
+        grid, ratio = build_grid(cfg.params, cfg.ratio)
+        p = evaluate_probability(cfg.law, 0.6, cfg.params)
+        chain = banded_equilibrium(build_tensor(cfg.params.kernel, grid, ratio, p), 0.6)
+        assert [float(row[2]) for row in rows] == chain.masses.tolist()
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
-        assert "no closed form" in manifest["note"]
+        assert "note" not in manifest
+        assert manifest["max_oracle_difference"] <= 1e-9
 
-    def test_generic_ratio_has_no_oracle_column(self, tmp_path):
+    def test_starved_bottom_leak_shows_against_the_reference(self, tmp_path):
+        # a start with cells 1-3 empty keeps them empty under exact dynamics,
+        # but the LSODA march leaks mass into them and ends on the stable
+        # branch: 0.21667 in cell 1 where the reference holds 0
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump({
+            "kernel": "chi", "T": 2, "r": 6, "rho": 0.6,
+            "initial_condition": {"kind": "custom", "masses": [0, 0, 0] + [0.06] * 10},
+        }))
+        code = run(tmp_path, "equilibrium", "--config", str(path), "--t-max", "1e7")
+        assert code == 0
+        _, rows = read_csv(tmp_path / "run_equilibrium.csv")
+        assert [float(row[2]) for row in rows[:3]] == [0.0, 0.0, 0.0]
+        assert float(rows[3][2]) == pytest.approx(0.23333, abs=1e-5)
+        assert float(rows[0][3]) == pytest.approx(0.21667, abs=1e-5)
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["max_oracle_difference"] == pytest.approx(0.21667, abs=1e-5)
+
+    @pytest.mark.parametrize("kernel", ["delta", "chi"])
+    def test_empty_road_has_an_all_zero_oracle(self, tmp_path, kernel):
         code = run(
-            tmp_path, "equilibrium", "--rho", "0.6", "--T", "3", "--r", "14/3",
+            tmp_path, "equilibrium", "--kernel", kernel, "--rho", "0",
+            "--T", "3", "--r", "2",
         )
         assert code == 0
-        header, _ = read_csv(tmp_path / "run_equilibrium.csv")
-        assert header == ["cell", "speed", "ode"]
+        _, rows = read_csv(tmp_path / "run_equilibrium.csv")
+        assert len(rows) == 7
+        assert all(float(x) == 0.0 for row in rows for x in row[2:])
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["max_oracle_difference"] == 0.0
+
+    def test_top_cell_start_stays_at_the_top(self, tmp_path):
+        # congested with the default epsilon 0 fills only the top cell,
+        # which is already a fixed point; the closed form is not its oracle
+        code = run(
+            tmp_path, "equilibrium", "--rho", "0.6", "--T", "3", "--r", "2",
+            "--ic", "congested",
+        )
+        assert code == 0
+        _, rows = read_csv(tmp_path / "run_equilibrium.csv")
+        assert [float(row[2]) for row in rows] == [0.0] * 6 + [0.6]
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["max_oracle_difference"] == 0.0
 
 
 class TestDiagram:
@@ -166,6 +218,30 @@ class TestDiagram:
             run(tmp_path, "diagram", "--T", "2", "--t-max", "100")
         assert exc.value.code == 2
         assert "--t-max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,argv,flag", [
+        ("diagram", ["--rho", "0.7"], "--rho"),
+        ("diagram", ["--ic", "all-at-rest"], "--ic"),
+        ("convergence", ["--rho", "0.7"], "--rho"),
+    ])
+    def test_unread_shared_flags_are_refused(self, tmp_path, capsys, command, argv, flag):
+        # diagram reads no density or start; convergence takes its densities
+        # from --rho-set.  argparse calls --rho an ambiguous prefix there
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, command, "--T", "2", *argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--rho-start", "0.2", "--rho-stop", "0.6"],
+         "a {start, stop, count} mapping needs a count"),
+        (["--rho-list", "0.3", "--rho-count", "3"],
+         "give --rho-list or --rho-start/stop/count, not both"),
+    ])
+    def test_half_given_density_grid_is_refused(self, tmp_path, capsys, argv, message):
+        assert run(tmp_path, "diagram", "--T", "4", *argv) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run_diagram.csv").exists()
 
     def test_infinite_ratio_rows(self, tmp_path):
         code = run(
@@ -264,9 +340,9 @@ class TestConvergence:
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         assert manifest["failed_rows"] == 2
 
-    def test_spread_kernel_references_are_marched(self, tmp_path, monkeypatch):
+    def test_spread_kernel_references_are_not_marched(self, tmp_path, monkeypatch):
         # no closed form exists for the spread kernel, so every density and
-        # ratio gets its reference state from find_steady_state
+        # ratio gets the band chain as its reference, with no march
         solves = []
         real = cli.find_steady_state
 
@@ -280,12 +356,50 @@ class TestConvergence:
             "--rho-set", "0.3,0.7", "--ratios", "1,2",
         )
         assert code == 0
-        assert solves == [3, 3, 5, 5]
+        assert solves == []
         _, rows = read_csv(tmp_path / "run_convergence.csv")
         assert [row[7] for row in rows] == ["ok"] * 4
         assert [float(row[3]) for row in rows] == pytest.approx(
             [0.01616, 0.02386, 0.3326, 0.3062], rel=1e-3
         )
+
+    def test_empty_rest_cell_start_decays_to_the_shifted_chain(self, tmp_path):
+        # the march ends on the ladder shifted up one cell, so the unshifted
+        # closed form is no reference: against it the fit reads -5.34e-4
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump({
+            "initial_condition": {"kind": "custom", "masses": [0] + [0.1] * 6},
+        }))
+        code = run(
+            tmp_path, "convergence", "--config", str(path), "--T", "3",
+            "--rho-set", "0.6", "--ratios", "2",
+        )
+        assert code == 0
+        _, rows = read_csv(tmp_path / "run_convergence.csv")
+        assert len(rows) == 1 and rows[0][7] == "ok"
+        assert float(rows[0][3]) == pytest.approx(0.12, abs=1e-3)
+
+    def test_near_critical_spread_density_keeps_the_sweep(self, tmp_path):
+        # a marched reference at rho=0.49, r=20 dips below the negativity
+        # floor; the band chain has no march to fail
+        code = run(
+            tmp_path, "convergence", "--kernel", "chi", "--T", "2",
+            "--rho-set", "0.3,0.49,0.5", "--ratios", "1,20",
+        )
+        assert code == 0
+        _, rows = read_csv(tmp_path / "run_convergence.csv")
+        assert [row[7] for row in rows] == ["ok"] * 6
+
+    @pytest.mark.parametrize("kernel", ["delta", "chi"])
+    def test_empty_road_is_a_failed_row(self, tmp_path, kernel):
+        code = run(
+            tmp_path, "convergence", "--kernel", kernel, "--T", "3",
+            "--rho-set", "0,0.3", "--ratios", "1",
+        )
+        assert code == 0
+        _, rows = read_csv(tmp_path / "run_convergence.csv")
+        assert rows[0][7] == "failed: distance series is identically zero; nothing to fit"
+        assert rows[1][7] == "ok"
 
     def test_removed_workers_flag_is_refused(self, tmp_path, capsys):
         # the YAML key is refused the same way, see TestExitCodes

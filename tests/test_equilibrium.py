@@ -36,6 +36,8 @@ from kinetic_traffic import (
     equilibrium_on_grid,
     evaluate_probability,
     find_steady_state,
+    integrate,
+    reference_equilibrium,
     unstable_equilibrium,
     verify_quantized_support,
 )
@@ -321,3 +323,78 @@ class TestBandedEquilibrium:
         tensor = build_delta_tensor_integer(VelocityGrid(n_cells=7, v_max=1.0), GridRatio(2), 0.4)
         with pytest.raises(ConfigurationError):
             banded_equilibrium(tensor, rho)
+
+    @pytest.mark.parametrize("n_jumps", [2, 3, 4, 5])
+    @pytest.mark.parametrize("r", [2, 3, 4, 8])
+    def test_empty_prefix_is_the_unstable_branch(self, n_jumps, r):
+        grid = VelocityGrid(n_cells=r * n_jumps + 1, v_max=1.0)
+        for rho in [0.55 + 0.05 * k for k in range(8)]:
+            p = 1.0 - rho
+            tensor = build_delta_tensor_integer(grid, GridRatio(r), p)
+            for shift in range(1, r):
+                got = banded_equilibrium(tensor, rho, empty=shift).masses
+                want = unstable_equilibrium(rho, p, n_jumps, r, shift).masses
+                assert np.abs(got - want).max() <= 1.1e-16
+
+    def test_empty_prefix_is_where_rk4_ends_on_a_starved_bottom(self):
+        # spread kernel, T=2, r=6, P=0.4: RK4 keeps cells 1-3 exactly empty
+        ((tensor, rho),) = uniform_start_cases(Kernel.CHI, 2, 6, [0.6])
+        f0 = np.r_[np.zeros(3), np.full(10, 0.06)]
+        end = integrate(f0, tensor, 1.0, 2000.0).states[-1]
+        chain = banded_equilibrium(tensor, rho, empty=3).masses
+        assert np.array_equal(end[:3], np.zeros(3))
+        assert np.abs(end - chain).max() <= 7.5e-16
+
+    def test_all_but_the_top_cell_empty(self):
+        tensor = build_chi_tensor(VelocityGrid(n_cells=9, v_max=1.0), GridRatio(4), 0.3)
+        want = np.zeros(9)
+        want[-1] = 0.7
+        assert np.array_equal(banded_equilibrium(tensor, 0.7, empty=8).masses, want)
+
+    @pytest.mark.parametrize("empty", [-1, 9])
+    def test_empty_prefix_must_leave_a_cell(self, empty):
+        tensor = build_chi_tensor(VelocityGrid(n_cells=9, v_max=1.0), GridRatio(4), 0.3)
+        with pytest.raises(ConfigurationError, match="empty prefix"):
+            banded_equilibrium(tensor, 0.7, empty=empty)
+
+
+class TestReferenceEquilibrium:
+    """The one rule for the steady state a start is compared against."""
+
+    def case(self, kernel, ratio, rho=0.6):
+        params = ModelParams(delta_v=1 / 3, kernel=kernel)
+        grid, ratio_obj = build_grid(params, ratio)
+        p = evaluate_probability(PowerLaw(), rho, params)
+        tensor = build_tensor(kernel, grid, ratio_obj, p)
+        return params, ratio_obj.fraction, tensor
+
+    def reference(self, kernel, ratio, f0, rho=0.6):
+        params, fraction, tensor = self.case(kernel, ratio, rho)
+        return reference_equilibrium(params, PowerLaw(), rho, fraction, tensor, f0)
+
+    @pytest.mark.parametrize("kernel", [Kernel.DELTA, Kernel.CHI])
+    def test_an_empty_road_stays_empty(self, kernel):
+        got = self.reference(kernel, Fraction(2), np.zeros(7), rho=0.0)
+        assert np.array_equal(got.masses, np.zeros(7))
+
+    def test_a_filled_rest_cell_gets_the_closed_form(self):
+        params, fraction, tensor = self.case(Kernel.DELTA, Fraction(2))
+        want = closed_form_on_grid(params, PowerLaw(), 0.6, fraction, tensor.grid)
+        got = self.reference(Kernel.DELTA, Fraction(2), np.full(7, 0.6 / 7))
+        assert np.array_equal(got.masses, want.masses)
+
+    @pytest.mark.parametrize("kernel,ratio,empty", [
+        (Kernel.DELTA, Fraction(2), 1),
+        (Kernel.DELTA, Fraction(14, 3), 0),
+        (Kernel.DELTA, Fraction(14, 3), 2),
+        (Kernel.CHI, Fraction(2), 0),
+        (Kernel.CHI, Fraction(2), 3),
+    ])
+    def test_every_other_start_gets_the_chain(self, kernel, ratio, empty):
+        _, _, tensor = self.case(kernel, ratio)
+        f0 = np.zeros(tensor.n_cells)
+        f0[empty:] = 0.6 / (tensor.n_cells - empty)
+        got = self.reference(kernel, ratio, f0)
+        want = banded_equilibrium(tensor, 0.6, empty=empty)
+        assert np.array_equal(got.masses, want.masses)
+        assert np.all(got.masses[:empty] == 0.0)
