@@ -411,7 +411,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         # looked up per run, so that a replaced _cmd_<command> takes effect
         handler = globals()[f"_cmd_{args.command}"]
-        return handler(load_config(args.config, _overrides_from(args)))
+        return handler(load_config(args.config, _overrides_from(args), args.command))
     except (ConfigurationError, yaml.YAMLError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -310,6 +310,13 @@ _REMOVED = {
     "workers": "convergence sweeps march every density of a grid together "
                "in one process",
 }
+# Keys a command reads nowhere: diagram solves each density of its grid
+# without a start or a march, and convergence takes its densities from
+# rho_set.  A run of that command that sets one is refused.
+_UNREAD = {
+    "diagram": ("rho", "initial_condition", "integrator.t_max"),
+    "convergence": ("rho",),
+}
 
 
 def _reject_unknown(mapping: Mapping[str, Any], prefix: str, known) -> None:
@@ -375,6 +382,7 @@ def _law_from_mapping(data: Mapping[str, Any]) -> ProbabilityLaw:
 def load_config(
     path: Optional[Union[str, Path]] = None,
     overrides: Optional[Mapping[str, Any]] = None,
+    command: Optional[str] = None,
 ) -> RunConfig:
     """Read a YAML run description, merge overrides over it, validate.
 
@@ -383,7 +391,9 @@ def load_config(
     initial_condition, integrator, output, diagram or convergence is
     merged key by key over the file's section and creates the section if
     the file has none.  None values are ignored at both levels, so CLI
-    flags can pass through unconditionally.
+    flags can pass through unconditionally.  With the CLI command that
+    will run, a key that command never reads is refused, naming the key
+    and the command.
     """
     data: dict[str, Any] = {}
     if path is not None:
@@ -415,7 +425,7 @@ def load_config(
     def densities(values: Any) -> tuple[float, ...]:
         return _densities(values, params.rho_max)
 
-    return RunConfig(
+    cfg = RunConfig(
         params=params,
         law=_law_from_mapping(data),
         ratio=ratio,
@@ -440,6 +450,12 @@ def load_config(
         ),
         **_read(data, "", rho=_real),
     )
+    # after the values, so that a malformed one is reported as such
+    for key in _UNREAD.get(command, ()):
+        section, _, leaf = key.rpartition(".")
+        if (_section(data, section) if section else data).get(leaf) is not None:
+            raise ConfigurationError(f"{key}: the {command} command does not read this key")
+    return cfg
 
 
 def build_initial_state(cfg: RunConfig, grid: VelocityGrid) -> np.ndarray:

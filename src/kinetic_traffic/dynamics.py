@@ -15,7 +15,11 @@ of gain and loss terms close to equilibrium: with C_j / U_j the mass below
 where W is the acceleration weight matrix.  The two forms are identical
 algebraically; the second loses no precision when the state is within
 roundoff of a fixed point, which matters when measuring residuals at the
-1e-10 scale.
+1e-10 scale.  The product W f comes from the tensor's band: a vecdot of
+each band row against its window of f, except on wide jump-kernel bands,
+whose rows below the top one hold at most two weights on a few fixed
+diagonals and take one O(N) slice product per diagonal instead.  Both
+paths give the same bits.
 
 Trajectories come from classical fourth-order Runge-Kutta with a fixed
 step.  `integrate_many` marches B states on one grid in one loop over
@@ -69,6 +73,19 @@ DRIFT_TOL = 1e-10
 # Most RK4 steps one integrate call may take; the test suite and the
 # benchmark ask for at most 7,200.
 MAX_STEPS = 10**7
+# Narrowest band, in columns (b + 1), whose leading rows take the diagonal
+# product (see _diagonal_plan).  Narrower bands keep the vecdot, for speed
+# and for bit-identity.  Speed, one jump-kernel product of one state on a
+# 2-core Xeon with one BLAS thread: 7.8 us by vecdot against 6.5 us by
+# diagonals at 64 columns (N=190, r=63), 6.3 against 6.8 at 48 columns,
+# 3.6 against 8.5 at 16 and 11.4 against 4.0 at 101 columns (N=401,
+# r=100).  Bit-identity: OpenBLAS's Haswell ddot (0.3.31) rounds the two
+# products of a row apart only on vectors of 16 or more elements and fuses
+# them into one rounding on shorter ones, so the diagonal sum differed from
+# vecdot in the last bit on rows 5-13 at r=14/3 and on the top row at r=1.
+# Every width from 16 up matched, for r = k, k + 1/3 and k + 2/3 up to
+# k = 69 on N = 3r + 1 cells, and on the N=401 and N=1001 grids.
+DIAGONAL_MIN_WIDTH = 64
 # select_fit_window's guard bands, see there
 HEAD_DROP = 1e-2
 DECADES_ABOVE_FLOOR = 1.5
@@ -276,30 +293,87 @@ def _make_jac(tensor: InteractionTensor, eta: float):
     return jac
 
 
+def _diagonal_plan(band: np.ndarray) -> tuple[int, list[tuple[int, np.ndarray]]]:
+    """Rows and diagonals of a band stack that take the diagonal product.
+
+    Returns m and the pairs (k, band[:, :m, k]) for every band column k
+    that rows [0, m) use, each as a contiguous (B, m) array: rows [0, m)
+    hold at most two nonzero weights in every tensor of the stack together,
+    and m >= N - 1.  Without such rows, or on a band narrower than
+    DIAGONAL_MIN_WIDTH, m is 0 and every row keeps the vecdot.
+    """
+    n, width = band.shape[1:]
+    if width < DIAGONAL_MIN_WIDTH:
+        return 0, []
+    used = band.any(axis=0)  # the union of the stack's nonzero patterns
+    wide = np.flatnonzero(used.sum(axis=1) > 2)
+    m = int(wide[0]) if wide.size else n
+    if m < n - 1:
+        return 0, []
+    return m, [(int(k), np.ascontiguousarray(band[:, :m, k]))
+               for k in np.flatnonzero(used[:m].any(axis=0))]
+
+
+def _make_band_product(band: np.ndarray, rows: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The map from a (rows, N) stack f to the rows of W @ f, on a band stack.
+
+    `band` is (B, N, b + 1), with B = 1 or B = rows.  Row j of the band
+    meets the window f[j - b .. j] of a zero-padded buffer.  Rows [0, m)
+    of `_diagonal_plan` take one slice product per diagonal, added into an
+    accumulator that starts at zero, in O(N) each; the rows left, or all of
+    them, run as one vecdot of the band against the windows.  Both give a
+    row the bits of the vecdot of its band row alone.  The result is a
+    buffer that the next call overwrites.
+    """
+    n, width = band.shape[1:]
+    padded = np.zeros((rows, n + width - 1))
+    windows = sliding_window_view(padded, width, axis=1)
+    m, diagonals = _diagonal_plan(band)
+    if not m:
+        # the vecdot alone: the diagonal closure with m = 0 gives the same
+        # bits, but 0.3-0.4 us (3%) more per RHS on six rows of 6 or 11 cells
+        def product(f: np.ndarray) -> np.ndarray:
+            padded[:, width - 1:] = f
+            return np.vecdot(band, windows)
+
+        return product
+    out = np.empty((rows, n))
+    acc, top = out[:, :m], out[:, m:]
+    band_top, windows_top = band[:, m:], windows[:, m:]
+
+    def product(f: np.ndarray) -> np.ndarray:
+        padded[:, width - 1:] = f
+        # from +0, so a row of products -0 and +0 sums to +0, as in vecdot
+        acc[...] = 0.0
+        for k, weights in diagonals:
+            acc[...] += weights * padded[:, k:k + m]
+        np.vecdot(band_top, windows_top, out=top)
+        return out
+
+    return product
+
+
 def _make_batch_rhs(tensors: Sequence[InteractionTensor], eta: float, rows: int):
     """RHS closure on a stack of `rows` states, one per row.
 
     Row i evolves under tensors[i], or every row under the tensor when only
-    one is given; all share the grid and bandwidth.  The band product runs
-    as one vecdot of the band stack against windows of a zero-padded
-    buffer, and every row gets the operations `_make_rhs` gives one state
-    with the band product, so its rate does not depend on the batch.
+    one is given; all share the grid and bandwidth.  The band product W @ f
+    comes from `_make_band_product`, planned once per closure.  Every row
+    gets the operations `_make_rhs` gives one state with the vecdot band
+    product, bit for bit, so its rate depends on neither the batch nor the
+    path the product takes.
     """
-    n, b = tensors[0].n_cells, tensors[0].bandwidth
     band = tensors[0].band[None] if len(tensors) == 1 else np.stack([t.band for t in tensors])
     p = np.array([[t.p] for t in tensors])
     one_minus_2p = 1.0 - 2.0 * p
-    padded = np.zeros((rows, n + b))
-    windows = sliding_window_view(padded, b + 1, axis=1)
+    product = _make_band_product(band, rows)
 
     def rhs(f: np.ndarray) -> np.ndarray:
         total = f.sum(axis=1, keepdims=True)
         csum = f.cumsum(axis=1)
         below = csum - f
         above = total - csum
-        padded[:, b:] = f
-        return eta * (f * (-below - p * f + one_minus_2p * above)
-                      + np.vecdot(band, windows) * total)
+        return eta * (f * (-below - p * f + one_minus_2p * above) + product(f) * total)
 
     return rhs
 

@@ -15,10 +15,12 @@ W[j, h] the acceleration probability mass sent from candidate cell h to
 output cell j.  Acceleration never lowers the speed and raises it by at
 most ceil(r) cells, so W is lower-banded with bandwidth b <= ceil(r).
 Each kernel has one builder, which stores only that band, an (N, b + 1)
-array; the band plus P is the whole tensor: the collision right-hand side
-takes W @ f from it in O(N * b), stochasticity reduces to every column of
-W summing to P, and the dense (N, N) matrix is derived on demand for the
-steady-state solver.
+array; the band plus P is the whole tensor: the RK4 right-hand side takes
+W @ f from it, in O(N * b) by one vecdot over the band, or in O(N + b)
+on a wide jump-kernel band, whose rows below the top one hold at most two
+weights on fixed diagonals and take one slice product per diagonal;
+stochasticity reduces to every column of W summing to P; and the dense
+(N, N) matrix is derived on demand for the steady-state solver.
 """
 from __future__ import annotations
 

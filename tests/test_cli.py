@@ -232,6 +232,25 @@ class TestDiagram:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("yaml_text,key", [
+        ("rho: 0.7", "rho"),
+        ("initial_condition: {kind: all-at-rest}", "initial_condition"),
+        ("initial_condition: uniform", "initial_condition"),
+        ("integrator: {t_max: 5}", "integrator.t_max"),
+    ])
+    def test_unread_yaml_keys_are_refused(self, tmp_path, capsys, yaml_text, key):
+        path = tmp_path / "run.yaml"
+        path.write_text(f"T: 4\ndiagram: {{rho_grid: [0.3]}}\n{yaml_text}\n")
+        assert run(tmp_path, "diagram", "--config", str(path)) == 2
+        message = f"configuration error: {key}: the diagram command does not read this key"
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run_diagram.csv").exists()
+
+    def test_read_integrator_key_is_kept(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text("T: 4\ndiagram: {rho_grid: [0.3]}\nintegrator: {residual_tol: 1.0e-9}\n")
+        assert run(tmp_path, "diagram", "--config", str(path)) == 0
+
     @pytest.mark.parametrize("argv,message", [
         (["--rho-start", "0.2", "--rho-stop", "0.6"],
          "a {start, stop, count} mapping needs a count"),
@@ -271,6 +290,14 @@ class TestDiagram:
 
 
 class TestConvergence:
+    def test_run_density_key_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "run.yaml"
+        path.write_text("T: 3\nrho: 0.7\nconvergence: {rho_set: [0.3], ratios: [1]}\n")
+        assert run(tmp_path, "convergence", "--config", str(path)) == 2
+        message = "configuration error: rho: the convergence command does not read this key"
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run_convergence.csv").exists()
+
     def test_rate_rows(self, tmp_path):
         code = run(
             tmp_path, "convergence", "--T", "3", "--rho-set", "0.2,0.8",
@@ -468,6 +495,7 @@ class TestFlagsAreYamlKeys:
             del base["r"]  # N or dv plus T pins the grid
         if command in ("diagram", "convergence"):
             base[command] = {}  # a sweep command always runs with its section
+            del base["rho"]  # and refuses a run density
         doc = {**base, key: value} if section is None else {**base, section: {key: value}}
         path = tmp_path / "run.yaml"
         path.write_text(yaml.safe_dump(doc))

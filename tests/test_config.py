@@ -123,6 +123,21 @@ class TestLawsAndValidation:
         with pytest.raises(ConfigurationError):
             load_config(overrides={"T": 3, "rho": 1.5})
 
+    @pytest.mark.parametrize("command,key,overrides", [
+        ("diagram", "rho", {"rho": 0.3}),
+        ("diagram", "initial_condition", {"initial_condition": {"kind": "uniform"}}),
+        ("diagram", "integrator.t_max", {"integrator": {"t_max": 5.0}}),
+        ("convergence", "rho", {"rho": 0.3}),
+    ])
+    def test_keys_a_command_never_reads(self, command, key, overrides):
+        run = {"T": 3, command: {}, **overrides}
+        with pytest.raises(ConfigurationError,
+                           match=f"{key}: the {command} command does not read this key"):
+            load_config(overrides=run, command=command)
+        load_config(overrides=run)  # a library caller names no command
+        for other in ("simulate", "equilibrium"):
+            load_config(overrides=run, command=other)
+
     @pytest.mark.parametrize("workers", [0, 1, 2])
     def test_workers_key_is_removed(self, workers):
         with pytest.raises(ConfigurationError, match="workers: this key was removed"):

@@ -27,6 +27,7 @@ from kinetic_traffic import (
     SteadyStateTimeout,
     TimeSeries,
     VelocityGrid,
+    banded_equilibrium,
     build_chi_tensor,
     build_delta_tensor_generic,
     build_delta_tensor_integer,
@@ -51,6 +52,7 @@ from kinetic_traffic.dynamics import _make_jac
 from kinetic_traffic.matrices import InteractionTensor
 
 from _oracles import (
+    _accel_operator,
     dense_jacobian,
     dense_rhs,
     rk4_reference,
@@ -65,6 +67,16 @@ TENSOR_ZOO = [
     (3, Fraction(14, 3), build_delta_tensor_generic),
     (2, Fraction(3), build_chi_tensor),
     (5, Fraction(2), build_chi_tensor),
+]
+
+
+# Jump grids (T, r), N = T r + 1, whose band rows but the top one take the
+# diagonal product; r = 188/3 gives b + 1 = 64, the width floor.
+DIAGONAL_GRIDS = [
+    (4, Fraction(100)),
+    (3, Fraction(400, 3)),
+    (3, Fraction(1000, 3)),
+    (3, Fraction(188, 3)),
 ]
 
 
@@ -122,6 +134,23 @@ class TestCollisionRhs:
         # one dense (N, N) float64 array at N=1001 would take 8 MB
         grid = VelocityGrid(n_cells=1001, v_max=1.0)
         tensor = build_chi_tensor(grid, GridRatio(Fraction(100)), 0.4)
+        f = np.full(grid.n_cells, 0.6 / grid.n_cells)
+        tracemalloc.start()
+        try:
+            collision_rhs(f, tensor, 1.0)
+            rhs_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            integrate(f, tensor, 1.0, 1.0)
+            rk4_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rhs_peak < 1_000_000
+        assert rk4_peak < 1_000_000
+
+    def test_jump_band_product_allocates_no_square_array(self):
+        # the diagonal path at N=1001: its plan and slices are O(N b) at most
+        grid = VelocityGrid(n_cells=1001, v_max=1.0)
+        tensor = build_delta_tensor_generic(grid, GridRatio(Fraction(1000, 3)), 0.4)
         f = np.full(grid.n_cells, 0.6 / grid.n_cells)
         tracemalloc.start()
         try:
@@ -385,6 +414,70 @@ class TestIntegrateMany:
                     march(f0, tensor, 1.0, 5.0, IntegratorControls(step=step))
                 messages.append((type(info.value), str(info.value)))
         assert messages[0] == messages[1]
+
+
+def same_bits(got, want) -> bool:
+    """Equal arrays of float64, down to the sign of every zero."""
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestDiagonalProduct:
+    """The band product's diagonal rows against the vecdot of each row."""
+
+    @pytest.mark.parametrize("t_jumps,r", DIAGONAL_GRIDS)
+    @pytest.mark.parametrize("ps", [(0.35,), (0.0, 1.0, 0.35), (1.0, 0.6, 0.0, 0.2)])
+    def test_bit_identical_to_vecdot(self, t_jumps, r, ps):
+        # one tensor for a stack of three states, or one tensor per state,
+        # with different P in one stack
+        n = int(r * t_jumps) + 1
+        grid = VelocityGrid(n_cells=n, v_max=1.0)
+        tensors = [build_delta_tensor_generic(grid, GridRatio(r), p) for p in ps]
+        band = np.stack([t.band for t in tensors])
+        assert dynamics._diagonal_plan(band)[0] == n - 1
+        rows = max(len(ps), 3)
+        product = dynamics._make_band_product(band, rows)
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            f = rng.uniform(0.0, 0.01, (rows, n))
+            f[rng.uniform(size=f.shape) < 0.2] = 0.0
+            f[rng.uniform(size=f.shape) < 0.1] = -1e-13  # products of -0
+            want = np.stack([
+                _accel_operator(tensors[i % len(ps)])(row) for i, row in enumerate(f)
+            ])
+            assert same_bits(product(f), want)
+
+    @pytest.mark.parametrize("tensor", [
+        # b + 1 = 63, one column short of the floor
+        build_delta_tensor_generic(VelocityGrid(n_cells=187, v_max=1.0), GridRatio(62), 0.4),
+        build_chi_tensor(VelocityGrid(n_cells=401, v_max=1.0), GridRatio(100), 0.4),
+    ], ids=["narrow-jump", "spread"])
+    def test_narrow_and_spread_bands_keep_vecdot(self, tensor):
+        assert dynamics._diagonal_plan(tensor.band[None]) == (0, [])
+
+    def test_one_row_at_n_1001(self):
+        # the N=1001 jump-kernel simulate run, over a short horizon
+        (f0,), (tensor,) = density_batch(Kernel.DELTA, 3, Fraction(1000, 3), (0.6,))
+        traj = integrate(f0, tensor, 1.0, 2.0)
+        assert same_run(traj, rk4_reference(f0, tensor, 1.0, 2.0))
+        assert len(traj.times) > 3
+
+    def test_batch_at_n_401(self):
+        states, tensors = density_batch(Kernel.DELTA, 3, Fraction(400, 3), (0.3, 0.7))
+        trajs = integrate_many(states, tensors, 1.0, 5.0)
+        for f0, tensor, traj in zip(states, tensors, trajs):
+            assert same_run(traj, rk4_reference(f0, tensor, 1.0, 5.0))
+
+    @pytest.mark.parametrize("empty", [3, 50])
+    def test_empty_bottom_cells_stay_empty(self, empty):
+        # the zero prefix on the diagonal path: cells below the lowest
+        # occupied one never fill, and the march ends on the shifted chain
+        _, (tensor,) = density_batch(Kernel.DELTA, 3, Fraction(400, 3), (0.75,))
+        n = tensor.n_cells
+        f0 = np.r_[np.zeros(empty), np.full(n - empty, 0.75 / (n - empty))]
+        end = integrate(f0, tensor, 1.0, 200.0).states[-1]
+        assert np.array_equal(end[:empty], np.zeros(empty))
+        chain = banded_equilibrium(tensor, 0.75, empty=empty).masses
+        assert np.abs(end - chain).max() <= 1e-12
 
 
 class TestSteadyState:
