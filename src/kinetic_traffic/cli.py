@@ -2,7 +2,8 @@
 
 Every run is driven by a YAML config and/or flags.  One table, _FLAGS,
 declares each flag once, next to the YAML key it sets; the parser and the
-override mapping handed to load_config are both read from it.  Outputs are
+override mapping handed to load_config are both read from it, and a
+command gets the flags of the keys config.READ_BY says it reads.  Outputs are
 CSV data files, all written by _write_csv, plus a JSON manifest.  Data
 files are deterministic for a given config (17 significant digits, no
 timestamps); wall-clock information lives only in the manifest.  Exit
@@ -26,7 +27,7 @@ from typing import Any, Iterable, Optional, Sequence
 import numpy as np
 import yaml
 
-from .config import IC_KINDS, RunConfig, build_initial_state, load_config
+from .config import IC_KINDS, RunConfig, build_initial_state, load_config, read_by
 from .dynamics import (
     IntegratorControls,
     NumericalError,
@@ -214,8 +215,6 @@ def _diagram_summary(diagram, kink_threshold: float) -> dict:
 
 
 def _cmd_diagram(cfg: RunConfig) -> int:
-    if cfg.diagram is None:
-        raise ConfigurationError("the config lacks a diagram section")
     t0 = time.perf_counter()
     rhos = _diagram_rhos(cfg)
     gamma = cfg.law.gamma if isinstance(cfg.law, PowerLaw) else ""
@@ -279,8 +278,6 @@ def _convergence_rows(cfg: RunConfig, ratio: float) -> list[tuple]:
 
 
 def _cmd_convergence(cfg: RunConfig) -> int:
-    if cfg.convergence is None:
-        raise ConfigurationError("the config lacks a convergence section")
     if not (cfg.convergence.rho_set and cfg.convergence.ratios):
         raise ConfigurationError("convergence needs a non-empty density set and ratio list")
     t0 = time.perf_counter()
@@ -305,8 +302,6 @@ _COMMANDS = {
     "diagram": "fundamental diagram sweep",
     "convergence": "fit decay rates toward equilibrium",
 }
-_ALL = tuple(_COMMANDS)
-_MARCHED = ("simulate", "equilibrium", "convergence")  # they read a start
 
 
 def _listed(text: str) -> Optional[list[str]]:
@@ -314,55 +309,49 @@ def _listed(text: str) -> Optional[list[str]]:
     return text.split(",") if text else None
 
 
-# (commands, names, YAML key, argparse keywords): each flag once, in --help
-# order.  A key "section.key" sets a key of that section; a flag left out
-# sets None, which load_config ignores.
+# (names, YAML key, argparse keywords): each flag once, in --help order,
+# after --config.  A key "section.key" sets a key of that section; a
+# command has the flags of the keys it reads (config.read_by).  A flag left
+# out sets None, which load_config ignores.
 _FLAGS = (
-    (_ALL, ("--config", "-c"), None, dict(type=Path, help="YAML run description")),
-    (_ALL, ("--kernel",), "kernel", dict(choices=[k.value for k in Kernel])),
-    (_ALL, ("--gamma",), "gamma", dict(type=float, help="power-law braking exponent")),
-    (_ALL, ("--eta",), "eta", dict(type=float, help="interaction rate")),
-    (("simulate", "equilibrium"), ("--rho",), "rho",
-     dict(type=float, help="total vehicle density")),
-    (_ALL, ("-N", "--n-cells"), "N", dict(dest="N", type=int, help="grid cell count")),
-    (_ALL, ("--dv",), "dv", dict(type=float, help="grid cell width")),
-    (_ALL, ("--r",), "r", dict(help="cells per speed jump (e.g. 4 or 14/3)")),
-    (_ALL, ("--T",), "T", dict(type=int, help="speed jumps per v_max")),
-    (_ALL, ("--v-max",), "v_max", dict(type=float)),
-    (_ALL, ("--rho-max",), "rho_max", dict(type=float)),
-    (_ALL, ("--out",), "output.directory", dict(type=Path, help="output directory")),
-    (_ALL, ("--prefix",), "output.prefix", dict(help="output file name prefix")),
-    # removed; kept only so that load_config can reject it by name
-    (_ALL, ("--workers",), "workers", dict(help=argparse.SUPPRESS)),
-    (_MARCHED, ("--ic",), "initial_condition.kind",
+    (("--kernel",), "kernel", dict(choices=[k.value for k in Kernel])),
+    (("--gamma",), "gamma", dict(type=float, help="power-law braking exponent")),
+    (("--eta",), "eta", dict(type=float, help="interaction rate")),
+    (("--rho",), "rho", dict(type=float, help="total vehicle density")),
+    (("-N", "--n-cells"), "N", dict(dest="N", type=int, help="grid cell count")),
+    (("--dv",), "dv", dict(type=float, help="grid cell width")),
+    (("--r",), "r", dict(help="cells per speed jump (e.g. 4 or 14/3)")),
+    (("--T",), "T", dict(type=int, help="speed jumps per v_max")),
+    (("--v-max",), "v_max", dict(type=float)),
+    (("--rho-max",), "rho_max", dict(type=float)),
+    (("--out",), "output.directory", dict(type=Path, help="output directory")),
+    (("--prefix",), "output.prefix", dict(help="output file name prefix")),
+    (("--ic",), "initial_condition.kind",
      dict(choices=IC_KINDS, help="initial condition kind")),
-    (_MARCHED, ("--ic-epsilon",), "initial_condition.epsilon",
+    (("--ic-epsilon",), "initial_condition.epsilon",
      dict(type=float, help="initial perturbation size")),
-    (_MARCHED, ("--ic-cell",), "initial_condition.cell",
+    (("--ic-cell",), "initial_condition.cell",
      dict(type=int, help="perturbed cell (1-based)")),
-    (("simulate",), ("--t-end",), "integrator.t_end",
-     dict(type=float, help="time horizon")),
-    (("simulate",), ("--step",), "integrator.step",
-     dict(type=float, help="fixed integrator step")),
-    (("diagram",), ("--rho-start",), "diagram.rho_grid.start", dict(type=float)),
-    (("diagram",), ("--rho-stop",), "diagram.rho_grid.stop", dict(type=float)),
-    (("diagram",), ("--rho-count",), "diagram.rho_grid.count", dict(type=int)),
-    (("diagram",), ("--rho-list",), "diagram.rho_grid",
+    (("--t-end",), "integrator.t_end", dict(type=float, help="time horizon")),
+    (("--step",), "integrator.step", dict(type=float, help="fixed integrator step")),
+    (("--rho-start",), "diagram.rho_grid.start", dict(type=float)),
+    (("--rho-stop",), "diagram.rho_grid.stop", dict(type=float)),
+    (("--rho-count",), "diagram.rho_grid.count", dict(type=int)),
+    (("--rho-list",), "diagram.rho_grid",
      dict(type=_listed, help="comma-separated densities")),
-    (("diagram",), ("--ratios",), "diagram.ratios",
+    (("--ratios",), "diagram.ratios",
      dict(type=_listed, help="comma-separated ratios, 'inf' allowed")),
-    (("diagram",), ("--insert-critical",), "diagram.insert_critical",
+    (("--insert-critical",), "diagram.insert_critical",
      dict(action=argparse.BooleanOptionalAction,
           help="add samples just below/above the critical density")),
-    (("diagram",), ("--kink-threshold",), "diagram.kink_threshold", dict(type=float)),
-    (("equilibrium", "diagram"), ("--residual-tol",), "integrator.residual_tol",
-     dict(type=float)),
-    (("equilibrium",), ("--t-max",), "integrator.t_max", dict(type=float)),
-    (("convergence",), ("--rho-set",), "convergence.rho_set",
+    (("--kink-threshold",), "diagram.kink_threshold", dict(type=float)),
+    (("--residual-tol",), "integrator.residual_tol", dict(type=float)),
+    (("--t-max",), "integrator.t_max", dict(type=float)),
+    (("--rho-set",), "convergence.rho_set",
      dict(type=_listed, help="comma-separated densities")),
-    (("convergence",), ("--ratios",), "convergence.ratios",
+    (("--ratios",), "convergence.ratios",
      dict(type=_listed, help="comma-separated integer ratios")),
-    (("convergence",), ("--fit-t-end",), "convergence.t_end",
+    (("--fit-t-end",), "convergence.t_end",
      dict(type=float, help="integration horizon for the decay fit")),
 )
 
@@ -376,8 +365,8 @@ def _dest(names: Sequence[str], kwargs: dict) -> str:
 def _overrides_from(args: argparse.Namespace) -> dict:
     """The flags as a run mapping with the YAML keys; None where a flag is unset."""
     overrides: dict[str, Any] = {}
-    for commands, names, key, kwargs in _FLAGS:
-        if key and args.command in commands:
+    for names, key, kwargs in _FLAGS:
+        if args.command in read_by(key):
             section, dot, leaf = key.partition(".")
             node = overrides.setdefault(section, {}) if dot else overrides
             node[leaf or key] = getattr(args, _dest(names, kwargs))
@@ -400,8 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, help_text in _COMMANDS.items():
         sp = sub.add_parser(command, help=help_text)
-        for commands, names, _, kwargs in _FLAGS:
-            if command in commands:
+        sp.add_argument("--config", "-c", type=Path, help="YAML run description")
+        for names, key, kwargs in _FLAGS:
+            if command in read_by(key):
                 sp.add_argument(*names, **kwargs)
     return parser
 

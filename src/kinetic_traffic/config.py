@@ -4,7 +4,10 @@ A run is described by one declarative mapping (usually a YAML file) that
 CLI flags override key by key, inside its sections too; this module alone
 parses, defaults and validates it, and every malformed value raises
 ConfigurationError.  Each default lives once, on the dataclass that holds
-it; sweep ratio lists default to [r] when the run has a ratio.  The
+it; sweep ratio lists default to [r] when the run has a ratio.  One
+table, READ_BY, says which CLI command reads which key: a run for a
+command refuses every key that command does not read, so a file serves
+one command, and the CLI gives each command the flags of its keys.  The
 velocity grid can be pinned by any two of (cell count, cell width,
 cells-per-jump ratio, jump count); the resolver derives the rest and
 rejects inconsistent combinations.
@@ -300,32 +303,36 @@ def _read(section: Mapping[str, Any], prefix: str, /, **readers) -> dict[str, An
 
 
 _SECTIONS = ("initial_condition", "integrator", "output", "diagram", "convergence")
-_TOP_KEYS = (
-    "kernel", "v_max", "rho_max", "eta", "gamma", "law", "N", "dv", "r", "T",
-    "rho", *_SECTIONS,
-)
-# Keys that runs no longer take, with the reason; a file that still sets
-# one is refused rather than run without it.
-_REMOVED = {
-    "workers": "convergence sweeps march every density of a grid together "
-               "in one process",
+_EVERY = ("simulate", "equilibrium", "diagram", "convergence")
+# The commands that read each key; a section named whole is read whole.
+# load_config refuses a key its command does not read, and the CLI gives
+# each command the flags of exactly these keys.  diagram solves each
+# density of its grid without a start or a march, and convergence takes
+# its densities from rho_set and marches to a fixed horizon.
+READ_BY = {
+    **dict.fromkeys(("kernel", "v_max", "rho_max", "eta", "gamma", "law",
+                     "N", "dv", "r", "T", "output"), _EVERY),
+    "rho": ("simulate", "equilibrium"),
+    "initial_condition": ("simulate", "equilibrium", "convergence"),
+    "integrator.step": ("simulate",),
+    "integrator.t_end": ("simulate",),
+    "integrator.t_max": ("equilibrium",),
+    "integrator.residual_tol": ("equilibrium", "diagram"),
+    "diagram": ("diagram",),
+    "convergence": ("convergence",),
 }
-# Keys a command reads nowhere: diagram solves each density of its grid
-# without a start or a march, and convergence takes its densities from
-# rho_set.  A run of that command that sets one is refused.
-_UNREAD = {
-    "diagram": ("rho", "initial_condition", "integrator.t_max"),
-    "convergence": ("rho",),
-}
+_TOP_KEYS = {key.partition(".")[0] for key in READ_BY}
+
+
+def read_by(key: str) -> tuple[str, ...]:
+    """The commands that read a key: "kernel", "integrator.t_end", "diagram.ratios"."""
+    section, _, leaf = key.partition(".")
+    return READ_BY.get(f"{section}.{leaf}", READ_BY.get(section))
 
 
 def _reject_unknown(mapping: Mapping[str, Any], prefix: str, known) -> None:
     """Raise ConfigurationError naming the first key not in known."""
     for key in mapping:
-        if key in _REMOVED:
-            raise ConfigurationError(
-                f"{prefix}{key}: this key was removed; {_REMOVED[key]}"
-            )
         if key not in known:
             hint = f"; give {key} at the top level" if prefix and key in _TOP_KEYS else ""
             raise ConfigurationError(f"unknown key {prefix}{key}{hint}")
@@ -392,8 +399,8 @@ def load_config(
     merged key by key over the file's section and creates the section if
     the file has none.  None values are ignored at both levels, so CLI
     flags can pass through unconditionally.  With the CLI command that
-    will run, a key that command never reads is refused, naming the key
-    and the command.
+    will run, a key READ_BY does not give that command is refused, naming
+    the key and the command.
     """
     data: dict[str, Any] = {}
     if path is not None:
@@ -451,9 +458,10 @@ def load_config(
         **_read(data, "", rho=_real),
     )
     # after the values, so that a malformed one is reported as such
-    for key in _UNREAD.get(command, ()):
+    for key, commands in READ_BY.items() if command else ():
         section, _, leaf = key.rpartition(".")
-        if (_section(data, section) if section else data).get(leaf) is not None:
+        given = (_section(data, section) if section else data).get(leaf)
+        if given is not None and command not in commands:
             raise ConfigurationError(f"{key}: the {command} command does not read this key")
     return cfg
 
@@ -481,8 +489,8 @@ def build_initial_state(cfg: RunConfig, grid: VelocityGrid) -> np.ndarray:
             )
         if f.min() < 0:
             raise ConfigurationError("custom initial masses must be non-negative")
-        total = f.sum()
-        if rho > 0 and abs(total - rho) > 1e-9 * max(rho, 1.0):
+        total = float(f.sum())
+        if abs(total - rho) > 1e-9 * max(rho, 1.0):
             raise ConfigurationError(
                 f"custom masses sum to {total!r}, declared rho is {rho!r}"
             )

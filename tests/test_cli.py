@@ -3,6 +3,7 @@
 Every data file must be byte-identical across reruns of the same
 configuration; wall-clock details are confined to the JSON manifest.
 """
+import argparse
 import json
 
 import numpy as np
@@ -69,6 +70,16 @@ class TestSimulate:
         assert len(rows) == 2
         for row in rows:
             assert all(float(x) == 0.0 for x in row[1:])
+
+    def test_custom_masses_on_an_empty_road_are_refused(self, tmp_path, capsys):
+        path = tmp_path / "run.yaml"
+        path.write_text(
+            "kernel: delta\nrho: 0\nT: 2\nr: 1\n"
+            "initial_condition: {kind: custom, masses: [0.1, 0.2, 0.3]}\n"
+        )
+        assert run(tmp_path, "simulate", "--config", str(path)) == 2
+        assert "declared rho is 0.0" in capsys.readouterr().err
+        assert not (tmp_path / "run_trajectory.csv").exists()
 
 
 class TestEquilibrium:
@@ -429,13 +440,14 @@ class TestConvergence:
         assert rows[1][7] == "ok"
 
     def test_removed_workers_flag_is_refused(self, tmp_path, capsys):
-        # the YAML key is refused the same way, see TestExitCodes
-        code = run(
-            tmp_path, "convergence", "--T", "3", "--rho-set", "0.2,0.8", "--ratios", "1",
-            "--workers", "2",
-        )
-        assert code == 2
-        assert "configuration error: workers: this key was removed" in capsys.readouterr().err
+        # the YAML key is an unknown key, see TestExitCodes
+        with pytest.raises(SystemExit) as exc:
+            run(
+                tmp_path, "convergence", "--T", "3", "--rho-set", "0.2,0.8", "--ratios", "1",
+                "--workers", "2",
+            )
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
         assert not (tmp_path / "run_convergence.csv").exists()
 
 
@@ -535,6 +547,40 @@ class TestFlagsAreYamlKeys:
         assert ratios("--config", str(path), "--ratios", "1") == (1.0,)
 
 
+MODEL_OPTIONS = ["-h", "--help", "--config", "-c", "--kernel", "--gamma", "--eta"]
+GRID_OPTIONS = [
+    "-N", "--n-cells", "--dv", "--r", "--T", "--v-max", "--rho-max", "--out", "--prefix",
+]
+START_OPTIONS = ["--ic", "--ic-epsilon", "--ic-cell"]
+# Each subcommand's option strings in --help order, written out by hand.
+OPTIONS = {
+    "simulate": [
+        *MODEL_OPTIONS, "--rho", *GRID_OPTIONS, *START_OPTIONS, "--t-end", "--step",
+    ],
+    "equilibrium": [
+        *MODEL_OPTIONS, "--rho", *GRID_OPTIONS, *START_OPTIONS,
+        "--residual-tol", "--t-max",
+    ],
+    "diagram": [
+        *MODEL_OPTIONS, *GRID_OPTIONS, "--rho-start", "--rho-stop", "--rho-count",
+        "--rho-list", "--ratios", "--insert-critical", "--no-insert-critical",
+        "--kink-threshold", "--residual-tol",
+    ],
+    "convergence": [
+        *MODEL_OPTIONS, *GRID_OPTIONS, *START_OPTIONS,
+        "--rho-set", "--ratios", "--fit-t-end",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", list(OPTIONS))
+def test_each_command_has_exactly_its_flags(command):
+    parser = cli.build_parser()
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = subparsers.choices[command]._actions
+    assert [name for action in actions for name in action.option_strings] == OPTIONS[command]
+
+
 class TestExitCodes:
     def test_configuration_error(self, tmp_path, capsys):
         assert run(tmp_path, "simulate", "--rho", "0.6", "--r", "2") == 2
@@ -584,7 +630,7 @@ class TestExitCodes:
         ("simulate", "N: 7.5\nT: 3", "N: expected an integer, got 7.5"),
         ("simulate", "T: 3\nr: 2\ninitial_condition: {kind: equilibrium, cell: 1.5}",
          "initial_condition.cell: expected an integer, got 1.5"),
-        ("simulate", "T: 3\nr: 2\nworkers: 2", "workers: this key was removed"),
+        ("simulate", "T: 3\nr: 2\nworkers: 2", "unknown key workers"),
         ("diagram", "T: 3\ndiagram: {rho_grid: {count: 4.5}}",
          "diagram.rho_grid: expected an integer, got 4.5"),
     ])

@@ -4,7 +4,9 @@ Covers the YAML loader's override semantics, the four-way grid resolver
 (N, dv, r, T), and every initial-condition builder including the
 perturbed-equilibrium kind used for stability experiments.
 """
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,6 +103,45 @@ class TestGridResolution:
         assert ratio.fraction == Fraction(14, 3)
 
 
+# Every key a run can set, with a value that loads next to T: 3, and the
+# keys each command reads, written out by hand rather than taken from
+# config.READ_BY.
+KEY_VALUES = {
+    "kernel": "chi", "v_max": 2.0, "rho_max": 2.0, "eta": 2.0, "gamma": 0.5,
+    "law": [[0.0, 1.0], [1.0, 0.0]], "N": 7, "dv": 1 / 6, "r": 2, "T": 3, "rho": 0.3,
+    "initial_condition.kind": "congested", "initial_condition.epsilon": 0.1,
+    "initial_condition.cell": 2, "initial_condition.masses": [0.3],
+    "integrator.step": 0.1, "integrator.t_end": 5.0, "integrator.t_max": 5.0,
+    "integrator.residual_tol": 1e-9,
+    "output.directory": "elsewhere", "output.prefix": "p",
+    "diagram.rho_grid": [0.3], "diagram.ratios": [1],
+    "diagram.insert_critical": False, "diagram.kink_threshold": 0.5,
+    "convergence.rho_set": [0.3], "convergence.ratios": [1], "convergence.t_end": 5.0,
+}
+MODEL_KEYS = [
+    "kernel", "v_max", "rho_max", "eta", "gamma", "law", "N", "dv", "r", "T",
+    "output.directory", "output.prefix",
+]
+START_KEYS = [
+    "initial_condition.kind", "initial_condition.epsilon",
+    "initial_condition.cell", "initial_condition.masses",
+]
+READS = {
+    "simulate": [*MODEL_KEYS, "rho", *START_KEYS, "integrator.step", "integrator.t_end"],
+    "equilibrium": [
+        *MODEL_KEYS, "rho", *START_KEYS, "integrator.t_max", "integrator.residual_tol",
+    ],
+    "diagram": [
+        *MODEL_KEYS, "integrator.residual_tol", "diagram.rho_grid", "diagram.ratios",
+        "diagram.insert_critical", "diagram.kink_threshold",
+    ],
+    "convergence": [
+        *MODEL_KEYS, *START_KEYS,
+        "convergence.rho_set", "convergence.ratios", "convergence.t_end",
+    ],
+}
+
+
 class TestLawsAndValidation:
     def test_power_law_from_gamma(self):
         cfg = load_config(overrides={"T": 3, "gamma": 0.5})
@@ -135,12 +176,33 @@ class TestLawsAndValidation:
                            match=f"{key}: the {command} command does not read this key"):
             load_config(overrides=run, command=command)
         load_config(overrides=run)  # a library caller names no command
+        # nor is the file shared: the other commands refuse the section too
         for other in ("simulate", "equilibrium"):
-            load_config(overrides=run, command=other)
+            with pytest.raises(ConfigurationError,
+                               match=f"the {other} command does not read this key") as exc:
+                load_config(overrides=run, command=other)
+            assert str(exc.value).partition(":")[0] in (key, command)
+
+    @pytest.mark.parametrize("command", list(READS))
+    def test_each_command_reads_its_keys_and_refuses_the_rest(self, command):
+        # the four cases above are among these (command, key) pairs
+        assert len(KEY_VALUES) == 28
+        assert len(READS[command]) == (17 if command == "diagram" else 19)
+        for key, value in KEY_VALUES.items():
+            section, _, leaf = key.partition(".")
+            run = {"T": 3, **({section: {leaf: value}} if leaf else {key: value})}
+            if key in READS[command]:
+                load_config(overrides=run, command=command)
+                continue
+            named = key if section == "integrator" else section  # read key by key
+            with pytest.raises(ConfigurationError, match=(
+                rf"^{re.escape(named)}: the {command} command does not read this key$"
+            )):
+                load_config(overrides=run, command=command)
 
     @pytest.mark.parametrize("workers", [0, 1, 2])
     def test_workers_key_is_removed(self, workers):
-        with pytest.raises(ConfigurationError, match="workers: this key was removed"):
+        with pytest.raises(ConfigurationError, match="^unknown key workers$"):
             load_config(overrides={"T": 3, "workers": workers})
 
     def test_kernel_spelling(self):
@@ -225,8 +287,7 @@ class TestYamlRoundTrip:
     def test_convergence_workers_key_is_rejected(self, tmp_path):
         path = tmp_path / "run.yaml"
         path.write_text("T: 3\nconvergence: {rho_set: [0.3], workers: 2}\n")
-        with pytest.raises(ConfigurationError,
-                           match="convergence.workers: this key was removed"):
+        with pytest.raises(ConfigurationError, match=r"^unknown key convergence\.workers$"):
             load_config(path)
 
     @pytest.mark.parametrize("overrides", [
@@ -357,6 +418,21 @@ class TestInitialStates:
         with pytest.raises(ConfigurationError):
             build_initial_state(bad_sum, self.grid())
 
+    def test_custom_masses_must_match_a_zero_density(self):
+        run = {"kernel": "delta", "rho": 0, "T": 2, "r": 1}
+        grid = VelocityGrid(n_cells=3, v_max=1.0)
+        loaded = load_config(overrides={
+            **run, "initial_condition": {"kind": "custom", "masses": [0.1, 0.2, 0.3]},
+        })
+        with pytest.raises(ConfigurationError, match=(
+            r"^custom masses sum to 0\.6000000000000001, declared rho is 0\.0$"
+        )):
+            build_initial_state(loaded, grid)
+        empty = load_config(overrides={
+            **run, "initial_condition": {"kind": "custom", "masses": [0, 0, 0]},
+        })
+        assert not build_initial_state(empty, grid).any()
+
     def test_negative_custom_mass(self):
         with pytest.raises(ConfigurationError):
             build_initial_state(
@@ -416,3 +492,14 @@ class TestInitialStates:
             InitialCondition(kind="custom")
         with pytest.raises(ConfigurationError):
             InitialCondition(cell=0)
+
+
+# every example file names, in its header, the command that runs it
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
+def test_shipped_config_loads_with_the_command_in_its_header(path):
+    text = path.read_text()
+    (command,) = re.findall(rf"kinetic-traffic (\w+) --config configs/{path.name}", text)
+    load_config(path, command=command)
