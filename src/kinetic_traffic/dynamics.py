@@ -643,9 +643,6 @@ def find_steady_state(
     residual = float(np.abs(rhs(f)).max())
     if residual <= residual_tol:
         return CellMassVector(f, tensor.grid)
-    if rho0 <= 0:
-        # Empty road: the only mass-zero state is already stationary.
-        return CellMassVector(f, tensor.grid)
 
     jac = _make_jac(tensor, eta)
     scale = eta * rho0

@@ -70,7 +70,7 @@ class QuantizedEquilibrium:
         m[m < 0.0] = 0.0
         if not abs(m.sum() - self.rho) <= MASS_TOL * scale:
             raise NumericalError(
-                f"class masses sum to {m.sum()!r}, expected {self.rho!r}"
+                f"class masses sum to {float(m.sum())!r}, expected {float(self.rho)!r}"
             )
         m.setflags(write=False)
         object.__setattr__(self, "masses", m)
@@ -123,13 +123,8 @@ def closed_form_equilibrium(rho: float, p: float, n_jumps: int) -> QuantizedEqui
                 "probability too close to the branch point for float arithmetic"
             )
         c = p * rho * masses[l - 1]
-        disc = b * b + 4.0 * a * c
-        discs.append(disc)
-        if c == 0.0:
-            masses[l] = 0.0
-        else:
-            root_negative = (b - math.sqrt(disc)) / (2.0 * a)
-            masses[l] = -c / (a * root_negative)
+        discs.append(b * b + 4.0 * a * c)
+        masses[l] = _positive_root(a, b, c)
         below += masses[l]
     top = rho - below
     if top < -MASS_TOL * rho:
@@ -138,6 +133,16 @@ def closed_form_equilibrium(rho: float, p: float, n_jumps: int) -> QuantizedEqui
     return QuantizedEquilibrium(
         masses=masses, rho=rho, p=p, discriminants=tuple(discs)
     )
+
+
+def _positive_root(a: float, b: float, c: float) -> float:
+    """Nonnegative root of -a x^2 + b x + c for a > 0 and c >= 0.  For
+    b < 0 it is taken via the negative root and the root product, so that
+    a tiny root survives cancellation."""
+    root = math.sqrt(b * b + 4.0 * a * c)
+    if b < 0.0:
+        return -c / (a * ((b - root) / (2.0 * a)))
+    return (b + root) / (2.0 * a)
 
 
 def banded_equilibrium(tensor: InteractionTensor, rho: float, empty: int = 0) -> CellMassVector:
@@ -177,11 +182,7 @@ def banded_equilibrium(tensor: InteractionTensor, rho: float, empty: int = 0) ->
         c = rho * float(lower[j] @ f[j:j + b])
         bj = lin - 2.0 * a * below + rho * diag[j]
         if c > 0.0:  # so P < 1: at P = 1 every c_j is 0
-            root = math.sqrt(bj * bj + 4.0 * a * c)
-            if bj < 0.0:
-                x = -c / (a * ((bj - root) / (2.0 * a)))
-            else:
-                x = (bj + root) / (2.0 * a)
+            x = _positive_root(a, bj, c)
         else:
             # roots 0 and b_j/(1-P); at P = 1 the equation is linear
             x = max(bj / a, 0.0) if a > 0.0 else 0.0

@@ -14,13 +14,16 @@ over candidate rows only (field-independent): the weight matrix W, with
 W[j, h] the acceleration probability mass sent from candidate cell h to
 output cell j.  Acceleration never lowers the speed and raises it by at
 most ceil(r) cells, so W is lower-banded with bandwidth b <= ceil(r).
-Each kernel has one builder, which stores only that band, an (N, b + 1)
-array; the band plus P is the whole tensor: the RK4 right-hand side takes
-W @ f from it, in O(N * b) by one vecdot over the band, or in O(N + b)
-on a wide jump-kernel band, whose rows below the top one hold at most two
-weights on fixed diagonals and take one slice product per diagonal;
-stochasticity reduces to every column of W summing to P; and the dense
-(N, N) matrix is derived on demand for the steady-state solver.
+Both kernels' bands come from one assembler, given the share of each
+candidate cell h that lands in output cell j: an exact interval overlap
+for the jump kernel, an exact window integral for the spread kernel.
+Only the band, an (N, b + 1) array, is stored; the band plus P is the
+whole tensor: the RK4 right-hand side takes W @ f from it, in O(N * b) by
+one vecdot over the band, or in O(N + b) on a wide jump-kernel band,
+whose rows below the top one hold at most two weights on fixed diagonals
+and take one slice product per diagonal; stochasticity reduces to every
+column of W summing to P; and the dense (N, N) matrix is derived on
+demand for the steady-state solver.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -90,9 +93,9 @@ class VelocityGrid:
 class GridRatio:
     """Ratio r = delta_v / dv between the speed jump and the cell width.
 
-    Carried as an exact Fraction so that the ceiling arithmetic in the
-    generic-ratio tensor builder has no floating-point tie hazards (r equal
-    to an integer plus one half is an exact tie case).  Integers and
+    Carried as an exact Fraction so that the jump-kernel builder can put
+    every cell edge and the jump on one integer scale, with no
+    floating-point tie hazards at half-integer r.  Integers and
     Fractions are taken as they are; a float must be a rational within
     1e-9 relative of a fraction with denominator at most 10**9.
     """
@@ -217,10 +220,7 @@ def build_grid(params: ModelParams, r: Union[int, float, Fraction]) -> tuple[Vel
         raise ConfigurationError(
             f"r*T = {ratio.fraction} * {t} is not an integer; no such grid"
         )
-    n = int(n_minus_1) + 1
-    if n < 2:
-        raise ConfigurationError("grid needs at least 2 cells")
-    return VelocityGrid(n_cells=n, v_max=params.v_max), ratio
+    return VelocityGrid(n_cells=int(n_minus_1) + 1, v_max=params.v_max), ratio
 
 
 def _check_probability(p: float):
@@ -243,16 +243,14 @@ def build_delta_tensor_integer(grid: VelocityGrid, ratio: GridRatio, p: float) -
 def build_delta_tensor_generic(grid: VelocityGrid, ratio: GridRatio, p: float) -> InteractionTensor:
     """Jump-kernel tensor for any rational grid ratio r >= 1.
 
-    When the jump is not a whole number of cells, the image of cell h under
-    v -> v + delta_v straddles two cells, splitting the acceleration weight
-    by the exact overlap lengths: 1 + r - ceil(r) to cell h + ceil(r) and
-    ceil(r) - r to cell h + ceil(r) - 1 (for whole r, all of it to h + r).
-    Those two constant diagonals fill the interior rows.  The O(1) edge
-    weights -- the first output cells and the top cell's partial
-    candidates -- are assembled in exact rational arithmetic (the ceiling
-    expressions have ties at half-integer r).  The top matrix accumulates
-    every candidate within one jump of full speed, weighted by how much of
-    its cell saturates.  The bandwidth is ceil(r).
+    The image of candidate cell h under v -> v + delta_v is as wide as the
+    cell, so it meets at most cells h + ceil(r) - 1 and h + ceil(r); all of
+    it past the top cell's lower edge saturates into cell N.  Each weight
+    is the overlap of the image with its output cell over the width of cell
+    h.  With r = k/q every cell edge and the jump are whole multiples of
+    dv/(2q), so each weight is one ratio of integers, which Python's true
+    division rounds correctly (no tie cases at half-integer r).  For whole
+    r all of it goes to h + r.  The bandwidth is ceil(r).
     """
     _check_probability(p)
     rf = ratio.fraction
@@ -263,53 +261,21 @@ def build_delta_tensor_generic(grid: VelocityGrid, ratio: GridRatio, p: float) -
     n = grid.n_cells
     if rf > n - 1:
         raise ConfigurationError(f"jump spans {float(rf):g} cells but the grid has only {n}")
-    half = Fraction(1, 2)
-    cp = math.ceil(rf + half)   # cell index containing speed dv/4 + delta_v's cell top
-    cm = math.ceil(rf - half)
     cr = math.ceil(rf)
-    tie_hi = cr == cp           # fractional part of r in (0, 1/2]
-    tie_lo = cr == cm           # integer r, or r within (k-1/2, k]
-    lead, trail = 1 + rf - cr, cr - rf  # interior weights at offsets cr and cr - 1
+    q, jump = rf.denominator, 2 * rf.numerator
 
-    w: dict[tuple[int, int], Fraction] = {}
+    def edge(j: int) -> int:  # upper edge of cell j in units of dv/(2q); cell 0's is 0
+        return min(max(2 * j - 1, 0), 2 * n - 2) * q
 
-    def add(j: int, h: int, weight: Fraction):
-        if weight != 0:
-            w[(j, h)] = w.get((j, h), Fraction(0)) + weight
+    def landing(h: int) -> list[tuple[int, float]]:
+        lo, hi = edge(h - 1) + jump, edge(h) + jump  # the image of cell h
+        pairs = []
+        for j in range(min(h + cr - 1, n), min(h + cr, n) + 1):
+            top = hi if j == n else min(hi, edge(j))  # cell N takes all past its lower edge
+            pairs.append((j, max(0, top - max(lo, edge(j - 1))) / (hi - lo)))
+        return pairs
 
-    # First output cell receiving accelerated mass: the bottom half-cell's
-    # image [delta_v, delta_v + dv/2] meets cells cm(+1) depending on ties.
-    if cp <= n - 1:
-        add(cp, 1, 2 * min(half, cp - half - rf))
-        if tie_lo:
-            add(cp, 2, cm - rf)
-    first = cp + 1              # first interior row
-    if tie_hi and first < n:    # its lead candidate is the half-width bottom cell
-        add(first, 1, 2 * lead)
-        add(first, 2, trail)
-        first += 1
-    # Top cell: everything whose image pokes past v_max - dv/2.
-    if tie_hi:
-        add(n, n - cp, rf - cm)
-        add(n, n - cm, cp - half - rf)
-    if tie_lo:
-        add(n, n - cm, half)
-    add(n, n - cm, rf - cm + half)
-
-    for (j, h), weight in w.items():
-        if not (1 <= h <= j <= n and j - h <= cr):
-            raise ConfigurationError(
-                f"acceleration weight out of range: output {j}, candidate {h}"
-            )
-        if weight < 0:
-            raise ConfigurationError(f"negative acceleration weight at ({j}, {h})")
-    band = np.zeros((n, cr + 1))  # column cr - d is the d-th lower diagonal
-    band[first - 1:n - 1, 0] = p * float(lead)
-    band[first - 1:n - 1, 1] = p * float(trail)
-    band[n - 1, cr - cp + 2:] = p  # candidates n - cp + 2 .. n saturate whole
-    for (j, h), weight in w.items():
-        band[j - 1, cr - (j - h)] = p * float(weight)
-    return InteractionTensor(kernel=Kernel.DELTA, p=p, grid=grid, band=band)
+    return _assemble(Kernel.DELTA, grid, cr, p, landing)
 
 
 def build_chi_tensor(grid: VelocityGrid, ratio: GridRatio, p: float) -> InteractionTensor:
@@ -333,21 +299,34 @@ def build_chi_tensor(grid: VelocityGrid, ratio: GridRatio, p: float) -> Interact
     if not 1 <= r <= n - 1:
         raise ConfigurationError(f"jump of {r} cells incompatible with {n}-cell grid")
     m = n - 1              # v_max in units of dv
-    band = np.zeros((n, r + 1))
-    # Candidate cells 2 .. N-r-1 are full-width, never saturate and reach
-    # only full-width cells, so their weights depend on j - h alone: one
-    # column, evaluated exactly on the half-integer edges, fills each diagonal.
-    interior_end = n - r   # one past the last such candidate cell
-    if interior_end > 2:
-        for d in range(r + 1):
-            band[1 + d:interior_end - 1 + d, r - d] = p * _chi_cell_mass(2, 2 + d, m, r)
-    for h in (1, *range(max(interior_end, 2), n + 1)):
+
+    def landing(h: int) -> list[tuple[int, float]]:
         lo_h, hi_h = _cell_edges(h, m)
-        for j in range(h, min(h + r, n) + 1):  # acceleration never lowers the speed
-            total = _chi_cell_mass(h, j, m, r)
-            if total:
-                band[j - 1, r - (j - h)] = p * total / (hi_h - lo_h)
-    return InteractionTensor(kernel=Kernel.CHI, p=p, grid=grid, band=band)
+        cells = range(h, min(h + r, n) + 1)  # acceleration never lowers the speed
+        return [(j, _chi_cell_mass(lo_h, hi_h, j, m, r) / (hi_h - lo_h)) for j in cells]
+
+    return _assemble(Kernel.CHI, grid, r, p, landing)
+
+
+def _assemble(kernel: Kernel, grid: VelocityGrid, cr: int, p: float,
+              landing: Callable[[int], list[tuple[int, float]]]) -> InteractionTensor:
+    """Band of bandwidth cr from `landing(h)`, the (output cell, weight)
+    pairs of candidate cell h, each weight the share of the cell landing
+    there.  Candidate cells 2 .. N-cr-1 are full-width and land below the
+    top cell, so their weights depend on j - h alone: candidate 2's weights
+    fill the diagonals as one slice each.  Cell 1 and the top cr + 1 cells write
+    their own pairs."""
+    n = grid.n_cells
+    band = np.zeros((n, cr + 1))  # column cr - d is the d-th lower diagonal
+    interior_end = n - cr  # one past the last interior candidate
+    if interior_end > 2:
+        for j, weight in landing(2):
+            d = j - 2
+            band[1 + d:interior_end - 1 + d, cr - d] = p * weight
+    for h in (1, *range(max(interior_end, 2), n + 1)):
+        for j, weight in landing(h):
+            band[j - 1, cr - (j - h)] = p * weight
+    return InteractionTensor(kernel=kernel, p=p, grid=grid, band=band)
 
 
 def _cell_edges(j: int, m: int) -> tuple[float, float]:
@@ -355,16 +334,15 @@ def _cell_edges(j: int, m: int) -> tuple[float, float]:
     return (max(j - 1.5, 0.0), min(j - 0.5, float(m)))
 
 
-def _chi_cell_mass(h: int, j: int, m: int, r: int) -> float:
-    """Spread-kernel mass sent from candidate cell h to cell j.
+def _chi_cell_mass(lo_h: float, hi_h: float, j: int, m: int, r: int) -> float:
+    """Spread-kernel mass sent from the candidate cell [lo_h, hi_h] to cell j.
 
     The chance of landing in cell j, integrated over candidate speeds in
-    cell h (units of dv); dividing by the width of cell h gives the weight.
+    the cell (units of dv); dividing by its width gives the weight.
     Below the saturation speed m - r every breakpoint is a half-integer, so
     the trapezoid sums are exact and only the final division by r rounds.
     """
     sat = m - r            # candidate speeds above this saturate at v_max
-    lo_h, hi_h = _cell_edges(h, m)
     lo_j, hi_j = _cell_edges(j, m)
     total = 0.0
     # Unsaturated part: window overlap is piecewise linear with

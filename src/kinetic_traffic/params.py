@@ -58,10 +58,10 @@ class ModelParams:
     kernel: Kernel = Kernel.DELTA
 
     def __post_init__(self):
-        if self.v_max <= 0 or self.rho_max <= 0:
-            raise ConfigurationError("v_max and rho_max must be positive")
-        if self.eta <= 0:
-            raise ConfigurationError("interaction rate eta must be positive")
+        if not all(math.isfinite(x) and x > 0 for x in (self.v_max, self.rho_max)):
+            raise ConfigurationError("v_max and rho_max must be finite and positive")
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise ConfigurationError("interaction rate eta must be finite and positive")
         if not 0 < self.delta_v <= self.v_max:
             raise ConfigurationError(
                 f"delta_v must lie in (0, v_max]; got {self.delta_v}"

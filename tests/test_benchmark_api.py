@@ -9,6 +9,7 @@ import importlib
 from pathlib import Path
 
 import kinetic_traffic
+from kinetic_traffic import Kernel, matrices
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -58,3 +59,19 @@ def test_traced_functions_are_distinct():
         fn = _resolve(module, name)
         assert id(fn) not in seen, f"{module}.{name} is {seen[id(fn)]}"
         seen[id(fn)] = f"{module}.{name}"
+
+
+def test_build_tensor_reaches_the_traced_builders(monkeypatch):
+    # perfbench times each builder by wrapping its module attribute; a
+    # build_tensor that went round those names would read as zero calls
+    calls = []
+    for name in ("build_chi_tensor", "build_delta_tensor_generic"):
+        def counted(*args, _fn=getattr(matrices, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(matrices, name, counted)
+    grid, ratio = matrices.VelocityGrid(n_cells=7, v_max=1.0), matrices.GridRatio(2)
+    for kernel, name in ((Kernel.CHI, "build_chi_tensor"), (Kernel.DELTA, "build_delta_tensor_generic")):
+        calls.clear()
+        assert matrices.build_tensor(kernel, grid, ratio, 0.3).kernel is kernel
+        assert calls == [name]

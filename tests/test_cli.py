@@ -188,6 +188,12 @@ class TestDiagram:
         assert flux == pytest.approx(0.3 * (1 - 0.25 / 4), abs=1e-10)
         assert rows[0][7] == "1"
 
+    def test_empty_density_grid_is_refused(self, tmp_path, capsys):
+        assert run(tmp_path, "diagram", "--T", "4", "--no-insert-critical") == 2
+        message = "configuration error: diagram needs a non-empty density grid"
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run_diagram.csv").exists()
+
     def test_critical_density_samples_inserted_by_default(self, tmp_path):
         code = run(
             tmp_path, "diagram", "--T", "4", "--rho-list", "0.3", "--ratios", "1",
@@ -301,6 +307,12 @@ class TestDiagram:
 
 
 class TestConvergence:
+    def test_empty_density_set_is_refused(self, tmp_path, capsys):
+        assert run(tmp_path, "convergence", "--T", "4") == 2
+        message = "configuration error: convergence needs a non-empty density set and ratio list"
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run_convergence.csv").exists()
+
     def test_run_density_key_is_refused(self, tmp_path, capsys):
         path = tmp_path / "run.yaml"
         path.write_text("T: 3\nrho: 0.7\nconvergence: {rho_set: [0.3], ratios: [1]}\n")

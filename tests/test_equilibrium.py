@@ -113,6 +113,11 @@ class TestClosedForm:
         with pytest.raises(NumericalError):
             QuantizedEquilibrium(masses=[math.nan, 1.0], rho=1.0, p=0.3)
 
+    def test_mass_check_prints_the_sum_as_a_plain_float(self):
+        message = r"^class masses sum to 0\.30000000000000004, expected 0\.5$"
+        with pytest.raises(NumericalError, match=message):
+            QuantizedEquilibrium(masses=np.array([0.1, 0.2]), rho=0.5, p=0.5)
+
     @settings(max_examples=60, deadline=None)
     @given(
         rho=st.floats(1e-3, 1.0),

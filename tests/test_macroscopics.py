@@ -196,6 +196,16 @@ class TestCapacityDrop:
         assert len(rep.warnings) == 1
         assert "spacing" in rep.warnings[0]
 
+    def test_flux_that_never_falls_brackets_its_maximum(self):
+        # every density below the critical one: the flux only rises
+        rhos = [0.05, 0.1, 0.15, 0.2]
+        rep = detect_capacity_drop(fundamental_diagram(ModelParams(delta_v=0.25), LAW, 1, rhos))
+        assert rep.drop_magnitude == 0.0
+        assert rep.rho_at_max_flux == 0.2
+        assert rep.bracket == (0.15, 0.2)
+        assert rep.transitions == ()
+        assert rep.warnings == ("flux never falls; bracket spans the flux maximum",)
+
 
 class TestCompareDiagrams:
     def test_identical_diagrams_have_zero_distance(self):

@@ -51,6 +51,10 @@ GENERIC_CASES = [
     (4, Fraction(5, 2)),
     (3, Fraction(4, 3)),
     (3, Fraction(5, 3)),
+    (4, Fraction(9, 4)),
+    (5, Fraction(7, 5)),
+    (7, Fraction(10, 7)),
+    (8, Fraction(13, 8)),
 ]
 P_VALUES = (0.0, 0.3, 0.85, 1.0)
 # the benchmark's jump-kernel grids: N=401 (r=100, 400/3), N=1001, N=25

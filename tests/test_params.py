@@ -35,6 +35,14 @@ class TestModelParams:
         with pytest.raises(ConfigurationError):
             ModelParams(**{field: 0.0})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["v_max", "rho_max", "eta"])
+    def test_non_finite_values_are_refused(self, field, value):
+        # rho_max=nan once gave P = nan, eta=inf a diagram of flagged
+        # samples, and v_max=inf an OverflowError
+        with pytest.raises(ConfigurationError, match="must be finite and positive"):
+            ModelParams(**{field: value})
+
     def test_increment_above_top_speed_rejected(self):
         with pytest.raises(ConfigurationError):
             ModelParams(delta_v=2.0)
