@@ -268,7 +268,7 @@ def _convergence_rows(cfg: RunConfig, ratio: float) -> list[tuple]:
         series = distance_to_equilibrium(traj, ref)
         try:
             window = select_fit_window(series)
-            fit = fit_convergence_rate(series, window, full=True)
+            fit = fit_convergence_rate(series, window)
             rows.append((rho, float(ratio_obj.r), params.delta_v, fit.rate,
                          fit.window[0], fit.window[1], fit.residual, "ok"))
         except NumericalError as exc:

@@ -5,11 +5,12 @@ in closed form: all mass rides at top speed when the passing probability
 p is at least one half; otherwise the masses of the occupied speed
 classes obey a chain of quadratics solved class by class from the bottom.
 These functions evaluate that closed form (the analytic oracle the ODE
-solver is tested against), lay it onto a velocity grid, build the shifted
-unstable branch, and check whether an arbitrary grid state is supported
-on a quantized speed ladder.  The same chain, solved cell by cell from an
-interaction tensor's acceleration band, gives the grid steady state of
-either kernel without a time march (`banded_equilibrium`).
+solver is tested against), lay it onto a velocity grid, and check whether
+an arbitrary grid state is supported on a quantized speed ladder.  The
+same chain, solved cell by cell from an interaction tensor's acceleration
+band, gives the grid steady state of either kernel without a time march
+(`banded_equilibrium`); begun above a start's empty bottom cells, it is
+the shifted (unstable) branch.
 """
 from __future__ import annotations
 
@@ -39,7 +40,6 @@ __all__ = [
     "closed_form_on_grid",
     "equilibrium_on_grid",
     "reference_equilibrium",
-    "unstable_equilibrium",
     "verify_quantized_support",
 ]
 
@@ -48,17 +48,11 @@ MASS_TOL = 1e-12
 
 @dataclass(frozen=True)
 class QuantizedEquilibrium:
-    """Masses of the speed classes l = 1..T+1 at speeds (l-1)*v_max/T.
-
-    discriminants holds, for the p < 1/2 branch, the discriminants of
-    the quadratics solved for classes 2..T (the top class closes the
-    mass balance instead and has no quadratic of its own).
-    """
+    """Masses of the speed classes l = 1..T+1 at speeds (l-1)*v_max/T."""
 
     masses: np.ndarray
     rho: float
     p: float
-    discriminants: tuple[float, ...] = ()
 
     def __post_init__(self):
         m = np.asarray(self.masses, dtype=float).copy()
@@ -114,7 +108,6 @@ def closed_form_equilibrium(rho: float, p: float, n_jumps: int) -> QuantizedEqui
     masses = np.zeros(n_classes)
     masses[0] = rho * (1.0 - 2.0 * p) / a
     below = masses[0]
-    discs = []
     for l in range(1, n_classes - 1):
         b = (1.0 - 2.0 * p) * rho - 2.0 * a * below
         if b >= 0.0:
@@ -123,16 +116,13 @@ def closed_form_equilibrium(rho: float, p: float, n_jumps: int) -> QuantizedEqui
                 "probability too close to the branch point for float arithmetic"
             )
         c = p * rho * masses[l - 1]
-        discs.append(b * b + 4.0 * a * c)
         masses[l] = _positive_root(a, b, c)
         below += masses[l]
     top = rho - below
     if top < -MASS_TOL * rho:
         raise NumericalError(f"top class mass {top:.3e} went negative")
     masses[-1] = max(top, 0.0)
-    return QuantizedEquilibrium(
-        masses=masses, rho=rho, p=p, discriminants=tuple(discs)
-    )
+    return QuantizedEquilibrium(masses=masses, rho=rho, p=p)
 
 
 def _positive_root(a: float, b: float, c: float) -> float:
@@ -196,19 +186,14 @@ def banded_equilibrium(tensor: InteractionTensor, rho: float, empty: int = 0) ->
 
 
 def equilibrium_on_grid(
-    eq: QuantizedEquilibrium,
-    cells_per_jump: int,
-    grid: Optional[VelocityGrid] = None,
-    v_max: float = 1.0,
+    eq: QuantizedEquilibrium, cells_per_jump: int, grid: VelocityGrid
 ) -> CellMassVector:
     """Place class l in grid cell (l-1)*cells_per_jump + 1, zero elsewhere."""
     r = int(cells_per_jump)
     if r != cells_per_jump or r < 1:
         raise ConfigurationError("cells_per_jump must be a positive integer")
     n = r * eq.n_jumps + 1
-    if grid is None:
-        grid = VelocityGrid(n_cells=n, v_max=v_max)
-    elif grid.n_cells != n:
+    if grid.n_cells != n:
         raise ConfigurationError(
             f"grid has {grid.n_cells} cells; the {eq.n_jumps + 1}-class "
             f"equilibrium at ratio {r} needs {n}"
@@ -233,7 +218,7 @@ def closed_form_on_grid(
         return None
     p = evaluate_probability(law, rho, params)
     eq = closed_form_equilibrium(rho, p, params.n_jumps)
-    return equilibrium_on_grid(eq, int(ratio), grid=grid, v_max=params.v_max)
+    return equilibrium_on_grid(eq, int(ratio), grid)
 
 
 def reference_equilibrium(
@@ -249,39 +234,6 @@ def reference_equilibrium(
     empty = int(occupied[0])
     closed = None if empty else closed_form_on_grid(params, law, rho, ratio, tensor.grid)
     return banded_equilibrium(tensor, rho, empty) if closed is None else closed
-
-
-def unstable_equilibrium(
-    rho: float,
-    p: float,
-    n_jumps: int,
-    cells_per_jump: int,
-    shift: int,
-    v_max: float = 1.0,
-) -> CellMassVector:
-    """Stable class profile displaced upward by `shift` cells.
-
-    Classes 1..T move to cells (l-1)*r + 1 + shift; the top class stays
-    pinned at the last cell (its speed saturates).  On this displaced
-    ladder the dynamics reduce to the same class system, so the state is
-    an exact fixed point, but any mass seeded below the ladder pulls the
-    system away from it.  shift must satisfy 1 <= shift < r: a full-step
-    displacement would land back on the quantized ladder.
-    """
-    r = int(cells_per_jump)
-    if r != cells_per_jump or r < 1:
-        raise ConfigurationError("cells_per_jump must be a positive integer")
-    s = int(shift)
-    if s != shift or not (1 <= s < r):
-        raise ConfigurationError(
-            f"shift must be an integer in [1, {r - 1}], got {shift!r}"
-        )
-    eq = closed_form_equilibrium(rho, p, n_jumps)
-    n = r * n_jumps + 1
-    f = np.zeros(n)
-    f[np.arange(n_jumps) * r + s] = eq.masses[:-1]
-    f[n - 1] += eq.masses[-1]
-    return CellMassVector(f, VelocityGrid(n_cells=n, v_max=v_max))
 
 
 @dataclass(frozen=True)
@@ -303,10 +255,6 @@ class SupportReport:
     stray_mass: float
     tol_mass: float
     tol_loc: float
-
-    @property
-    def centers(self) -> tuple[float, ...]:
-        return tuple(c.center for c in self.clusters)
 
 
 def verify_quantized_support(

@@ -51,6 +51,10 @@ __all__ = [
     "verify_stochasticity",
 ]
 
+# Largest deviation of an acceleration column sum from P that
+# verify_stochasticity passes
+STOCHASTICITY_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class VelocityGrid:
@@ -385,7 +389,7 @@ def build_tensor(kernel: Kernel, grid: VelocityGrid, ratio: GridRatio, p: float)
     return build_delta_tensor_generic(grid, ratio, p)
 
 
-def verify_stochasticity(tensor: InteractionTensor, tol: float = 1e-12) -> StochasticityReport:
+def verify_stochasticity(tensor: InteractionTensor) -> StochasticityReport:
     """Check that the matrices sum to one over the output index.
 
     Braking and keep-speed put exactly 1 - p on every (h, k) pair, so the
@@ -400,4 +404,6 @@ def verify_stochasticity(tensor: InteractionTensor, tol: float = 1e-12) -> Stoch
         sums[k:k + n] += tensor.band[:, k]
     dev = np.abs(sums[b:] - tensor.p)
     h = int(np.argmax(dev))
-    return StochasticityReport(max_deviation=float(dev[h]), worst_cell=h + 1, tol=tol)
+    return StochasticityReport(
+        max_deviation=float(dev[h]), worst_cell=h + 1, tol=STOCHASTICITY_TOL
+    )

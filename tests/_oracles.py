@@ -6,9 +6,11 @@ jump-kernel weights, adaptive quadrature of the defining kernel for the
 spread weights, 50- and 60-digit arithmetic with the naive root formula for
 the equilibrium recursions, the dense (N, N, N) tensor and an einsum over
 it for the collision right-hand side, and an eigenvalue computation for
-decay rates.  Agreement is then evidence, not circularity.  Four routines
-are references rather than oracles, earlier implementations that the
-package must match bit for bit: the original cell-by-cell jump-kernel
+decay rates.  Agreement is then evidence, not circularity.  The shifted
+(unstable) jump-kernel equilibrium is laid out from the closed form class
+by class, a route apart from the band chain that gives it in the package.
+Four routines are references rather than oracles, earlier implementations
+that the package must match bit for bit: the original cell-by-cell jump-kernel
 builder, the original pairwise spread builder, the steady-state search
 that stepped LSODA through scipy's solve_ivp with a Jacobian summed from a
 diagonal and two triangles, and the scalar RK4 loop that marched one state
@@ -25,7 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import quad, solve_ivp
 
-from kinetic_traffic import ConfigurationError
+from kinetic_traffic import ConfigurationError, closed_form_equilibrium
 from kinetic_traffic.dynamics import (
     DRIFT_TOL,
     MAX_STEPS,
@@ -41,7 +43,7 @@ from kinetic_traffic.dynamics import (
     _make_rhs,
     logger,
 )
-from kinetic_traffic.matrices import InteractionTensor
+from kinetic_traffic.matrices import InteractionTensor, VelocityGrid
 
 
 def cell_edges(n: int, j: int) -> tuple[Fraction, Fraction]:
@@ -269,6 +271,39 @@ def banded_equilibrium_mp(tensor, rho: float, dps: int = 50) -> np.ndarray:
                 masses.append(max(b / a, mpmath.mpf(0)))
         masses.append(rho_mp - mpmath.fsum(masses))
         return np.array([float(x) for x in masses])
+
+
+def unstable_equilibrium(
+    rho: float,
+    p: float,
+    n_jumps: int,
+    cells_per_jump: int,
+    shift: int,
+    v_max: float = 1.0,
+) -> CellMassVector:
+    """Stable class profile displaced upward by `shift` cells.
+
+    Classes 1..T move to cells (l-1)*r + 1 + shift; the top class stays
+    pinned at the last cell (its speed saturates).  On this displaced
+    ladder the dynamics reduce to the same class system, so the state is
+    an exact fixed point, but any mass seeded below the ladder pulls the
+    system away from it.  shift must satisfy 1 <= shift < r: a full-step
+    displacement would land back on the quantized ladder.
+    """
+    r = int(cells_per_jump)
+    if r != cells_per_jump or r < 1:
+        raise ConfigurationError("cells_per_jump must be a positive integer")
+    s = int(shift)
+    if s != shift or not (1 <= s < r):
+        raise ConfigurationError(
+            f"shift must be an integer in [1, {r - 1}], got {shift!r}"
+        )
+    eq = closed_form_equilibrium(rho, p, n_jumps)
+    n = r * n_jumps + 1
+    f = np.zeros(n)
+    f[np.arange(n_jumps) * r + s] = eq.masses[:-1]
+    f[n - 1] += eq.masses[-1]
+    return CellMassVector(f, VelocityGrid(n_cells=n, v_max=v_max))
 
 
 def dense_tensor(tensor) -> np.ndarray:

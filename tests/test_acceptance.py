@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from _oracles import dense_tensor
+from _oracles import dense_tensor, unstable_equilibrium
 from conftest import ACCEPTANCE_LINES
 from kinetic_traffic import (
     CellMassVector,
@@ -44,7 +44,6 @@ from kinetic_traffic import (
     moments,
     select_fit_window,
     staircase_distance,
-    unstable_equilibrium,
     verify_quantized_support,
     verify_stochasticity,
 )
@@ -364,7 +363,7 @@ def test_criterion_07_rate_structure():
                 closed_form_equilibrium(rho, 1.0 - rho, n_jumps), r, grid=grid
             )
             series = distance_to_equilibrium(traj, ref)
-            rates[(rho, r)] = fit_convergence_rate(series, select_fit_window(series))
+            rates[(rho, r)] = fit_convergence_rate(series, select_fit_window(series)).rate
     within = {
         rho: abs(rates[(rho, 1)] - rates[(rho, 2)]) / rates[(rho, 1)]
         for rho in (0.2, 0.8)

@@ -1,11 +1,13 @@
 """The package names the benchmark in perfbench/ reaches for must exist.
 
 perfbench traces functions by (module, name) and calls the package through
-`kt.<name>`; a rename in the package would otherwise surface only when the
-benchmark runs.  The two files are read as syntax trees, never imported.
+`kt.<name>`; a rename or a signature change in the package would otherwise
+surface only when the benchmark runs.  The two files are read as syntax
+trees, never imported.
 """
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import kinetic_traffic
@@ -37,6 +39,17 @@ def _kt_names() -> set[str]:
     }
 
 
+def _kt_calls() -> list[ast.Call]:
+    return [
+        node
+        for node in ast.walk(_tree("workloads.py"))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "kt"
+    ]
+
+
 def _resolve(module: str, name: str):
     return getattr(importlib.import_module(f"kinetic_traffic.{module}"), name, None)
 
@@ -49,6 +62,22 @@ def test_traced_functions_resolve():
 def test_workload_names_resolve():
     missing = sorted(n for n in _kt_names() if not hasattr(kinetic_traffic, n))
     assert not missing, f"perfbench calls names the package lacks: {missing}"
+
+
+def test_workload_calls_bind():
+    # each call's positional count and keyword names, against the signature
+    calls = _kt_calls()
+    assert calls, "perfbench/workloads.py makes no kt.<name>(...) call"
+    unbound = []
+    for call in calls:
+        assert not any(isinstance(a, ast.Starred) for a in call.args), call.lineno
+        assert all(k.arg is not None for k in call.keywords), call.lineno
+        signature = inspect.signature(getattr(kinetic_traffic, call.func.attr))
+        try:
+            signature.bind(*call.args, **{k.arg: k.value for k in call.keywords})
+        except TypeError as exc:
+            unbound.append(f"line {call.lineno}: kt.{call.func.attr}: {exc}")
+    assert not unbound, f"perfbench calls the package with arguments it refuses: {unbound}"
 
 
 def test_traced_functions_are_distinct():

@@ -128,10 +128,9 @@ class TestEquilibrium:
         assert "note" not in manifest
         assert manifest["max_oracle_difference"] <= 1e-9
 
-    def test_starved_bottom_leak_shows_against_the_reference(self, tmp_path):
-        # a start with cells 1-3 empty keeps them empty under exact dynamics,
-        # but the LSODA march leaks mass into them and ends on the stable
-        # branch: 0.21667 in cell 1 where the reference holds 0
+    def test_starved_bottom_stays_empty_and_meets_the_reference(self, tmp_path):
+        # a start with cells 1-3 empty keeps them empty under exact dynamics;
+        # the march runs on cells 4-13 alone and ends on the shifted chain
         path = tmp_path / "run.yaml"
         path.write_text(yaml.safe_dump({
             "kernel": "chi", "T": 2, "r": 6, "rho": 0.6,
@@ -141,10 +140,10 @@ class TestEquilibrium:
         assert code == 0
         _, rows = read_csv(tmp_path / "run_equilibrium.csv")
         assert [float(row[2]) for row in rows[:3]] == [0.0, 0.0, 0.0]
+        assert [float(row[3]) for row in rows[:3]] == [0.0, 0.0, 0.0]
         assert float(rows[3][2]) == pytest.approx(0.23333, abs=1e-5)
-        assert float(rows[0][3]) == pytest.approx(0.21667, abs=1e-5)
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
-        assert manifest["max_oracle_difference"] == pytest.approx(0.21667, abs=1e-5)
+        assert manifest["max_oracle_difference"] <= 1e-12
 
     @pytest.mark.parametrize("kernel", ["delta", "chi"])
     def test_empty_road_has_an_all_zero_oracle(self, tmp_path, kernel):
@@ -277,6 +276,15 @@ class TestDiagram:
     def test_half_given_density_grid_is_refused(self, tmp_path, capsys, argv, message):
         assert run(tmp_path, "diagram", "--T", "4", *argv) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "run_diagram.csv").exists()
+
+    def test_fractional_jump_ratio_is_refused(self, tmp_path, capsys):
+        code = run(
+            tmp_path, "diagram", "--kernel", "delta", "--T", "4", "--rho-list", "0.3",
+            "--ratios", "7/2",
+        )
+        assert code == 2
+        assert "non-integer ratio grid is not defined" in capsys.readouterr().err
         assert not (tmp_path / "run_diagram.csv").exists()
 
     def test_infinite_ratio_rows(self, tmp_path):

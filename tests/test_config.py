@@ -277,6 +277,11 @@ class TestYamlRoundTrip:
         given = load_config(overrides={"T": 4, "r": 20, section: {"ratios": [3]}})
         assert getattr(given, section).ratios == (3.0,)
 
+    def test_yaml_infinity_is_the_infinite_ratio(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text("T: 3\nkernel: delta\ndiagram: {ratios: [1, .inf]}\n")
+        assert load_config(path).diagram.ratios == (1.0, float("inf"))
+
     def test_negative_infinite_ratio_is_refused(self):
         # only +inf is the infinite-resolution limit
         with pytest.raises(ConfigurationError, match=r"^diagram\.ratios: grid ratio -inf"):
@@ -450,7 +455,7 @@ class TestInitialStates:
             initial_condition={"kind": "equilibrium", "epsilon": 1e-3, "cell": 1}
         )
         f = build_initial_state(cfg, self.grid())
-        ref = equilibrium_on_grid(closed_form_equilibrium(0.6, 0.4, 3), 2).masses
+        ref = equilibrium_on_grid(closed_form_equilibrium(0.6, 0.4, 3), 2, self.grid()).masses
         assert f[0] == pytest.approx(ref[0] + 1e-3)
         assert f[1:] == pytest.approx(ref[1:])
 

@@ -45,7 +45,6 @@ from kinetic_traffic import (
     integrate_many,
     select_fit_window,
     staircase_distance,
-    unstable_equilibrium,
 )
 from kinetic_traffic import dynamics
 from kinetic_traffic.dynamics import _make_jac
@@ -59,6 +58,7 @@ from _oracles import (
     slowest_decay_rate,
     solve_ivp_steady_state,
     triangle_jacobian,
+    unstable_equilibrium,
 )
 
 TENSOR_ZOO = [
@@ -214,7 +214,8 @@ class TestJacobianOracle:
 
 class TestIntegrate:
     def test_equilibrium_stays_put(self):
-        f = equilibrium_on_grid(closed_form_equilibrium(0.6, 0.4, 3), 2)
+        f = equilibrium_on_grid(closed_form_equilibrium(0.6, 0.4, 3), 2,
+                                VelocityGrid(n_cells=7, v_max=1.0))
         tensor = build_delta_tensor_integer(f.grid, GridRatio(Fraction(2)), 0.4)
         traj = integrate(f.masses, tensor, 1.0, 50.0)
         drift = np.abs(traj.states - f.masses).max()
@@ -488,7 +489,7 @@ class TestSteadyState:
         tensor = build_delta_tensor_integer(grid, GridRatio(Fraction(r)), 0.4)
         f0 = np.full(n, 0.6 / n)
         f_inf = find_steady_state(f0, tensor, 1.0, residual_tol=1e-10, t_max=1e7)
-        ref = equilibrium_on_grid(closed_form_equilibrium(0.6, 0.4, 3), r)
+        ref = equilibrium_on_grid(closed_form_equilibrium(0.6, 0.4, 3), r, grid)
         assert np.abs(f_inf.masses - ref.masses).max() <= 1e-12
         assert np.abs(collision_rhs(f_inf, tensor, 1.0)).max() <= 1e-10
 
@@ -512,6 +513,36 @@ class TestSteadyState:
         ref = unstable_equilibrium(0.7, 0.3, 3, 2, 1)
         assert np.abs(f_inf.masses - ref.masses).max() <= 1e-10
         assert f_inf.masses[0] == 0.0
+
+    @pytest.mark.parametrize("kernel,n_jumps,r", [
+        (Kernel.CHI, 3, 4), (Kernel.DELTA, 3, 4), (Kernel.CHI, 2, 6),
+    ])
+    @pytest.mark.parametrize("empty", [0, 1, 2, 3])
+    def test_random_starts_end_on_the_chain_above_their_empty_cells(
+        self, kernel, n_jumps, r, empty
+    ):
+        params = ModelParams(delta_v=1.0 / n_jumps, kernel=kernel)
+        grid, ratio = build_grid(params, r)
+        rng = np.random.default_rng(100 * r + 10 * n_jumps + empty)
+        for rho in (0.6, 0.75, 0.9):
+            tensor = build_tensor(kernel, grid, ratio, evaluate_probability(PowerLaw(), rho, params))
+            f0 = np.zeros(grid.n_cells)
+            f0[empty:] = rng.uniform(0.0, 1.0, grid.n_cells - empty)
+            f0 *= rho / f0.sum()
+            got = find_steady_state(f0, tensor, 1.0, residual_tol=1e-10, t_max=1e7).masses
+            assert np.array_equal(got[:empty], np.zeros(empty))
+            assert np.abs(got - banded_equilibrium(tensor, rho, empty).masses).max() <= 1e-12
+
+    def test_timeout_state_keeps_the_empty_cells(self):
+        grid = VelocityGrid(n_cells=7, v_max=1.0)
+        tensor = build_delta_tensor_integer(grid, GridRatio(Fraction(2)), 0.4)
+        f0 = np.zeros(7)
+        f0[2:] = 0.1
+        with pytest.raises(SteadyStateTimeout) as exc:
+            find_steady_state(f0, tensor, 1.0, residual_tol=1e-30, t_max=5.0)
+        assert exc.value.state.grid == grid
+        assert np.array_equal(exc.value.state.masses[:2], np.zeros(2))
+        assert exc.value.state.masses.sum() == pytest.approx(0.5, rel=1e-10)
 
     def test_timeout_reports_progress(self, caplog):
         grid = VelocityGrid(n_cells=7, v_max=1.0)
@@ -660,10 +691,10 @@ class TestRateFitting:
     def test_exact_exponential_is_recovered(self):
         t = np.linspace(0.0, 10.0, 201)
         series = TimeSeries(times=t, values=3.0 * np.exp(-2.0 * t))
-        assert abs(fit_convergence_rate(series) - 2.0) <= 1e-10
+        assert abs(fit_convergence_rate(series).rate - 2.0) <= 1e-10
         window = select_fit_window(series)
         assert window[0] > 0.0 and window[1] <= 10.0
-        result = fit_convergence_rate(series, window, full=True)
+        result = fit_convergence_rate(series, window)
         assert result.rate == pytest.approx(2.0, abs=1e-10)
         assert result.residual <= 1e-10
 
@@ -673,9 +704,9 @@ class TestRateFitting:
         tensor = build_delta_tensor_integer(grid, GridRatio(Fraction(1)), p)
         f0 = np.full(6, rho / 6)
         traj = integrate(f0, tensor, 1.0, 200.0)
-        ref = equilibrium_on_grid(closed_form_equilibrium(rho, p, n_jumps), 1)
+        ref = equilibrium_on_grid(closed_form_equilibrium(rho, p, n_jumps), 1, grid)
         series = distance_to_equilibrium(traj, ref)
-        rate = fit_convergence_rate(series, select_fit_window(series))
+        rate = fit_convergence_rate(series, select_fit_window(series)).rate
         # independent routes: spectrum of the dense Jacobian, and the
         # closed-form congested decay eta * rho * (1 - 2p)
         assert rate == pytest.approx(slowest_decay_rate(tensor, 1.0, ref.masses), rel=1e-4)
@@ -689,15 +720,16 @@ class TestRateFitting:
             tensor = build_delta_tensor_integer(grid, GridRatio(Fraction(1)), 0.8)
             f0 = np.full(n, 0.2 / n)
             traj = integrate(f0, tensor, 1.0, 200.0)
-            ref = equilibrium_on_grid(closed_form_equilibrium(0.2, 0.8, n_jumps), 1)
+            ref = equilibrium_on_grid(closed_form_equilibrium(0.2, 0.8, n_jumps), 1, grid)
             series = distance_to_equilibrium(traj, ref)
-            rates[n_jumps] = fit_convergence_rate(series, select_fit_window(series))
+            rates[n_jumps] = fit_convergence_rate(series, select_fit_window(series)).rate
         assert rates[3] == pytest.approx(0.10261920469378773, rel=1e-9)
         assert rates[5] == pytest.approx(0.09024306951306985, rel=1e-9)
         assert abs(rates[3] - rates[5]) / rates[3] > 0.05
 
     def test_distance_series_vanishes_at_the_fixed_point(self):
-        f = equilibrium_on_grid(closed_form_equilibrium(0.6, 0.4, 3), 1)
+        f = equilibrium_on_grid(closed_form_equilibrium(0.6, 0.4, 3), 1,
+                                VelocityGrid(n_cells=4, v_max=1.0))
         tensor = build_delta_tensor_integer(f.grid, GridRatio(Fraction(1)), 0.4)
         traj = integrate(f.masses, tensor, 1.0, 20.0)
         series = distance_to_equilibrium(traj, f)

@@ -38,12 +38,11 @@ from kinetic_traffic import (
     find_steady_state,
     integrate,
     reference_equilibrium,
-    unstable_equilibrium,
     verify_quantized_support,
 )
 from kinetic_traffic.dynamics import NEGATIVITY_TOL
 
-from _oracles import banded_equilibrium_mp, equilibrium_mp
+from _oracles import banded_equilibrium_mp, equilibrium_mp, unstable_equilibrium
 
 
 class TestClosedForm:
@@ -61,7 +60,6 @@ class TestClosedForm:
         m = float(eq.masses[1])
         assert abs(m * m + 0.2 * m - 0.08) <= 1e-15
         assert abs(float(eq.masses[2]) - (math.sqrt(0.68) - 0.6) / 2) <= 1e-15
-        assert eq.discriminants == pytest.approx((0.1296, 0.2448), abs=1e-15)
 
     def test_mass_accounting(self):
         eq = closed_form_equilibrium(0.6, 0.4, 3)
@@ -138,18 +136,24 @@ class TestOnGrid:
     def test_is_fixed_point_of_collision_operator(self, rho, n_jumps, r):
         p = 1.0 - rho
         eq = closed_form_equilibrium(rho, p, n_jumps)
-        f = equilibrium_on_grid(eq, r)
-        assert f.grid.n_cells == r * n_jumps + 1
+        f = equilibrium_on_grid(eq, r, VelocityGrid(n_cells=r * n_jumps + 1, v_max=1.0))
         tensor = build_delta_tensor_integer(f.grid, GridRatio(Fraction(r)), p)
         assert np.abs(collision_rhs(f, tensor, 1.0)).max() <= 1e-10
 
     def test_refinement_places_mass_at_quantized_cells(self):
         eq = closed_form_equilibrium(0.6, 0.4, 3)
-        f = equilibrium_on_grid(eq, 4)
+        f = equilibrium_on_grid(eq, 4, VelocityGrid(n_cells=13, v_max=1.0))
         masses = f.masses
         occupied = np.nonzero(masses)[0]
         assert occupied.tolist() == [0, 4, 8, 12]
         assert masses[occupied] == pytest.approx(list(map(float, eq.masses)))
+
+    def test_grid_must_fit_the_ratio(self):
+        eq = closed_form_equilibrium(0.6, 0.4, 3)
+        with pytest.raises(ConfigurationError, match="at ratio 4 needs 13"):
+            equilibrium_on_grid(eq, 4, VelocityGrid(n_cells=7, v_max=1.0))
+        with pytest.raises(ConfigurationError, match="positive integer"):
+            equilibrium_on_grid(eq, 1.5, VelocityGrid(n_cells=13, v_max=1.0))
 
     @pytest.mark.parametrize("kernel,ratio,has_closed_form", [
         (Kernel.DELTA, Fraction(4), True),
@@ -169,7 +173,7 @@ class TestOnGrid:
 
     def test_support_check_accepts_quantized_state(self):
         eq = closed_form_equilibrium(0.6, 0.4, 3)
-        f = equilibrium_on_grid(eq, 4)
+        f = equilibrium_on_grid(eq, 4, VelocityGrid(n_cells=13, v_max=1.0))
         report = verify_quantized_support(f, 1 / 3, tol_mass=1e-10, tol_loc=f.grid.dv)
         assert report.passed
         assert report.stray_mass == 0.0

@@ -124,6 +124,18 @@ class TestFundamentalDiagram:
         with pytest.raises(ConfigurationError, match="grid ratio -inf"):
             fundamental_diagram(ModelParams(delta_v=1 / 3), LAW, -math.inf, [0.3])
 
+    @pytest.mark.parametrize("kernel,delta_v,ratio,message", [
+        # T=4, r=7/2: a 15-cell grid whose classes fall between cells
+        (Kernel.DELTA, 0.25, Fraction(7, 2), "non-integer ratio grid is not defined"),
+        # T=2, r=3/2: a 4-cell grid
+        (Kernel.CHI, 0.5, Fraction(3, 2), "spread-kernel grids require integer ratios"),
+    ])
+    def test_fractional_ratio_grid_is_refused(self, kernel, delta_v, ratio, message):
+        params = ModelParams(delta_v=delta_v, kernel=kernel)
+        build_grid(params, ratio)  # the grid itself exists
+        with pytest.raises(ConfigurationError, match=message):
+            fundamental_diagram(params, LAW, ratio, [0.3])
+
     @pytest.mark.parametrize("r", [1, 4])
     def test_finite_ratio_flux_stays_near_the_limit(self, r):
         params = ModelParams(delta_v=0.25)
@@ -257,5 +269,6 @@ class TestDecelerationTime:
             deceleration_time(params, LAW, 4, 0.9, factor=1.0)
         with pytest.raises(ConfigurationError):
             deceleration_time(ModelParams(delta_v=1 / 3, kernel=Kernel.CHI), LAW, 4, 0.9)
-        with pytest.raises(ConfigurationError):
-            deceleration_time(params, LAW, Fraction(7, 2), 0.9)
+        # T=3 and r=5/3 give a 6-cell grid, whose ratio is not whole
+        with pytest.raises(ConfigurationError, match="needs an integer ratio"):
+            deceleration_time(params, LAW, Fraction(5, 3), 0.9)
