@@ -28,20 +28,19 @@ its own P and band) and its own step t_end/ceil(t_end*eta*rho/0.1), held
 as a column, and stands still once its steps are done.  Every row gets
 the arithmetic of a lone run, so a trajectory does not depend on the
 batch it was marched in; `integrate` is the one-row case.  Steady states
-come from LSODA, see `find_steady_state`.
+come from a linearly implicit march whose every step is one forward
+substitution on the band, see `find_steady_state`.
 """
 from __future__ import annotations
 
 import bisect
 import logging
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.integrate import ODEintWarning, odeint
 
 from .matrices import InteractionTensor, VelocityGrid
 from .params import ConfigurationError
@@ -86,6 +85,9 @@ MAX_STEPS = 10**7
 # Every width from 16 up matched, for r = k, k + 1/3 and k + 2/3 up to
 # k = 69 on N = 3r + 1 cells, and on the N=401 and N=1001 grids.
 DIAGONAL_MIN_WIDTH = 64
+# Most Newton steps that polish a converged steady state, see
+# find_steady_state
+POLISH_STEPS = 8
 # select_fit_window's guard bands, see there
 HEAD_DROP = 1e-2
 DECADES_ABOVE_FLOOR = 1.5
@@ -98,8 +100,9 @@ class NumericalError(RuntimeError):
 class SteadyStateTimeout(NumericalError):
     """Steady-state search hit t_max; carries the last state and residual.
 
-    Also carries the work done: LSODA steps, RHS and Jacobian evaluations
-    summed over the chunks, the number of chunks and the time reached.
+    Also carries the work done: accepted and rejected steps, RHS
+    evaluations, Jacobian evaluations (one per implicit solve) and the time
+    reached.
     """
 
     def __init__(
@@ -109,18 +112,18 @@ class SteadyStateTimeout(NumericalError):
         residual: float,
         *,
         steps: int = 0,
+        rejected: int = 0,
         rhs_evals: int = 0,
         jac_evals: int = 0,
-        chunks: int = 0,
         t_reached: float = 0.0,
     ):
         super().__init__(message)
         self.state = state
         self.residual = residual
         self.steps = steps
+        self.rejected = rejected
         self.rhs_evals = rhs_evals
         self.jac_evals = jac_evals
-        self.chunks = chunks
         self.t_reached = t_reached
 
 
@@ -234,58 +237,6 @@ def _as_array(f: Union[CellMassVector, np.ndarray], tensor: InteractionTensor) -
     return arr
 
 
-def _make_rhs(
-    tensor: InteractionTensor, eta: float, accel_op: Callable[[np.ndarray], np.ndarray]
-):
-    """RHS closure on one state; accel_op(f) supplies the product W @ f."""
-    p = tensor.p
-    one_minus_2p = 1.0 - 2.0 * p
-
-    def rhs(f: np.ndarray) -> np.ndarray:
-        total = f.sum()
-        csum = np.cumsum(f)
-        below = csum - f                     # C_j, mass strictly below j
-        above = total - csum                 # U_j, mass strictly above j
-        return eta * (f * (-below - p * f + one_minus_2p * above) + accel_op(f) * total)
-
-    return rhs
-
-
-def _make_jac(tensor: InteractionTensor, eta: float):
-    """Dense Jacobian of the RHS closure, for the steady-state solver.
-
-    Row j holds (1 - 2P) f_j right of the diagonal and -f_j left of it,
-    plus (W f)_j everywhere, the diagonal term -C_j - 2P f_j + (1 - 2P) U_j
-    and total * W on the acceleration band.  Each entry gets the same
-    floating-point operations in the same order as the sum of a diagonal,
-    two triangles, the column (W f) and total * W would give it, so the
-    result is bit-identical to that sum, without its N x N temporaries.
-    """
-    p = tensor.p
-    w = tensor.accel
-    one_minus_2p = 1.0 - 2.0 * p
-    n = tensor.n_cells
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    rows, cols = np.nonzero(tensor.band)
-    band_at = (rows, rows - tensor.bandwidth + cols)
-    band_w = tensor.band[rows, cols]
-    diag_at = np.diag_indices(n)
-
-    def jac(f: np.ndarray) -> np.ndarray:
-        total = f.sum()
-        csum = np.cumsum(f)
-        below = csum - f
-        above = total - csum
-        wf = w @ f
-        out = np.where(upper, (one_minus_2p * f + wf)[:, None], (-f + wf)[:, None])
-        out[diag_at] = (-below - 2.0 * p * f + one_minus_2p * above) + wf
-        out[band_at] += total * band_w
-        out *= eta
-        return out
-
-    return jac
-
-
 def _diagonal_plan(band: np.ndarray) -> tuple[int, list[tuple[int, np.ndarray]]]:
     """Rows and diagonals of a band stack that take the diagonal product.
 
@@ -352,9 +303,9 @@ def _make_batch_rhs(tensors: Sequence[InteractionTensor], eta: float, rows: int)
     Row i evolves under tensors[i], or every row under the tensor when only
     one is given; all share the grid and bandwidth.  The band product W @ f
     comes from `_make_band_product`, planned once per closure.  Every row
-    gets the operations `_make_rhs` gives one state with the vecdot band
-    product, bit for bit, so its rate depends on neither the batch nor the
-    path the product takes.
+    gets the operations the rearranged form gives one state with the vecdot
+    band product, bit for bit, so its rate depends on neither the batch nor
+    the path the product takes.
     """
     band = tensors[0].band[None] if len(tensors) == 1 else np.stack([t.band for t in tensors])
     p = np.array([[t.p] for t in tensors])
@@ -588,13 +539,43 @@ def integrate(
     return integrate_many([f0], [tensor], eta, t_end, controls)[0]
 
 
-def _chunk_end(t_hi: float, t_max: float) -> float:
-    """Chunk end capped at t_max; an end within LSODA's start threshold of
-    t_max (2 eps t_max) becomes t_max, since a last chunk that short is
-    illegal input to LSODA."""
-    if t_max - t_hi <= 2.0 * np.finfo(float).eps * t_max:
-        return t_max
-    return t_hi
+def _implicit_solve(
+    tensor: InteractionTensor, eta: float, f: np.ndarray, rate: np.ndarray, sigma: float
+) -> Optional[np.ndarray]:
+    """The d with (sigma I - J) d = rate, J the RHS Jacobian at f, in O(N b).
+
+    J = eta (T + u 1^T) with T lower triangular: T_jk = -2 (1 - P) f_j
+    + S W_jk left of the diagonal and T_jj = -C_j - f_j + (1 - 2P) U_j
+    + S W_jj on it, S the total mass.  The columns of T sum to -(1 - P) S
+    and the rates to 0, so 1^T d = 0 and the u 1^T term drops out: d comes
+    from one forward substitution of sigma I - eta T, row j from the
+    running sum of d below it and band row j.  sigma = 1/dt gives a
+    linearly implicit Euler step, sigma = 0 the mass-conserving Newton
+    step.  Returns None when a diagonal entry sigma - eta T_jj is not
+    positive: the step would not damp that cell's mode.
+    """
+    n, width = tensor.band.shape
+    b = width - 1
+    total = f.sum()
+    csum = np.cumsum(f)
+    below = csum - f
+    above = total - csum
+    diag = sigma - eta * (-below - f + (1.0 - 2.0 * tensor.p) * above
+                          + total * tensor.band[:, b])
+    if not diag.min() > 0.0:
+        return None
+    lower = (eta * total) * tensor.band[:, :b]
+    brake = (-2.0 * eta * (1.0 - tensor.p)) * f
+    padded = np.zeros(b + n)  # d behind b zeros: row j meets padded[j:j + b]
+    prefix = 0.0
+    for j, (r_j, c_j, diag_j, row, window) in enumerate(zip(
+        rate.tolist(), brake.tolist(), diag.tolist(), lower,
+        sliding_window_view(padded, b),
+    )):
+        d_j = (r_j + c_j * prefix + float(np.dot(row, window))) / diag_j
+        padded[b + j] = d_j
+        prefix += d_j
+    return padded[b:]
 
 
 def _upper_cells(tensor: InteractionTensor, empty: int) -> InteractionTensor:
@@ -627,15 +608,26 @@ def find_steady_state(
     residual alone can dip early while the state still drifts along a slow
     manifold.
 
-    Stepping uses LSODA (scipy's odeint, with the analytic dense Jacobian)
-    over horizon chunks ending at 10/(eta*rho) and then five times further
-    each, one compiled call per chunk that stops exactly at its end.  Components below zero by
-    no more than 1e-12 are clamped after each chunk and total mass is
-    re-projected to its exact initial value (both guarded, so genuine
-    integration errors are not masked).  Raises NumericalError if LSODA
-    fails and SteadyStateTimeout, carrying the last state, the residual and
-    the work done, if t_max is exhausted.  The work is logged at DEBUG
-    level when the solve ends.
+    Pseudo-transient continuation (Kelley & Keyes, SIAM J. Numer. Anal.
+    35, 1998): a step of length dt solves (I - dt J) d = dt F(f) by one
+    O(N b) forward substitution (`_implicit_solve`) and sets f <- f + d.
+    The first dt is the RK4 step 0.1/(eta*rho).  A step whose solve meets a
+    non-positive diagonal entry, or whose state has a negative component,
+    is rejected and dt quartered; nothing is clamped.  An accepted step
+    scales dt by 0.5 over the largest relative change of a cell,
+    |d_j| / max(f_j, f_j + d_j), at most fourfold.  The steps count against
+    t_max, the last one cut to end on it.  Once the stopping rule holds, up
+    to POLISH_STEPS Newton steps follow, each kept, with rounding-level
+    negatives set to 0 and the mass re-projected, while it lowers the
+    residual; one that leaves a component below -1e-12 ends the polish.
+
+    A new state whose mass is not finite, or has drifted by more than 1e-8
+    relative, raises NumericalError: from a finite state a step leaves a
+    finite one unless the rates overflow, which no shorter step mends.  So
+    does a dt too small to advance t, which only rejections without end
+    can bring about.  t_max exhausted raises SteadyStateTimeout, carrying
+    the last state, the residual and the work done, which is logged at
+    DEBUG level when the march ends.
 
     Braking into cell k goes at a rate proportional to f_k and acceleration
     only moves mass up, so the start's empty bottom cells 1..s stay empty
@@ -661,62 +653,27 @@ def find_steady_state(
         return CellMassVector(np.concatenate((np.zeros(empty), f)), grid)
 
     rho0 = f.sum()
-    # LSODA gets the dense product, not the band one: the band product
-    # rounds differently, which moves the steady states and the failure
-    # points in the last bits.  Swapped in, it broke the bit-identity to the
-    # solve_ivp reference in three of its cases, and the near-critical
-    # failure (spread kernel, T=2, r=20, rho=0.49) dipped to -3.577e-10
-    # instead of -1.737e-9.
-    w = tensor.accel
-    rhs = _make_rhs(tensor, eta, lambda y: w @ y)
-    residual = float(np.abs(rhs(f)).max())
+    batch_rhs = _make_batch_rhs([tensor], eta, 1)
+    work = dict(steps=0, rejected=0, rhs_evals=0, jac_evals=0, t_reached=0.0)
+
+    def rhs(f: np.ndarray) -> tuple[np.ndarray, float]:
+        work["rhs_evals"] += 1
+        rate = batch_rhs(f[None])[0]
+        return rate, float(np.abs(rate).max())
+
+    def solve(f: np.ndarray, rate: np.ndarray, sigma: float) -> Optional[np.ndarray]:
+        work["jac_evals"] += 1
+        return _implicit_solve(tensor, eta, f, rate, sigma)
+
+    rate, residual = rhs(f)
     if residual <= residual_tol:
         return state(f)
 
-    jac = _make_jac(tensor, eta)
-    scale = eta * rho0
-    t = 0.0
-    t_hi = _chunk_end(10.0 / scale, t_max)
-    atol = 1e-15 * max(rho0, 1e-3)
-    work = dict(steps=0, rhs_evals=0, jac_evals=0, chunks=0, t_reached=t)
+    t, dt = 0.0, 0.1 / (eta * float(rho0))  # Python floats: 1/dt may overflow
+    change_rate = math.inf
     try:
-        while True:
-            with warnings.catch_warnings():
-                # a failed call is reported through info below
-                warnings.simplefilter("ignore", ODEintWarning)
-                ys, info = odeint(
-                    lambda y, _t: rhs(y),
-                    f,
-                    [t, t_hi],
-                    Dfun=lambda y, _t: jac(y),
-                    rtol=1e-11,
-                    atol=atol,
-                    tcrit=[t_hi],
-                    mxstep=2**31 - 1,
-                    full_output=True,
-                )
-            work["steps"] += int(info["nst"][-1])
-            work["rhs_evals"] += int(info["nfe"][-1])
-            work["jac_evals"] += int(info["nje"][-1])
-            if info["message"] != "Integration successful.":
-                raise NumericalError(f"steady-state stepping failed: {info['message']}")
-            work["chunks"] += 1
-            work["t_reached"] = t_hi
-            prev = f
-            f = ys[-1]
-            _clamp_negativity(f, f"steady-state chunk ending at t={t_hi:.3g}")
-            total = f.sum()
-            if not abs(total - rho0) <= 1e-8 * max(rho0, 1.0):  # NaN too
-                raise NumericalError(
-                    f"mass drifted by {total - rho0:.3e} within one chunk; aborting"
-                )
-            if total > 0:
-                f *= rho0 / total
-            residual = float(np.abs(rhs(f)).max())
-            change_rate = float(np.abs(f - prev).max()) / (rho0 * (t_hi - t))
-            if residual <= residual_tol and change_rate <= residual_tol:
-                return state(f)
-            if t_hi >= t_max:
+        while not (residual <= residual_tol and change_rate <= residual_tol):
+            if t >= t_max:
                 raise SteadyStateTimeout(
                     f"no steady state within t_max={t_max:.3g}: "
                     f"residual {residual:.3e}, state change rate {change_rate:.3e}",
@@ -724,14 +681,57 @@ def find_steady_state(
                     residual=residual,
                     **work,
                 )
-            t = t_hi
-            t_hi = _chunk_end(t_hi * 5.0, t_max)
+            last = dt >= t_max - t
+            if last:
+                dt = t_max - t
+            if t + dt == t:  # no step left that moves the clock
+                raise NumericalError(
+                    f"steady-state step {dt:.3e} too small to advance t={t:.6g}"
+                )
+            d = solve(f, rate, 1.0 / dt)
+            if d is not None:
+                g = f + d
+                total = g.sum()
+                if not abs(total - rho0) <= 1e-8 * max(rho0, 1.0):  # NaN and inf too
+                    raise NumericalError(
+                        f"mass drifted by {total - rho0:.3e} within one step; aborting"
+                    )
+            if d is None or g.min() < 0.0:
+                work["rejected"] += 1
+                dt *= 0.25
+                continue
+            work["steps"] += 1
+            t = t_max if last else t + dt
+            work["t_reached"] = t
+            # |d_j| <= max(f_j, g_j) as g >= 0: worst <= 1, so dt at most
+            # halves, when a cell empties or fills from nothing
+            scale = np.maximum(f, g)
+            worst = float((np.abs(d) / np.where(scale > 0.0, scale, 1.0)).max())
+            f = g
+            rate, residual = rhs(f)
+            change_rate = float(np.abs(d).max()) / (rho0 * dt)
+            dt *= min(4.0, 0.5 / worst) if worst > 0.0 else 4.0
+
+        for _ in range(POLISH_STEPS):
+            d = solve(f, rate, 0.0)
+            if d is None:
+                break
+            g = f + d
+            if not g.min() >= NEGATIVITY_TOL:  # NaN too
+                break
+            g[g < 0.0] = 0.0
+            g *= rho0 / g.sum()
+            g_rate, g_residual = rhs(g)
+            if not g_residual < residual:
+                break
+            f, rate, residual = g, g_rate, g_residual
+        return state(f)
     finally:
         logger.debug(
-            "steady-state solve ended: t_reached=%.6g chunks=%d steps=%d "
+            "steady-state solve ended: t_reached=%.6g steps=%d rejected=%d "
             "rhs_evals=%d jac_evals=%d",
-            work["t_reached"], work["chunks"],
-            work["steps"], work["rhs_evals"], work["jac_evals"],
+            work["t_reached"], work["steps"], work["rejected"],
+            work["rhs_evals"], work["jac_evals"],
         )
 
 

@@ -18,12 +18,12 @@ Both kernels' bands come from one assembler, given the share of each
 candidate cell h that lands in output cell j: an exact interval overlap
 for the jump kernel, an exact window integral for the spread kernel.
 Only the band, an (N, b + 1) array, is stored; the band plus P is the
-whole tensor: the RK4 right-hand side takes W @ f from it, in O(N * b) by
+whole tensor: the right-hand side takes W @ f from it, in O(N * b) by
 one vecdot over the band, or in O(N + b) on a wide jump-kernel band,
 whose rows below the top one hold at most two weights on fixed diagonals
 and take one slice product per diagonal; stochasticity reduces to every
 column of W summing to P; and the dense (N, N) matrix is derived on
-demand for the steady-state solver.
+demand, for inspection and dense references: no solver reads it.
 """
 from __future__ import annotations
 
@@ -163,7 +163,7 @@ class InteractionTensor:
     band[j, k] = accel[j, j - b + k] (0-based), so column b - d is the d-th
     lower diagonal.  Entries left of column 0 are zero.  `collision_rhs`
     applies the weights from the band; `accel` is the dense (N, N) matrix,
-    built from the band on first use for the steady-state solver.  The
+    built from the band on first use, which no solver reads.  The
     constructor requires 0 <= p <= 1 and a finite, nonnegative band, the
     assumptions of the column-sum check in `verify_stochasticity`, and keeps
     a float copy of the band, so the caller's array stays writable.  Both
@@ -202,7 +202,10 @@ class InteractionTensor:
 
     @cached_property
     def accel(self) -> np.ndarray:
-        """Dense (N, N) acceleration weights, [j-1, h-1], derived from the band."""
+        """Dense (N, N) acceleration weights, [j-1, h-1], derived from the band.
+
+        For inspection and dense references; no solver reads it.
+        """
         n, b = self.n_cells, self.bandwidth
         rows, cols = np.nonzero(self.band)
         dense = np.zeros((n, n))

@@ -10,17 +10,20 @@ decay rates.  Agreement is then evidence, not circularity.  The shifted
 (unstable) jump-kernel equilibrium is laid out from the closed form class
 by class, a route apart from the band chain that gives it in the package.
 Four routines are references rather than oracles, earlier implementations
-that the package must match bit for bit: the original cell-by-cell jump-kernel
-builder, the original pairwise spread builder, the steady-state search
-that stepped LSODA through scipy's solve_ivp with a Jacobian summed from a
-diagonal and two triangles, and the scalar RK4 loop that marched one state
-at a time.
+of the package: the original cell-by-cell jump-kernel builder, the
+original pairwise spread builder and the scalar RK4 loop that marched one
+state at a time, which the package must match bit for bit, and the
+steady-state search that stepped LSODA through scipy's solve_ivp with a
+Jacobian summed from a diagonal and two triangles, which the package's
+implicit march must match within a tolerance.  `_make_rhs`, the one-state
+right-hand side those two references evaluate with the dense or the band
+product, is the package's former RHS factory.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import mpmath
 import numpy as np
@@ -40,10 +43,26 @@ from kinetic_traffic.dynamics import (
     _check_eta,
     _check_finite,
     _clamp_negativity,
-    _make_rhs,
     logger,
 )
 from kinetic_traffic.matrices import InteractionTensor, VelocityGrid
+
+
+def _make_rhs(
+    tensor: InteractionTensor, eta: float, accel_op: Callable[[np.ndarray], np.ndarray]
+):
+    """RHS closure on one state; accel_op(f) supplies the product W @ f."""
+    p = tensor.p
+    one_minus_2p = 1.0 - 2.0 * p
+
+    def rhs(f: np.ndarray) -> np.ndarray:
+        total = f.sum()
+        csum = np.cumsum(f)
+        below = csum - f                     # C_j, mass strictly below j
+        above = total - csum                 # U_j, mass strictly above j
+        return eta * (f * (-below - p * f + one_minus_2p * above) + accel_op(f) * total)
+
+    return rhs
 
 
 def cell_edges(n: int, j: int) -> tuple[Fraction, Fraction]:
@@ -356,8 +375,8 @@ def slowest_decay_rate(tensor, eta: float, f_inf: np.ndarray) -> float:
 def triangle_jacobian(tensor, eta: float):
     """Jacobian closure summed from a diagonal, two triangles and total * W.
 
-    The package's original form of the steady-state Jacobian; its two-pass
-    replacement must give the same matrix bit for bit.
+    The package's original form of the steady-state Jacobian, which
+    `solve_ivp_steady_state` hands to LSODA.
     """
     p = tensor.p
     w = tensor.accel
@@ -387,10 +406,12 @@ def solve_ivp_steady_state(
 ) -> CellMassVector:
     """The original steady-state search: one solve_ivp(LSODA) call per chunk.
 
-    Same chunks, tolerances, clamp and mass re-projection as
-    `find_steady_state`, with the triangle-sum Jacobian; scipy's solve_ivp
-    returns to Python after every LSODA step, so this is slow but steps
-    through exactly the same states.
+    Chunks ending at 10/(eta*rho) and then five times further each, the
+    triangle-sum Jacobian, a clamp of components above -1e-12 and a mass
+    re-projection after every chunk.  An independent march to the same
+    stopping rule, so `find_steady_state` must end within a tolerance of
+    it, not on its bits; it still dips below the negativity floor on the
+    spread kernel at T=2, r=20, rho=0.49.
     """
     if residual_tol <= 0:
         raise ConfigurationError("residual_tol must be positive")

@@ -145,6 +145,18 @@ class TestEquilibrium:
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         assert manifest["max_oracle_difference"] <= 1e-12
 
+    def test_near_critical_spread_sample_meets_the_chain(self, tmp_path):
+        # the former LSODA march dipped to -1.737e-9 here and exited 3
+        code = run(
+            tmp_path, "equilibrium", "--kernel", "chi", "--rho", "0.49",
+            "--T", "2", "--r", "20",
+        )
+        assert code == 0
+        _, rows = read_csv(tmp_path / "run_equilibrium.csv")
+        assert min(float(row[3]) for row in rows) >= 0.0
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["max_oracle_difference"] <= 1e-10
+
     @pytest.mark.parametrize("kernel", ["delta", "chi"])
     def test_empty_road_has_an_all_zero_oracle(self, tmp_path, kernel):
         code = run(

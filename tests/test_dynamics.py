@@ -7,7 +7,6 @@ fitter against synthetic exponentials plus the linearization spectrum.
 import logging
 import math
 import tracemalloc
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -47,7 +46,6 @@ from kinetic_traffic import (
     staircase_distance,
 )
 from kinetic_traffic import dynamics
-from kinetic_traffic.dynamics import _make_jac
 from kinetic_traffic.matrices import InteractionTensor
 
 from _oracles import (
@@ -57,7 +55,6 @@ from _oracles import (
     rk4_reference,
     slowest_decay_rate,
     solve_ivp_steady_state,
-    triangle_jacobian,
     unstable_equilibrium,
 )
 
@@ -165,35 +162,56 @@ class TestCollisionRhs:
         assert rk4_peak < 1_000_000
 
 
-class TestSteadyStateJacobian:
+class TestImplicitSolve:
+    """The steady-state march's O(N b) solve of (sigma I - J) d = y."""
+
     @pytest.mark.parametrize("t_jumps,r,builder", TENSOR_ZOO)
     @pytest.mark.parametrize("p", [0.0, 0.35, 0.5, 1.0])
-    def test_matches_dense_oracle(self, t_jumps, r, builder, p):
-        # relative to eta * rho, the size of the entries; and bit for bit
-        # the sum of a diagonal, two triangles and two N x N terms
+    @pytest.mark.parametrize("sigma", [10.0, 0.1, 1e-4])
+    def test_matches_dense_oracle(self, t_jumps, r, builder, p, sigma):
+        # right-hand sides that sum to zero, as rates do, on states with
+        # and without two empty bottom cells (rates zero there too)
         grid, tensor = zoo_tensor(t_jumps, r, builder, p)
-        jac = _make_jac(tensor, 2.0)
-        triangles = triangle_jacobian(tensor, 2.0)
+        n = grid.n_cells
         rng = np.random.default_rng(5)
-        for _ in range(3):
-            f = rng.uniform(0.0, 0.2, grid.n_cells)
-            want = dense_jacobian(f, tensor, 2.0)
-            assert np.abs(jac(f) - want).max() <= 1e-15 * 2.0 * f.sum()
-            assert np.array_equal(jac(f), triangles(f))
+        for empty in (0, 2):
+            f = rng.uniform(0.0, 0.2, n)
+            f[:empty] = 0.0
+            y = rng.normal(size=n)
+            y[:empty] = 0.0
+            y[empty:] -= y[empty:].mean()
+            jac = dense_jacobian(f, tensor, 2.0)
+            d = dynamics._implicit_solve(tensor, 2.0, f, y, sigma)
+            # J's eigenvalues: J_jj - J_jN below the top (J_jN is its
+            # rank-one part there) and the conservation mode 0
+            modes = sigma - (np.diag(jac) - jac[:, -1])[:-1]
+            if d is None:
+                assert modes.min() <= 1e-12
+                continue
+            assert modes.min() > -1e-12
+            matrix = sigma * np.eye(n) - jac
+            # the solve damps rounding in 1^T d by sigma + eta (1 - P) S
+            # alone, and u 1^T weighs it by about eta S: at most twice for
+            # P <= 1/2, eta S / sigma at P = 1
+            total = 2.0 * f.sum()
+            mass_mode = max(1.0, total / (sigma + (1.0 - p) * total))
+            assert np.abs(matrix @ d - y).max() <= 1e-14 * mass_mode * np.abs(y).max()
+            assert np.abs(d - np.linalg.solve(matrix, y)).max() <= 1e-9 * np.abs(d).max()
+            assert np.array_equal(d[:empty], np.zeros(empty))
 
-    def test_one_call_allocates_under_two_square_arrays(self):
-        # the triangle sum peaked at 4.06 N x N float64 arrays here
+    def test_one_solve_allocates_under_one_square_array(self):
         grid = VelocityGrid(n_cells=401, v_max=1.0)
         tensor = build_chi_tensor(grid, GridRatio(Fraction(100)), 0.4)
-        jac = _make_jac(tensor, 1.0)
         f = np.full(grid.n_cells, 0.6 / grid.n_cells)
+        rate = collision_rhs(f, tensor, 1.0)
         tracemalloc.start()
         try:
-            jac(f)
+            d = dynamics._implicit_solve(tensor, 1.0, f, rate, 10.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 8 * grid.n_cells**2
+        assert d is not None
+        assert peak < 8 * grid.n_cells**2
 
 
 class TestJacobianOracle:
@@ -551,71 +569,54 @@ class TestSteadyState:
         with caplog.at_level(logging.DEBUG, logger="kinetic_traffic.dynamics"):
             with pytest.raises(SteadyStateTimeout) as exc:
                 find_steady_state(f0, tensor, 1.0, residual_tol=1e-30, t_max=5.0)
-        assert exc.value.residual > 1e-30
-        assert exc.value.state.masses.sum() == pytest.approx(0.5, rel=1e-10)
-        # the first chunk ends at 10/(eta*rho) = 20, beyond t_max
-        assert exc.value.chunks == 1
-        assert exc.value.t_reached == 5.0
-        assert exc.value.rhs_evals >= exc.value.steps > 0
+        timeout = exc.value
+        assert timeout.residual > 1e-30
+        assert timeout.state.masses.sum() == pytest.approx(0.5, rel=1e-10)
+        # the steps add up to t_max exactly, the last one cut to end there
+        assert timeout.t_reached == 5.0
+        assert timeout.steps > 0
+        # one solve per accepted or rejected step, one RHS per accepted step
+        # and one for the start
+        assert timeout.jac_evals == timeout.steps + timeout.rejected
+        assert timeout.rhs_evals == timeout.steps + 1
         logged = caplog.records[-1].getMessage()
         assert logged == (
-            f"steady-state solve ended: t_reached=5 chunks=1 steps={exc.value.steps} "
-            f"rhs_evals={exc.value.rhs_evals} jac_evals={exc.value.jac_evals}"
+            f"steady-state solve ended: t_reached=5 steps={timeout.steps} "
+            f"rejected={timeout.rejected} rhs_evals={timeout.rhs_evals} "
+            f"jac_evals={timeout.jac_evals}"
         )
+
+    def test_endless_rejections_end_in_a_numerical_error(self, monkeypatch):
+        # with every solve vetoed, dt is quartered until it no longer moves
+        # the clock; the march must stop there, not spin
+        monkeypatch.setattr(dynamics, "_implicit_solve", lambda *args: None)
+        grid = VelocityGrid(n_cells=7, v_max=1.0)
+        tensor = build_delta_tensor_integer(grid, GridRatio(Fraction(2)), 0.4)
+        with pytest.raises(NumericalError, match="too small to advance") as exc:
+            find_steady_state(np.full(7, 0.5 / 7), tensor, 1.0, t_max=10.0)
+        assert type(exc.value) is NumericalError
 
     @pytest.mark.parametrize("kernel,n_jumps,r,rho", [
         (Kernel.CHI, 2, 1, 0.3),
         (Kernel.CHI, 2, 20, 0.45),
         (Kernel.DELTA, 4, 100, 0.6),
     ])
-    def test_bit_identical_to_the_solve_ivp_reference(self, kernel, n_jumps, r, rho):
+    def test_matches_the_solve_ivp_reference(self, kernel, n_jumps, r, rho):
         tensor, f0 = _diagram_problem(kernel, n_jumps, r, rho)
         got = find_steady_state(f0, tensor, 1.0, residual_tol=1e-10, t_max=1e7)
         want = solve_ivp_steady_state(f0, tensor, 1.0, residual_tol=1e-10, t_max=1e7)
-        assert np.array_equal(got.masses, want.masses)
+        assert np.abs(got.masses - want.masses).max() <= 1e-12
 
-    def test_near_critical_failure_matches_the_reference(self):
-        # criterion 09's spread sample at rho=0.49, r=20 dips below the floor
-        tensor, f0 = _diagram_problem(Kernel.CHI, 2, 20, 0.01 + 0.02 * 24)
-        with pytest.raises(NumericalError) as want:
+    def test_near_critical_sample_reaches_the_chain(self):
+        # criterion 09's spread sample at rho=0.49, r=20: the LSODA reference
+        # dips below the negativity floor, the implicit march does not
+        rho = 0.01 + 0.02 * 24
+        tensor, f0 = _diagram_problem(Kernel.CHI, 2, 20, rho)
+        with pytest.raises(NumericalError, match="-1.737e-09"):
             solve_ivp_steady_state(f0, tensor, 1.0, residual_tol=1e-10, t_max=1e7)
-        with pytest.raises(NumericalError) as got:
-            find_steady_state(f0, tensor, 1.0, residual_tol=1e-10, t_max=1e7)
-        assert type(got.value) is NumericalError
-        assert str(got.value) == str(want.value)
-        assert "-1.737e-09" in str(got.value)
-
-    def test_chunk_end_ulps_short_of_t_max_is_stretched_to_it(self):
-        # chunks end at 20 and 100; a last chunk one ulp long would be too
-        # short for LSODA to start, so the second chunk runs to t_max
-        grid = VelocityGrid(n_cells=7, v_max=1.0)
-        tensor = build_delta_tensor_integer(grid, GridRatio(Fraction(2)), 0.4)
-        f0 = np.zeros(7)
-        f0[0] = 0.5
-        t_max = np.nextafter(100.0, 200.0)
-        with pytest.raises(SteadyStateTimeout) as exc:
-            find_steady_state(f0, tensor, 1.0, residual_tol=1e-30, t_max=t_max)
-        assert exc.value.chunks == 2
-        assert exc.value.t_reached == t_max
-
-    def test_failed_stepping_raises_without_a_warning(self, monkeypatch):
-        def failing_odeint(func, y0, t, **kwargs):
-            warnings.warn("stub solver failure", dynamics.ODEintWarning)
-            info = {"nst": [3], "nfe": [5], "nje": [1], "message": "Illegal input detected."}
-            return np.array([y0, y0]), info
-
-        monkeypatch.setattr(dynamics, "odeint", failing_odeint)
-        grid = VelocityGrid(n_cells=7, v_max=1.0)
-        tensor = build_delta_tensor_integer(grid, GridRatio(Fraction(2)), 0.4)
-        f0 = np.zeros(7)
-        f0[0] = 0.5
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(
-                NumericalError, match="steady-state stepping failed: Illegal input"
-            ) as exc:
-                find_steady_state(f0, tensor, 1.0, residual_tol=1e-10, t_max=1e3)
-        assert type(exc.value) is NumericalError
+        got = find_steady_state(f0, tensor, 1.0, residual_tol=1e-10, t_max=1e7).masses
+        assert got.min() >= 0.0
+        assert np.abs(got - banded_equilibrium(tensor, rho).masses).max() <= 1e-10
 
 
 def _diagram_problem(kernel, n_jumps, r, rho):

@@ -296,8 +296,9 @@ class TestBandedEquilibrium:
             assert np.abs(classes - mp).max() <= 1e-15
             assert np.all(np.abs(classes - mp)[:-1] <= 4e-15 * mp[:-1])
 
-    def test_near_critical_sample_the_march_loses(self):
-        # test_dynamics pins the march's failure on this sample
+    def test_near_critical_sample_is_a_clean_fixed_point(self):
+        # the sample the former LSODA march lost; test_dynamics checks the
+        # implicit march against this state
         ((tensor, rho),) = uniform_start_cases(Kernel.CHI, 2, 20, [0.49])
         f = banded_equilibrium(tensor, rho)
         assert np.abs(collision_rhs(f, tensor, 1.0)).max() <= 1e-15
