@@ -36,6 +36,7 @@ from __future__ import annotations
 import bisect
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -88,6 +89,14 @@ DIAGONAL_MIN_WIDTH = 64
 # Most Newton steps that polish a converged steady state, see
 # find_steady_state
 POLISH_STEPS = 8
+# Rows per block of _implicit_solve's forward substitution: one vecdot per
+# block for the cells below it, Python float arithmetic per row.  Numpy's
+# per-call cost swings with the shared machine's speed far more than the
+# benchmark's yardstick does: across processes (2-core Xeon, one BLAS
+# thread, N=401, r=100) a numpy dot per row took 2.1 times the yardstick's
+# change in log time, blocks of 32 take 1.4 and a plain Python loop 1.1.  Blocks of 64 took 32 % more time on the spread kernel, whose
+# top rows keep per-cell deviations; blocks of 16 take twice the vecdots.
+SOLVE_BLOCK = 32
 # select_fit_window's guard bands, see there
 HEAD_DROP = 1e-2
 DECADES_ABOVE_FLOOR = 1.5
@@ -539,8 +548,56 @@ def integrate(
     return integrate_many([f0], [tensor], eta, t_end, controls)[0]
 
 
+@dataclass(frozen=True)
+class _SolvePlan:
+    """A band cut into the row blocks of `_implicit_solve`, see `_solve_plan`."""
+
+    padded: np.ndarray  # d behind b zeros: row j meets padded[j:j + b]
+    # (s, e, band rows s..e-1 left of the diagonal, their windows of
+    # padded, the weights inside the block as (w, deviations) per row)
+    blocks: list[tuple[int, int, np.ndarray, np.ndarray, list[tuple[float, list[float]]]]]
+
+
+def _solve_plan(band: np.ndarray) -> _SolvePlan:
+    """The blocks of SOLVE_BLOCK rows that `_implicit_solve` runs through.
+
+    Block k covers rows s = k m .. e - 1, m = SOLVE_BLOCK.  Row t of a
+    block weighs the block's own cells u = 0 .. t - 1 by band[s + t,
+    b - t + u] (0 where u < t - b, outside the band); the plan holds these
+    as the weight w of cell t - 1 and the deviations from w, as Python
+    floats, or no deviations when they are all 0: the spread kernel's and
+    the jump kernel's rows below the top weigh every cell of a block
+    alike.  It does not depend on the state, so a march plans once; its
+    buffer holds the solve's result until the next solve.
+    """
+    m = SOLVE_BLOCK
+    n, width = band.shape
+    b = width - 1
+    blocks = -(-n // m)
+    wide = np.zeros((blocks * m, m + b))  # band[:, :b] behind m zero columns
+    wide[:n, m:] = band[:, :b]
+    t, u = np.tril_indices(m, -1)
+    tri = np.zeros((blocks, m, m))
+    tri[:, t, u] = wide[np.arange(0, blocks * m, m)[:, None] + t, m + b - t + u]
+    near = np.zeros((blocks, m))
+    near[:, 1:] = tri[:, np.arange(1, m), np.arange(m - 1)]
+    rest = np.zeros((blocks, m, m))
+    rest[:, t, u] = tri[:, t, u] - near[:, t]
+    padded = np.zeros(b + n)
+    windows = sliding_window_view(padded, b)
+    kk, tt = np.nonzero(rest.any(axis=2))
+    deviations = {(k, t): row[:t] for k, t, row in zip(kk.tolist(), tt.tolist(), rest[kk, tt].tolist())}
+    plan = _SolvePlan(padded, [])
+    for k, (s, near_k) in enumerate(zip(range(0, n, m), near.tolist())):
+        e = min(s + m, n)
+        weights = [(w, deviations.get((k, t), [])) for t, w in enumerate(near_k)]
+        plan.blocks.append((s, e, band[s:e, :b], windows[s:e], weights))
+    return plan
+
+
 def _implicit_solve(
-    tensor: InteractionTensor, eta: float, f: np.ndarray, rate: np.ndarray, sigma: float
+    tensor: InteractionTensor, eta: float, f: np.ndarray, rate: np.ndarray, sigma: float,
+    plan: Optional[_SolvePlan] = None,
 ) -> Optional[np.ndarray]:
     """The d with (sigma I - J) d = rate, J the RHS Jacobian at f, in O(N b).
 
@@ -549,32 +606,48 @@ def _implicit_solve(
     + S W_jj on it, S the total mass.  The columns of T sum to -(1 - P) S
     and the rates to 0, so 1^T d = 0 and the u 1^T term drops out: d comes
     from one forward substitution of sigma I - eta T, row j from the
-    running sum of d below it and band row j.  sigma = 1/dt gives a
-    linearly implicit Euler step, sigma = 0 the mass-conserving Newton
-    step.  Returns None when a diagonal entry sigma - eta T_jj is not
-    positive: the step would not damp that cell's mode.
+    running sum of d below it and band row j.  The rows go in the blocks
+    of `plan` (`_solve_plan` of the band, made here when not given): one
+    vecdot gives every row of a block the weights of the cells below the
+    block, and the block's own cells are added row by row in Python
+    floats.  sigma = 1/dt gives a linearly implicit Euler step, sigma = 0
+    the mass-conserving Newton step.  Returns None when a diagonal entry
+    sigma - eta T_jj is not positive: the step would not damp that cell's
+    mode.  Otherwise d is the plan's buffer, which the next solve with the
+    plan overwrites.
     """
-    n, width = tensor.band.shape
-    b = width - 1
+    b = tensor.bandwidth
+    q = 1.0 - 2.0 * tensor.p
     total = f.sum()
-    csum = np.cumsum(f)
-    below = csum - f
-    above = total - csum
-    diag = sigma - eta * (-below - f + (1.0 - 2.0 * tensor.p) * above
-                          + total * tensor.band[:, b])
+    # sigma - eta T_jj, with C_j + f_j the running sum of f
+    diag = ((sigma - eta * q * total) + (eta * (1.0 + q)) * np.cumsum(f)
+            - (eta * total) * tensor.band[:, b])
     if not diag.min() > 0.0:
         return None
-    lower = (eta * total) * tensor.band[:, :b]
-    brake = (-2.0 * eta * (1.0 - tensor.p)) * f
-    padded = np.zeros(b + n)  # d behind b zeros: row j meets padded[j:j + b]
+    if plan is None:
+        plan = _solve_plan(tensor.band)
+    scale = eta * total
+    brakes = ((-2.0 * eta * (1.0 - tensor.p)) * f).tolist()
+    rates, diags = rate.tolist(), diag.tolist()
+    padded = plan.padded
+    padded[b:] = 0.0
+    mul = operator.mul
     prefix = 0.0
-    for j, (r_j, c_j, diag_j, row, window) in enumerate(zip(
-        rate.tolist(), brake.tolist(), diag.tolist(), lower,
-        sliding_window_view(padded, b),
-    )):
-        d_j = (r_j + c_j * prefix + float(np.dot(row, window))) / diag_j
-        padded[b + j] = d_j
-        prefix += d_j
+    for s, e, band, windows, weights in plan.blocks:
+        # the block's own cells are still 0 in padded
+        outside = np.vecdot(band, windows).tolist()
+        ds: list[float] = []
+        inside = 0.0  # the sum of ds
+        for r_j, c_j, diag_j, out_j, (w_j, rest_j) in zip(
+            rates[s:e], brakes[s:e], diags[s:e], outside, weights
+        ):
+            if rest_j:
+                out_j += sum(map(mul, rest_j, ds))
+            d_j = (r_j + c_j * prefix + scale * (out_j + w_j * inside)) / diag_j
+            ds.append(d_j)
+            inside += d_j
+            prefix += d_j
+        padded[b + s:b + e] = ds
     return padded[b:]
 
 
@@ -661,9 +734,11 @@ def find_steady_state(
         rate = batch_rhs(f[None])[0]
         return rate, float(np.abs(rate).max())
 
+    plan = _solve_plan(tensor.band)
+
     def solve(f: np.ndarray, rate: np.ndarray, sigma: float) -> Optional[np.ndarray]:
         work["jac_evals"] += 1
-        return _implicit_solve(tensor, eta, f, rate, sigma)
+        return _implicit_solve(tensor, eta, f, rate, sigma, plan)
 
     rate, residual = rhs(f)
     if residual <= residual_tol:
@@ -706,10 +781,11 @@ def find_steady_state(
             # |d_j| <= max(f_j, g_j) as g >= 0: worst <= 1, so dt at most
             # halves, when a cell empties or fills from nothing
             scale = np.maximum(f, g)
-            worst = float((np.abs(d) / np.where(scale > 0.0, scale, 1.0)).max())
+            size = np.abs(d)
+            worst = float((size / np.where(scale > 0.0, scale, 1.0)).max())
             f = g
             rate, residual = rhs(f)
-            change_rate = float(np.abs(d).max()) / (rho0 * dt)
+            change_rate = float(size.max()) / (rho0 * dt)
             dt *= min(4.0, 0.5 / worst) if worst > 0.0 else 4.0
 
         for _ in range(POLISH_STEPS):

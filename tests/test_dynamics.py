@@ -199,6 +199,41 @@ class TestImplicitSolve:
             assert np.abs(d - np.linalg.solve(matrix, y)).max() <= 1e-9 * np.abs(d).max()
             assert np.array_equal(d[:empty], np.zeros(empty))
 
+    @pytest.mark.parametrize("t_jumps,r,builder", [
+        (4, Fraction(20), build_chi_tensor),  # b = 20 < SOLVE_BLOCK
+        (4, Fraction(100), build_chi_tensor),  # b = 100, uneven rows at the top
+        (3, Fraction(40), build_delta_tensor_integer),
+        (3, Fraction(83, 3), build_delta_tensor_generic),
+    ])
+    @pytest.mark.parametrize("sigma", [10.0, 1e-4])
+    def test_blocks_match_dense_oracle(self, t_jumps, r, builder, sigma):
+        # grids of several blocks; 40 empty bottom cells span a block edge
+        grid, tensor = zoo_tensor(t_jumps, r, builder, 0.35)
+        n = grid.n_cells
+        assert n > 2 * dynamics.SOLVE_BLOCK
+        plan = dynamics._solve_plan(tensor.band)
+        rng = np.random.default_rng(11)
+        for empty in (0, 40):
+            f = rng.uniform(0.0, 1.0, n)
+            f[:empty] = 0.0
+            f *= 0.6 / f.sum()
+            y = rng.normal(size=n)
+            y[:empty] = 0.0
+            y[empty:] -= y[empty:].mean()
+            jac = dense_jacobian(f, tensor, 2.0)
+            d = dynamics._implicit_solve(tensor, 2.0, f, y, sigma, plan)
+            if d is None:
+                assert (sigma - (np.diag(jac) - jac[:, -1])[:-1]).min() <= 1e-12
+                continue
+            d = d.copy()
+            # the plan's buffer is reused; a fresh plan gives the same bits
+            assert np.array_equal(d, dynamics._implicit_solve(tensor, 2.0, f, y, sigma))
+            matrix = sigma * np.eye(n) - jac
+            total = 2.0 * f.sum()
+            mass_mode = max(1.0, total / (sigma + 0.65 * total))
+            assert np.abs(matrix @ d - y).max() <= 1e-14 * mass_mode * np.abs(y).max()
+            assert np.array_equal(d[:empty], np.zeros(empty))
+
     def test_one_solve_allocates_under_one_square_array(self):
         grid = VelocityGrid(n_cells=401, v_max=1.0)
         tensor = build_chi_tensor(grid, GridRatio(Fraction(100)), 0.4)
