@@ -94,8 +94,9 @@ POLISH_STEPS = 8
 # per-call cost swings with the shared machine's speed far more than the
 # benchmark's yardstick does: across processes (2-core Xeon, one BLAS
 # thread, N=401, r=100) a numpy dot per row took 2.1 times the yardstick's
-# change in log time, blocks of 32 take 1.4 and a plain Python loop 1.1.  Blocks of 64 took 32 % more time on the spread kernel, whose
-# top rows keep per-cell deviations; blocks of 16 take twice the vecdots.
+# change in log time, blocks of 32 take 1.4 and a plain Python loop 1.1.
+# Blocks of 64 took 32 % more time on the spread kernel, whose top rows
+# keep per-cell deviations; blocks of 16 take twice the vecdots.
 SOLVE_BLOCK = 32
 # select_fit_window's guard bands, see there
 HEAD_DROP = 1e-2

@@ -14,9 +14,13 @@ over candidate rows only (field-independent): the weight matrix W, with
 W[j, h] the acceleration probability mass sent from candidate cell h to
 output cell j.  Acceleration never lowers the speed and raises it by at
 most ceil(r) cells, so W is lower-banded with bandwidth b <= ceil(r).
-Both kernels' bands come from one assembler, given the share of each
-candidate cell h that lands in output cell j: an exact interval overlap
-for the jump kernel, an exact window integral for the spread kernel.
+Both kernels' bands come from one assembler and one `landing` call per
+build, which takes the column of every candidate cell h at once and
+returns the output cells j and the share of h landing in each: an
+interval overlap on int64 edges, exact in float64, for the jump kernel
+(two shares per candidate), a closed-form window integral for the spread
+kernel (r + 1 shares per candidate, exact up to the division by r and one
+logarithm per candidate).
 Only the band, an (N, b + 1) array, is stored; the band plus P is the
 whole tensor: the right-hand side takes W @ f from it, in O(N * b) by
 one vecdot over the band, or in O(N + b) on a wide jump-kernel band,
@@ -255,9 +259,12 @@ def build_delta_tensor_generic(grid: VelocityGrid, ratio: GridRatio, p: float) -
     it past the top cell's lower edge saturates into cell N.  Each weight
     is the overlap of the image with its output cell over the width of cell
     h.  With r = k/q every cell edge and the jump are whole multiples of
-    dv/(2q), so each weight is one ratio of integers, which Python's true
-    division rounds correctly (no tie cases at half-integer r).  For whole
-    r all of it goes to h + r.  The bandwidth is ceil(r).
+    dv/(2q).  A ratio with q > N - 1 fits no N-cell grid (r*T = N - 1 needs
+    q to divide T) and is refused; below it every edge is under 4 N^2 such
+    units, so each weight is one ratio of int64 integers that float64 holds
+    exactly (for N below 4.7e7), and the division rounds correctly (no tie
+    cases at half-integer r).  For whole r all of it goes to h + r.  The bandwidth
+    is ceil(r); every candidate lands at once, in O(N) work.
     """
     _check_probability(p)
     rf = ratio.fraction
@@ -268,19 +275,23 @@ def build_delta_tensor_generic(grid: VelocityGrid, ratio: GridRatio, p: float) -
     n = grid.n_cells
     if rf > n - 1:
         raise ConfigurationError(f"jump spans {float(rf):g} cells but the grid has only {n}")
-    cr = math.ceil(rf)
     q, jump = rf.denominator, 2 * rf.numerator
+    if q > n - 1:
+        raise ConfigurationError(
+            f"grid ratio {rf} fits no {n}-cell grid: its denominator exceeds {n - 1}"
+        )
+    cr = math.ceil(rf)
 
-    def edge(j: int) -> int:  # upper edge of cell j in units of dv/(2q); cell 0's is 0
-        return min(max(2 * j - 1, 0), 2 * n - 2) * q
+    # upper edge of cell j in units of dv/(2q); cell 0's is 0
+    def edge(j: np.ndarray) -> np.ndarray:
+        return np.clip(2 * j - 1, 0, 2 * n - 2) * q
 
-    def landing(h: int) -> list[tuple[int, float]]:
+    def landing(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = edge(h - 1) + jump, edge(h) + jump  # the image of cell h
-        pairs = []
-        for j in range(min(h + cr - 1, n), min(h + cr, n) + 1):
-            top = hi if j == n else min(hi, edge(j))  # cell N takes all past its lower edge
-            pairs.append((j, max(0, top - max(lo, edge(j - 1))) / (hi - lo)))
-        return pairs
+        # cells h + cr - 1 and h + cr, or N and one past it once all saturates
+        j = np.minimum(h + cr - 1, n) + np.arange(2)
+        top = np.where(j == n, hi, np.minimum(hi, edge(j)))  # cell N takes all past its lower edge
+        return j, np.maximum(top - np.maximum(lo, edge(j - 1)), 0) / (hi - lo)
 
     return _assemble(Kernel.DELTA, grid, cr, p, landing)
 
@@ -288,15 +299,18 @@ def build_delta_tensor_generic(grid: VelocityGrid, ratio: GridRatio, p: float) -
 def build_chi_tensor(grid: VelocityGrid, ratio: GridRatio, p: float) -> InteractionTensor:
     """Spread-kernel tensor (accelerated speed uniform over the jump window).
 
-    Derived by integrating the defining kernel exactly over each candidate
-    cell: for candidate speed x below v_max - delta_v the output is uniform
-    on [x, x + delta_v] (overlap of that window with cell j is piecewise
-    linear in x, integrated as exact trapezoids); above it the output is
-    uniform on the shrinking window [x, v_max], giving logarithmic weights.
-    Valid for every integer r >= 1 and any N >= r + 1, including grids too
-    small for the saturated and unsaturated index ranges to stay disjoint.
-    Costs O(N*r + r^2): only the bottom cell and the top r + 1 cells are
-    integrated one output cell at a time.
+    Each weight is the defining kernel integrated exactly over the
+    candidate cell, in closed form (units of dv, output cell j = [a, c]).
+    For candidate speed x below the saturation speed m - r the output is
+    uniform on [x, x + r]; the window's overlap with cell j integrates to
+    (Q(x2 + r) - Q(x1 + r) - Q(x2) + Q(x1)) / 2 over [x1, x2], with
+    Q(t) = (t - a)_+^2 - (t - c)_+^2.  Every term is a multiple of 1/4, so
+    the sum is exact and only the division by r rounds.  Above m - r the
+    output is uniform on the shrinking window [x, m], giving one logarithm
+    per candidate, L = log((m - x1) / (m - x2)): cells above the
+    candidate's own get (c - a) L, its own cell (x2 - x1) - (m - c) L.
+    Valid for every integer r >= 1 and any N >= r + 1.  Every candidate
+    lands at once, in O(N * r) work.
     """
     _check_probability(p)
     if not ratio.is_integer:
@@ -307,79 +321,40 @@ def build_chi_tensor(grid: VelocityGrid, ratio: GridRatio, p: float) -> Interact
         raise ConfigurationError(f"jump of {r} cells incompatible with {n}-cell grid")
     m = n - 1              # v_max in units of dv
 
-    def landing(h: int) -> list[tuple[int, float]]:
-        lo_h, hi_h = _cell_edges(h, m)
-        cells = range(h, min(h + r, n) + 1)  # acceleration never lowers the speed
-        return [(j, _chi_cell_mass(lo_h, hi_h, j, m, r) / (hi_h - lo_h)) for j in cells]
+    def edges(j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:  # of cell j in units of dv
+        return np.maximum(j - 1.5, 0.0), np.minimum(j - 0.5, m)
+
+    def landing(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        lo, hi = edges(h)
+        s = np.clip(m - r, lo, hi)  # candidate speeds above m - r saturate at v_max
+        j = h + np.arange(r + 1)    # acceleration never lowers the speed
+        a, c = edges(j)
+
+        def quad(t: np.ndarray) -> np.ndarray:
+            return np.maximum(t - a, 0.0) ** 2 - np.maximum(t - c, 0.0) ** 2
+
+        below = 0.5 * (quad(s + r) - quad(lo + r) - quad(s) + quad(lo)) / r
+        # math.log, not np.log, rounds as the reference builder does
+        shrink = np.divide(m - s, m - hi, out=np.ones_like(hi), where=hi < m)
+        log = np.reshape([math.log(x) for x in shrink.flat], shrink.shape)
+        above = np.where(j == h, (hi - s) - (m - c) * log, (c - a) * log)
+        return j, (below + above) / (hi - lo)
 
     return _assemble(Kernel.CHI, grid, r, p, landing)
 
 
 def _assemble(kernel: Kernel, grid: VelocityGrid, cr: int, p: float,
-              landing: Callable[[int], list[tuple[int, float]]]) -> InteractionTensor:
-    """Band of bandwidth cr from `landing(h)`, the (output cell, weight)
-    pairs of candidate cell h, each weight the share of the cell landing
-    there.  Candidate cells 2 .. N-cr-1 are full-width and land below the
-    top cell, so their weights depend on j - h alone: candidate 2's weights
-    fill the diagonals as one slice each.  Cell 1 and the top cr + 1 cells write
-    their own pairs."""
+              landing: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]) -> InteractionTensor:
+    """Band of bandwidth cr from one `landing(h)` call on the column of
+    candidate cells 1 .. N, which returns each candidate's output cells and
+    the share of the cell landing in each.  Output cells past N get rows of
+    their own, which are dropped."""
     n = grid.n_cells
-    band = np.zeros((n, cr + 1))  # column cr - d is the d-th lower diagonal
-    interior_end = n - cr  # one past the last interior candidate
-    if interior_end > 2:
-        for j, weight in landing(2):
-            d = j - 2
-            band[1 + d:interior_end - 1 + d, cr - d] = p * weight
-    for h in (1, *range(max(interior_end, 2), n + 1)):
-        for j, weight in landing(h):
-            band[j - 1, cr - (j - h)] = p * weight
-    return InteractionTensor(kernel=kernel, p=p, grid=grid, band=band)
-
-
-def _cell_edges(j: int, m: int) -> tuple[float, float]:
-    """Edges of 1-based cell j in units of dv on a grid spanning [0, m]."""
-    return (max(j - 1.5, 0.0), min(j - 0.5, float(m)))
-
-
-def _chi_cell_mass(lo_h: float, hi_h: float, j: int, m: int, r: int) -> float:
-    """Spread-kernel mass sent from the candidate cell [lo_h, hi_h] to cell j.
-
-    The chance of landing in cell j, integrated over candidate speeds in
-    the cell (units of dv); dividing by its width gives the weight.
-    Below the saturation speed m - r every breakpoint is a half-integer, so
-    the trapezoid sums are exact and only the final division by r rounds.
-    """
-    sat = m - r            # candidate speeds above this saturate at v_max
-    lo_j, hi_j = _cell_edges(j, m)
-    total = 0.0
-    # Unsaturated part: window overlap is piecewise linear with
-    # breakpoints where the window edge crosses a cell edge.
-    a, b = lo_h, min(hi_h, sat)
-    if b > a:
-        pts = sorted({a, b, *(
-            q for q in (lo_j - r, hi_j - r, lo_j, hi_j) if a < q < b
-        )})
-        part = 0.0
-        for x1, x2 in zip(pts, pts[1:]):
-            w1 = max(0.0, min(x1 + r, hi_j) - max(x1, lo_j))
-            w2 = max(0.0, min(x2 + r, hi_j) - max(x2, lo_j))
-            part += 0.5 * (w1 + w2) * (x2 - x1)
-        total += part / r
-    # Saturated part: output uniform on [x, m], density 1/(m - x).
-    a, b = max(lo_h, sat), hi_h
-    if b > a:
-        pts = sorted({a, b, *(q for q in (lo_j, hi_j) if a < q < b)})
-        part = 0.0
-        for x1, x2 in zip(pts, pts[1:]):
-            if x2 <= lo_j:
-                part += (hi_j - lo_j) * math.log((m - x1) / (m - x2))
-            elif x1 >= lo_j and x2 <= hi_j:
-                part += x2 - x1
-                if hi_j < m:
-                    part -= (m - hi_j) * math.log((m - x1) / (m - x2))
-            # segments beyond hi_j contribute nothing
-        total += part
-    return total
+    h = np.arange(1, n + 1)[:, None]
+    j, share = landing(h)
+    band = np.zeros((j.max(), cr + 1))  # column cr - d is the d-th lower diagonal
+    band[j - 1, cr - (j - h)] = p * share
+    return InteractionTensor(kernel=kernel, p=p, grid=grid, band=band[:n])
 
 
 def build_tensor(kernel: Kernel, grid: VelocityGrid, ratio: GridRatio, p: float) -> InteractionTensor:

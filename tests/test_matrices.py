@@ -223,10 +223,11 @@ class TestSpreadTensorAgainstQuadrature:
     @pytest.mark.parametrize(
         "t_jumps,r",
         [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 2),
-         (3, 7), (6, 5), (2, 20), (4, 100)],
+         (3, 7), (6, 5), (2, 20), (4, 100), (1, 30), (1, 64)],
     )
     def test_band_builder_matches_pairwise_builder(self, t_jumps, r):
         # N = 2 .. 401, including grids with no translation-invariant column
+        # and fully saturated ones (T=1), whose weights are mostly logarithms
         grid = make_grid(t_jumps, Fraction(r))
         tensor = build_chi_tensor(grid, GridRatio(Fraction(r)), 0.7)
         assert tensor.bandwidth == r
@@ -355,6 +356,17 @@ class TestBuilderRefusals:
     def test_jump_wider_than_the_grid(self, builder, message):
         self.refuses(builder, VelocityGrid(n_cells=7, v_max=1.0), Fraction(7), 0.3, message)
 
+    def test_generic_builder_refuses_a_denominator_no_grid_has(self):
+        # r*T = N - 1 needs q | T, so q <= N - 1 on every grid; past it the
+        # cell edges would outgrow int64 and float64's exact integers
+        self.refuses(build_delta_tensor_generic, VelocityGrid(n_cells=10, v_max=1.0),
+                     Fraction(10**20 + 1, 10**20), 0.3,
+                     "grid ratio 100000000000000000001/100000000000000000000 fits no "
+                     "10-cell grid: its denominator exceeds 9")
+        self.refuses(build_delta_tensor_generic, VelocityGrid(n_cells=3, v_max=1.0),
+                     Fraction(4, 3), 0.3,
+                     "grid ratio 4/3 fits no 3-cell grid: its denominator exceeds 2")
+
     def test_spread_builder_refuses_a_fractional_ratio(self):
         self.refuses(build_chi_tensor, make_grid(2, Fraction(5, 2)), Fraction(5, 2), 0.3,
                      "spread-kernel tensor requires integer r")
@@ -398,6 +410,18 @@ class TestStochasticity:
             tracemalloc.stop()
         assert report.passed
         assert peak < 1_000_000
+
+    def test_spread_build_allocates_no_square_array(self):
+        # one dense N x N float64 array is 8.0 MB here; the band is 0.8 MB
+        grid = make_grid(10, Fraction(100))
+        tracemalloc.start()
+        try:
+            tensor = build_chi_tensor(grid, GridRatio(Fraction(100)), 0.7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tensor.n_cells == 1001
+        assert peak < tensor.n_cells ** 2 * 8
 
     @settings(max_examples=40, deadline=None)
     @given(
