@@ -246,44 +246,49 @@ def _cmd_diagram(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _convergence_rows(cfg: RunConfig, ratio: float) -> list[tuple]:
-    """Decay-rate rows of every density on one grid, from one batched march."""
+def _convergence_rows(cfg: RunConfig) -> list[tuple]:
+    """Decay-rate rows of every density on every grid, from one batched march.
+
+    The march takes the rows ratio by ratio, so each grid's rows sit
+    together; the rows come back density-major, ratio-minor.
+    """
     params = cfg.params
-    grid, ratio_obj = build_grid(params, ratio)
     t_end = cfg.convergence.t_end
     if t_end is None:
         t_end = 200.0 / params.eta
-    tensors, starts, refs = [], [], []
-    for rho in cfg.convergence.rho_set:
-        run_cfg = dataclasses.replace(cfg, rho=rho, ratio=ratio_obj.fraction)
-        tensor = _tensor_for(run_cfg, grid, ratio_obj)
-        f0 = build_initial_state(run_cfg, grid)
-        tensors.append(tensor)
-        starts.append(f0)
-        ref = reference_equilibrium(params, cfg.law, rho, ratio_obj.fraction, tensor, f0)
-        refs.append(ref.masses)
+    keys, tensors, starts, refs = [], [], [], []
+    for ratio in cfg.convergence.ratios:
+        grid, ratio_obj = build_grid(params, ratio)
+        for rho in cfg.convergence.rho_set:
+            run_cfg = dataclasses.replace(cfg, rho=rho, ratio=ratio_obj.fraction)
+            tensor = _tensor_for(run_cfg, grid, ratio_obj)
+            f0 = build_initial_state(run_cfg, grid)
+            keys.append((rho, float(ratio_obj.r)))
+            tensors.append(tensor)
+            starts.append(f0)
+            ref = reference_equilibrium(params, cfg.law, rho, ratio_obj.fraction, tensor, f0)
+            refs.append(ref.masses)
     trajs = integrate_many(starts, tensors, params.eta, t_end)
     rows = []
-    for rho, traj, ref in zip(cfg.convergence.rho_set, trajs, refs):
+    for (rho, r), traj, ref in zip(keys, trajs, refs):
         series = distance_to_equilibrium(traj, ref)
         try:
             window = select_fit_window(series)
             fit = fit_convergence_rate(series, window)
-            rows.append((rho, float(ratio_obj.r), params.delta_v, fit.rate,
+            rows.append((rho, r, params.delta_v, fit.rate,
                          fit.window[0], fit.window[1], fit.residual, "ok"))
         except NumericalError as exc:
-            rows.append((rho, float(ratio_obj.r), params.delta_v, math.nan,
+            rows.append((rho, r, params.delta_v, math.nan,
                          math.nan, math.nan, math.nan, f"failed: {exc}"))
-    return rows
+    n_rho = len(cfg.convergence.rho_set)
+    return [row for i in range(n_rho) for row in rows[i::n_rho]]
 
 
 def _cmd_convergence(cfg: RunConfig) -> int:
     if not (cfg.convergence.rho_set and cfg.convergence.ratios):
         raise ConfigurationError("convergence needs a non-empty density set and ratio list")
     t0 = time.perf_counter()
-    by_ratio = [_convergence_rows(cfg, ratio) for ratio in cfg.convergence.ratios]
-    # density-major, ratio-minor
-    rows = [row for density in zip(*by_ratio) for row in density]
+    rows = _convergence_rows(cfg)
     csv_path, manifest_path = _out_paths(cfg, "convergence.csv", "manifest.json")
     _write_csv(csv_path, [
         "rho", "r", "delta_v", "rate", "window_lo", "window_hi", "fit_residual", "status",

@@ -22,14 +22,16 @@ diagonals and take one O(N) slice product per diagonal instead.  Both
 paths give the same bits.
 
 Trajectories come from classical fourth-order Runge-Kutta with a fixed
-step.  `integrate_many` marches B states on one grid in one loop over
-(B, N) arrays, rows in the order given: each row keeps its own tensor (so
-its own P and band) and its own step t_end/ceil(t_end*eta*rho/0.1), held
-as a column, and stands still once its steps are done.  Every row gets
-the arithmetic of a lone run, so a trajectory does not depend on the
-batch it was marched in; `integrate` is the one-row case.  Steady states
-come from a linearly implicit march whose every step is one forward
-substitution on the band, see `find_steady_state`.
+step.  `integrate_many` marches B states in one loop over a (B, N) stack,
+rows in the order given: each row keeps its own tensor (so its own grid,
+P and band) and its own step t_end/ceil(t_end*eta*rho/0.1), held as a
+column, and stands still once its steps are done; a row on a smaller
+grid fills the top of its stack row above cells held at exactly 0.
+Every row gets the arithmetic of a lone run on its own grid, so a
+trajectory does not depend on the batch it was marched in; `integrate`
+is the one-row case.  Steady states come from a linearly implicit march
+whose every step is one forward substitution on the band, see
+`find_steady_state`.
 """
 from __future__ import annotations
 
@@ -268,17 +270,18 @@ def _diagonal_plan(band: np.ndarray) -> tuple[int, list[tuple[int, np.ndarray]]]
                for k in np.flatnonzero(used[:m].any(axis=0))]
 
 
-def _make_band_product(band: np.ndarray, rows: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The map from a (rows, N) stack f to the rows of W @ f, on a band stack.
+def _make_band_product(band: np.ndarray, out: np.ndarray) -> Callable[[np.ndarray], None]:
+    """The map from a (rows, N) stack f to the rows of W @ f, written into `out`.
 
-    `band` is (B, N, b + 1), with B = 1 or B = rows.  Row j of the band
-    meets the window f[j - b .. j] of a zero-padded buffer.  Rows [0, m)
-    of `_diagonal_plan` take one slice product per diagonal, added into an
-    accumulator that starts at zero, in O(N) each; the rows left, or all of
-    them, run as one vecdot of the band against the windows.  Both give a
-    row the bits of the vecdot of its band row alone.  The result is a
-    buffer that the next call overwrites.
+    `band` is (B, N, b + 1), with B = 1 or B = rows, and `out` is a
+    (rows, N) array or view.  Row j of the band meets the window
+    f[j - b .. j] of a zero-padded buffer.  Rows [0, m) of `_diagonal_plan`
+    take one slice product per diagonal, added into `out` from zero, in
+    O(N) each; the rows left, or all of them, run as one vecdot of the band
+    against the windows.  Both give a row the bits of the vecdot of its
+    band row alone.
     """
+    rows = out.shape[0]
     n, width = band.shape[1:]
     padded = np.zeros((rows, n + width - 1))
     windows = sliding_window_view(padded, width, axis=1)
@@ -286,23 +289,21 @@ def _make_band_product(band: np.ndarray, rows: int) -> Callable[[np.ndarray], np
     if not m:
         # the vecdot alone: the diagonal closure with m = 0 gives the same
         # bits, but 0.3-0.4 us (3%) more per RHS on six rows of 6 or 11 cells
-        def product(f: np.ndarray) -> np.ndarray:
+        def product(f: np.ndarray) -> None:
             padded[:, width - 1:] = f
-            return np.vecdot(band, windows)
+            np.vecdot(band, windows, out=out)
 
         return product
-    out = np.empty((rows, n))
     acc, top = out[:, :m], out[:, m:]
     band_top, windows_top = band[:, m:], windows[:, m:]
 
-    def product(f: np.ndarray) -> np.ndarray:
+    def product(f: np.ndarray) -> None:
         padded[:, width - 1:] = f
         # from +0, so a row of products -0 and +0 sums to +0, as in vecdot
         acc[...] = 0.0
         for k, weights in diagonals:
             acc[...] += weights * padded[:, k:k + m]
         np.vecdot(band_top, windows_top, out=top)
-        return out
 
     return product
 
@@ -311,23 +312,46 @@ def _make_batch_rhs(tensors: Sequence[InteractionTensor], eta: float, rows: int)
     """RHS closure on a stack of `rows` states, one per row.
 
     Row i evolves under tensors[i], or every row under the tensor when only
-    one is given; all share the grid and bandwidth.  The band product W @ f
-    comes from `_make_band_product`, planned once per closure.  Every row
-    gets the operations the rearranged form gives one state with the vecdot
-    band product, bit for bit, so its rate depends on neither the batch nor
-    the path the product takes.
+    one is given.  Rows may sit on grids of different sizes: the stack has
+    as many cells as the largest grid, and a row on N cells fills its top N
+    cells, the cells below them held at 0.  The cumsum, the elementwise
+    terms and the RK4 combinations run on the whole stack, where those
+    leading zeros change no bit.  The row sum and the band product W @ f do
+    not: numpy's pairwise sum regroups a longer row, and so does the vecdot
+    against a band with leading zero columns.  So each run of consecutive
+    rows whose bands share a shape sums its own cells and takes its own
+    `_make_band_product`, planned once per closure, into its slice of one
+    W @ f buffer whose padded cells stay 0.  A padded cell's rate is then
+    exactly +0, and every row gets the operations the rearranged form gives
+    one state with the vecdot band product on its own grid, bit for bit, so
+    its rate depends on neither the batch nor the path the product takes.
     """
-    band = tensors[0].band[None] if len(tensors) == 1 else np.stack([t.band for t in tensors])
+    n_max = max(t.n_cells for t in tensors)
     p = np.array([[t.p] for t in tensors])
     one_minus_2p = 1.0 - 2.0 * p
-    product = _make_band_product(band, rows)
+    total = np.empty((rows, 1))
+    wf = np.zeros((rows, n_max))
+    if len(tensors) == 1:
+        bands = [(0, rows, tensors[0].band[None])]
+    else:
+        firsts = [i for i, t in enumerate(tensors)
+                  if i == 0 or t.band.shape != tensors[i - 1].band.shape]
+        bands = [(a, b, np.stack([t.band for t in tensors[a:b]]))
+                 for a, b in zip(firsts, firsts[1:] + [rows])]
+    runs = []
+    for a, b, band in bands:
+        cells = (slice(a, b), slice(n_max - band.shape[1], None))
+        runs.append((cells, total[a:b], _make_band_product(band, wf[cells])))
 
     def rhs(f: np.ndarray) -> np.ndarray:
-        total = f.sum(axis=1, keepdims=True)
+        for cells, run_total, product in runs:
+            own = f[cells]
+            np.add.reduce(own, axis=1, keepdims=True, out=run_total)
+            product(own)
         csum = f.cumsum(axis=1)
         below = csum - f
         above = total - csum
-        return eta * (f * (-below - p * f + one_minus_2p * above) + product(f) * total)
+        return eta * (f * (-below - p * f + one_minus_2p * above) + wf * total)
 
     return rhs
 
@@ -429,17 +453,22 @@ def integrate_many(
     t_end: float,
     controls: Optional[IntegratorControls] = None,
 ) -> list[Trajectory]:
-    """Classical fourth-order Runge-Kutta for B states on one grid at once.
+    """Classical fourth-order Runge-Kutta for B states at once.
 
-    Row i starts from states[i] and evolves under tensors[i]; the tensors
-    must share the grid and the bandwidth, and each keeps its own P and
-    band.  Each row takes its own fixed step h_i = t_end/ceil(t_end/s_i),
-    with s_i the controls' step or 0.1/(eta*rho_i), a tenth of the row's
-    fastest quadratic timescale, which resolves it with a wide stability
-    margin.  All rows march in input order in one loop over (B, N) arrays,
-    the steps held as a column, until the longest row is done; a finished
-    row takes steps of zero, and f + 0*k is exactly f.  Every row gets the
-    arithmetic of a lone run, so its trajectory does not depend on the batch.
+    Row i starts from states[i] and evolves under tensors[i], on that
+    tensor's grid with its own P and band; the grids may differ in size.
+    Each row takes its own fixed step h_i = t_end/ceil(t_end/s_i), with s_i
+    the controls' step or 0.1/(eta*rho_i), a tenth of the row's fastest
+    quadratic timescale, which resolves it with a wide stability margin.
+    All rows march in input order in one loop over a (B, N_max) stack, N_max
+    the largest grid's cell count, the steps held as a column, until the
+    longest row is done; a row on N cells fills the stack's top N cells
+    above empty ones that stay exactly 0 (see `_make_batch_rhs`), and a
+    finished row takes steps of zero, since f + 0*k is exactly f.  Every
+    row gets the arithmetic of a lone run on its own grid, so its
+    trajectory does not depend on the batch; its stored states and its
+    Trajectory's grid are its own.  Rows on one grid, next to each other,
+    share the band product's and the row sum's numpy calls.
 
     Each row is checked on its own.  A row that would take more than
     MAX_STEPS steps is refused with ConfigurationError before the first
@@ -456,14 +485,6 @@ def integrate_many(
         raise ConfigurationError("t_end must be positive")
     _check_eta(eta)
     controls = controls or IntegratorControls()
-    first = tensors[0]
-    for i, tensor in enumerate(tensors):
-        if tensor.grid != first.grid or tensor.bandwidth != first.bandwidth:
-            raise ConfigurationError(
-                f"row {i} has a {tensor.n_cells}-cell grid and bandwidth "
-                f"{tensor.bandwidth}; row 0 has {first.n_cells} cells and "
-                f"bandwidth {first.bandwidth}"
-            )
     batch = len(tensors) > 1
     starts = []
     for i, (f0, tensor) in enumerate(zip(states, tensors)):
@@ -481,10 +502,14 @@ def integrate_many(
         if wanted and (wanted[0] < 0 or wanted[-1] > t_end * (1 + 1e-12)):
             raise ConfigurationError("sample_times outside [0, t_end]")
 
-    f = np.stack([start[0] for start in starts])
+    n_max = max(t.n_cells for t in tensors)
+    pads = [n_max - t.n_cells for t in tensors]
+    f = np.zeros((len(starts), n_max))
+    for row, (start, pad) in enumerate(zip(starts, pads)):
+        f[row, pad:] = start[0]
     h = np.array([[start[1]] for start in starts])
     n_steps = np.array([[start[2]] for start in starts])
-    rho0 = f.sum(axis=1)
+    rho0 = np.array([start[0].sum() for start in starts])
     rhs = _make_batch_rhs(tensors, eta, len(starts))
     storing: dict[int, list[int]] = {}  # step -> rows that store after it
     for row, (_, h_row, n_row) in enumerate(starts):
@@ -495,26 +520,32 @@ def integrate_many(
         return _row_label(row, rho0[row]) if batch else ""
 
     times = [[0.0] for _ in starts]
-    stored = [[row.copy()] for row in f]
+    stored = [[start[0]] for start in starts]
     clamped = 0
+    # 0.5*hk*k is (0.5*hk)*k, so the step's factors are kept until a row
+    # finishes; from then on it steps by zero, and f + 0*k is exactly f
     hk = h.copy()
+    half, sixth = 0.5 * hk, hk / 6.0
+    finishing = set(n_steps.ravel().tolist())
     for k in range(1, int(n_steps.max()) + 1):
         k1 = rhs(f)
-        k2 = rhs(f + 0.5 * hk * k1)
-        k3 = rhs(f + 0.5 * hk * k2)
+        k2 = rhs(f + half * k1)
+        k3 = rhs(f + half * k2)
         k4 = rhs(f + hk * k3)
-        f += (hk / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        f += sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if f.min(initial=0.0) < 0.0:
-            row = int(np.argmin(f)) // f.shape[1]
+            row = int(np.argmin(f)) // n_max
             clamped += _clamp_negativity(f, f"{label(row)}step {k} (t={k * h[row, 0]:.6g})")
         for row in storing.get(k, ()):
             times[row].append(k * h[row, 0])
-            stored[row].append(f[row].copy())
-        hk[n_steps == k] = 0.0  # a finished row steps by zero from now on
+            stored[row].append(f[row, pads[row]:].copy())
+        if k in finishing:
+            hk[n_steps == k] = 0.0
+            half, sixth = 0.5 * hk, hk / 6.0
 
     if clamped:
         logger.warning("clamped %d slightly negative components to zero", clamped)
-    drift = np.abs(f.sum(axis=1) - rho0)
+    drift = np.abs(np.array([row[pad:].sum() for row, pad in zip(f, pads)]) - rho0)
     bad = np.flatnonzero(~(drift <= DRIFT_TOL))  # NaN too
     if bad.size:
         row = bad[0]
@@ -523,9 +554,9 @@ def integrate_many(
         )
     residuals = np.abs(rhs(f)).max(axis=1)
     return [
-        Trajectory(times=np.asarray(ts), states=np.asarray(ss), grid=first.grid,
+        Trajectory(times=np.asarray(ts), states=np.asarray(ss), grid=tensor.grid,
                    terminal_residual=float(res))
-        for ts, ss, res in zip(times, stored, residuals)
+        for ts, ss, tensor, res in zip(times, stored, tensors, residuals)
     ]
 
 
@@ -850,9 +881,11 @@ def fit_convergence_rate(
 ) -> FitResult:
     """Exponential decay rate M from a least-squares fit of log e(t).
 
-    The fit runs over the given (t_lo, t_hi) window; values must be
-    strictly positive there.  The result holds M (the negated slope), the
-    intercept, the rms residual of the fit, the window and its point count.
+    The fit runs over the given (t_lo, t_hi) window, which must hold at
+    least three samples, all strictly positive: a line through two points
+    fits them exactly, so its residual would say nothing.  The result holds
+    M (the negated slope), the intercept, the rms residual of the fit, the
+    window and its point count.
     """
     if window is None:
         window = (float(series.times[0]), float(series.times[-1]))
@@ -860,8 +893,9 @@ def fit_convergence_rate(
     mask = (series.times >= t_lo) & (series.times <= t_hi)
     t = series.times[mask]
     e = series.values[mask]
-    if t.size < 2:
-        raise NumericalError(f"fit window [{t_lo}, {t_hi}] holds {t.size} samples")
+    if t.size < 3:
+        # no comma: the CLI writes this message as one CSV cell
+        raise NumericalError(f"fit window [{t_lo} to {t_hi}] holds {t.size} samples")
     if np.any(e <= 0):
         raise NumericalError("fit window contains zero or negative distances")
     log_e = np.log(e)

@@ -375,7 +375,7 @@ class TestConvergence:
             spread = abs(by_r[1.0] - by_r[2.0]) / by_r[1.0]
             assert spread < 0.05, (rho, by_r)
 
-    def test_rows_are_density_major_from_one_march_per_grid(self, tmp_path, monkeypatch):
+    def test_rows_are_density_major_from_one_march(self, tmp_path, monkeypatch):
         marches = []
         real = cli.integrate_many
 
@@ -389,7 +389,7 @@ class TestConvergence:
             "--ratios", "1,2", "--fit-t-end", "100",
         )
         assert code == 0
-        assert marches == [3, 3]
+        assert marches == [6]
         _, rows = read_csv(tmp_path / "run_convergence.csv")
         assert [(float(r[0]), float(r[1])) for r in rows] == [
             (rho, r) for rho in (0.2, 0.5, 0.8) for r in (1.0, 2.0)
@@ -409,6 +409,21 @@ class TestConvergence:
             assert row[7] == "failed: distance series is identically zero; nothing to fit"
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         assert manifest["failed_rows"] == 2
+
+    def test_two_sample_fit_is_a_failed_row(self, tmp_path):
+        # t_end=0.05 is one step at rho=0.3, so the series holds the start
+        # and the end alone; a line through them would fit with residual 0
+        code = run(
+            tmp_path, "convergence", "--rho-set", "0.3", "--ratios", "1", "--T", "3",
+            "--fit-t-end", "0.05",
+        )
+        assert code == 0
+        _, rows = read_csv(tmp_path / "run_convergence.csv")
+        assert len(rows) == 1
+        assert rows[0][3:7] == ["nan"] * 4
+        assert rows[0][7] == "failed: fit window [0.0 to 0.05] holds 2 samples"
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["failed_rows"] == 1
 
     def test_spread_kernel_references_are_not_marched(self, tmp_path, monkeypatch):
         # no closed form exists for the spread kernel, so every density and
