@@ -66,12 +66,15 @@ def _cell(value: Any) -> str:
     if isinstance(value, float):  # numpy's float64 too; the common case, tested first
         return _fmt(value)
     if isinstance(value, str):
+        if any(c in value for c in ',"\r\n'):  # RFC 4180: quoted, inner quotes doubled
+            return '"' + value.replace('"', '""') + '"'
         return value
     return str(int(value)) if isinstance(value, numbers.Integral) else _fmt(value)
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """A CSV file: reals to 17 significant digits, ints in decimal, strings as given."""
+    """A CSV file: reals to 17 significant digits, ints in decimal, strings as
+    given, or quoted (RFC 4180) when they hold a comma, a quote or a line break."""
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:

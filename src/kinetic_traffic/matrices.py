@@ -14,13 +14,16 @@ over candidate rows only (field-independent): the weight matrix W, with
 W[j, h] the acceleration probability mass sent from candidate cell h to
 output cell j.  Acceleration never lowers the speed and raises it by at
 most ceil(r) cells, so W is lower-banded with bandwidth b <= ceil(r).
-Both kernels' bands come from one assembler and one `landing` call per
-build, which takes the column of every candidate cell h at once and
-returns the output cells j and the share of h landing in each: an
-interval overlap on int64 edges, exact in float64, for the jump kernel
-(two shares per candidate), a closed-form window integral for the spread
-kernel (r + 1 shares per candidate, exact up to the division by r and one
-logarithm per candidate).
+Both kernels' bands come from one assembler and one `landing` per grid,
+which takes the column of every candidate cell h at once and returns the
+output cells j and the share of h landing in each: an interval overlap
+on int64 edges, exact in float64, for the jump kernel (two shares per
+candidate), a closed-form window integral for the spread kernel (r + 1
+shares per candidate, exact up to the division by r and one logarithm
+per candidate).  The shares do not depend on P: they are computed once
+per (kernel, N, r), cached read-only for the 8 grids used last, and
+scaled by P on each build, so a sweep over densities on one grid lands
+its candidates once.
 Only the band, an (N, b + 1) array, is stored; the band plus P is the
 whole tensor: the right-hand side takes W @ f from it, in O(N * b) by
 one vecdot over the band, or in O(N + b) on a wide jump-kernel band,
@@ -35,8 +38,8 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Callable, Union
+from functools import cached_property, lru_cache
+from typing import Union
 
 import numpy as np
 
@@ -264,7 +267,7 @@ def build_delta_tensor_generic(grid: VelocityGrid, ratio: GridRatio, p: float) -
     units, so each weight is one ratio of int64 integers that float64 holds
     exactly (for N below 4.7e7), and the division rounds correctly (no tie
     cases at half-integer r).  For whole r all of it goes to h + r.  The bandwidth
-    is ceil(r); every candidate lands at once, in O(N) work.
+    is ceil(r); every candidate lands at once, in O(N) work, once per grid.
     """
     _check_probability(p)
     rf = ratio.fraction
@@ -275,25 +278,28 @@ def build_delta_tensor_generic(grid: VelocityGrid, ratio: GridRatio, p: float) -
     n = grid.n_cells
     if rf > n - 1:
         raise ConfigurationError(f"jump spans {float(rf):g} cells but the grid has only {n}")
-    q, jump = rf.denominator, 2 * rf.numerator
-    if q > n - 1:
+    if rf.denominator > n - 1:
         raise ConfigurationError(
             f"grid ratio {rf} fits no {n}-cell grid: its denominator exceeds {n - 1}"
         )
-    cr = math.ceil(rf)
+    return _assemble(Kernel.DELTA, grid, rf, p)
+
+
+def _jump_landing(n: int, rf: Fraction) -> tuple[np.ndarray, np.ndarray]:
+    """Output cells and shares of every jump-kernel candidate cell, on int64
+    edges in units of dv/(2q) (see `build_delta_tensor_generic`)."""
+    q, jump, cr = rf.denominator, 2 * rf.numerator, math.ceil(rf)
+    h = np.arange(1, n + 1)[:, None]
 
     # upper edge of cell j in units of dv/(2q); cell 0's is 0
     def edge(j: np.ndarray) -> np.ndarray:
         return np.clip(2 * j - 1, 0, 2 * n - 2) * q
 
-    def landing(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = edge(h - 1) + jump, edge(h) + jump  # the image of cell h
-        # cells h + cr - 1 and h + cr, or N and one past it once all saturates
-        j = np.minimum(h + cr - 1, n) + np.arange(2)
-        top = np.where(j == n, hi, np.minimum(hi, edge(j)))  # cell N takes all past its lower edge
-        return j, np.maximum(top - np.maximum(lo, edge(j - 1)), 0) / (hi - lo)
-
-    return _assemble(Kernel.DELTA, grid, cr, p, landing)
+    lo, hi = edge(h - 1) + jump, edge(h) + jump  # the image of cell h
+    # cells h + cr - 1 and h + cr, or N and one past it once all saturates
+    j = np.minimum(h + cr - 1, n) + np.arange(2)
+    top = np.where(j == n, hi, np.minimum(hi, edge(j)))  # cell N takes all past its lower edge
+    return j, np.maximum(top - np.maximum(lo, edge(j - 1)), 0) / (hi - lo)
 
 
 def build_chi_tensor(grid: VelocityGrid, ratio: GridRatio, p: float) -> InteractionTensor:
@@ -310,7 +316,7 @@ def build_chi_tensor(grid: VelocityGrid, ratio: GridRatio, p: float) -> Interact
     per candidate, L = log((m - x1) / (m - x2)): cells above the
     candidate's own get (c - a) L, its own cell (x2 - x1) - (m - c) L.
     Valid for every integer r >= 1 and any N >= r + 1.  Every candidate
-    lands at once, in O(N * r) work.
+    lands at once, in O(N * r) work, once per grid.
     """
     _check_probability(p)
     if not ratio.is_integer:
@@ -319,39 +325,57 @@ def build_chi_tensor(grid: VelocityGrid, ratio: GridRatio, p: float) -> Interact
     r = int(ratio.fraction)
     if not 1 <= r <= n - 1:
         raise ConfigurationError(f"jump of {r} cells incompatible with {n}-cell grid")
+    return _assemble(Kernel.CHI, grid, ratio.fraction, p)
+
+
+def _spread_landing(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Output cells and shares of every spread-kernel candidate cell, in
+    closed form (see `build_chi_tensor`)."""
     m = n - 1              # v_max in units of dv
+    h = np.arange(1, n + 1)[:, None]
 
     def edges(j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:  # of cell j in units of dv
         return np.maximum(j - 1.5, 0.0), np.minimum(j - 0.5, m)
 
-    def landing(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = edges(h)
-        s = np.clip(m - r, lo, hi)  # candidate speeds above m - r saturate at v_max
-        j = h + np.arange(r + 1)    # acceleration never lowers the speed
-        a, c = edges(j)
+    lo, hi = edges(h)
+    s = np.clip(m - r, lo, hi)  # candidate speeds above m - r saturate at v_max
+    j = h + np.arange(r + 1)    # acceleration never lowers the speed
+    a, c = edges(j)
 
-        def quad(t: np.ndarray) -> np.ndarray:
-            return np.maximum(t - a, 0.0) ** 2 - np.maximum(t - c, 0.0) ** 2
+    def quad(t: np.ndarray) -> np.ndarray:
+        return np.maximum(t - a, 0.0) ** 2 - np.maximum(t - c, 0.0) ** 2
 
-        below = 0.5 * (quad(s + r) - quad(lo + r) - quad(s) + quad(lo)) / r
-        # math.log, not np.log, rounds as the reference builder does
-        shrink = np.divide(m - s, m - hi, out=np.ones_like(hi), where=hi < m)
-        log = np.reshape([math.log(x) for x in shrink.flat], shrink.shape)
-        above = np.where(j == h, (hi - s) - (m - c) * log, (c - a) * log)
-        return j, (below + above) / (hi - lo)
-
-    return _assemble(Kernel.CHI, grid, r, p, landing)
+    below = 0.5 * (quad(s + r) - quad(lo + r) - quad(s) + quad(lo)) / r
+    # math.log, not np.log, rounds as the reference builder does
+    shrink = np.divide(m - s, m - hi, out=np.ones_like(hi), where=hi < m)
+    log = np.reshape([math.log(x) for x in shrink.flat], shrink.shape)
+    above = np.where(j == h, (hi - s) - (m - c) * log, (c - a) * log)
+    return j, (below + above) / (hi - lo)
 
 
-def _assemble(kernel: Kernel, grid: VelocityGrid, cr: int, p: float,
-              landing: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]) -> InteractionTensor:
-    """Band of bandwidth cr from one `landing(h)` call on the column of
-    candidate cells 1 .. N, which returns each candidate's output cells and
-    the share of the cell landing in each.  Output cells past N get rows of
-    their own, which are dropped."""
-    n = grid.n_cells
+# 8 grids cover every benchmark workload: fd-sweep uses 2, refined-solve 4,
+# cli-runs 5; an (N, r + 1) spread landing at N=1001, r=100 is 1.6 MB
+@lru_cache(maxsize=8)
+def _landing(kernel: Kernel, n: int, rf: Fraction) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only output cells j and shares of every candidate cell h = 1 .. N
+    (one row per candidate), the part of a band that does not depend on P."""
+    if kernel is Kernel.CHI:
+        j, share = _spread_landing(n, int(rf))
+    else:
+        j, share = _jump_landing(n, rf)
+    j.setflags(write=False)
+    share.setflags(write=False)
+    return j, share
+
+
+def _assemble(kernel: Kernel, grid: VelocityGrid, rf: Fraction, p: float) -> InteractionTensor:
+    """Band of bandwidth ceil(r) at braking level p from the cached landing
+    of this kernel, grid and ratio: the shares are computed once per
+    (kernel, N, r) and scaled by p on each build.  Output cells past N get
+    rows of their own, which are dropped."""
+    n, cr = grid.n_cells, math.ceil(rf)
     h = np.arange(1, n + 1)[:, None]
-    j, share = landing(h)
+    j, share = _landing(kernel, n, rf)
     band = np.zeros((j.max(), cr + 1))  # column cr - d is the d-th lower diagonal
     band[j - 1, cr - (j - h)] = p * share
     return InteractionTensor(kernel=kernel, p=p, grid=grid, band=band[:n])

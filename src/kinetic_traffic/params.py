@@ -144,10 +144,11 @@ def evaluate_probability(law: ProbabilityLaw, rho, params: ModelParams):
     """Acceleration probability P(rho) under the given law.
 
     Accepts a scalar or array density; densities outside [0, rho_max] are a
-    domain error rather than being clamped.
+    domain error rather than being clamped, and so is NaN, which no
+    comparison holds for.
     """
     arr = np.asarray(rho, dtype=float)
-    if np.any(arr < 0) or np.any(arr > params.rho_max * (1 + 1e-12)):
+    if not np.all((arr >= 0) & (arr <= params.rho_max * (1 + 1e-12))):
         raise ConfigurationError(
             f"density {rho!r} outside [0, {params.rho_max}]"
         )

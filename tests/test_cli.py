@@ -4,6 +4,7 @@ Every data file must be byte-identical across reruns of the same
 configuration; wall-clock details are confined to the JSON manifest.
 """
 import argparse
+import csv
 import json
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 import yaml
 
 from kinetic_traffic import (
+    NumericalError,
     banded_equilibrium,
     build_grid,
     build_tensor,
@@ -424,6 +426,26 @@ class TestConvergence:
         assert rows[0][7] == "failed: fit window [0.0 to 0.05] holds 2 samples"
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         assert manifest["failed_rows"] == 1
+
+    @pytest.mark.parametrize("message, line_end", [
+        ("a, b", ',"failed: a, b"'),
+        ('cell "3"', ',"failed: cell ""3"""'),
+    ])
+    def test_a_status_with_a_separator_is_one_quoted_cell(
+        self, tmp_path, monkeypatch, message, line_end,
+    ):
+        def refuse(series, window):
+            raise NumericalError(message)
+
+        monkeypatch.setattr(cli, "fit_convergence_rate", refuse)
+        code = run(tmp_path, "convergence", "--rho-set", "0.3", "--ratios", "1", "--T", "3")
+        assert code == 0
+        path = tmp_path / "run_convergence.csv"
+        assert path.read_text().endswith(line_end + "\n")
+        with path.open(newline="") as fh:
+            header, row = csv.reader(fh)
+        assert len(row) == len(header)
+        assert row[-1] == f"failed: {message}"
 
     def test_spread_kernel_references_are_not_marched(self, tmp_path, monkeypatch):
         # no closed form exists for the spread kernel, so every density and

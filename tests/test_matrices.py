@@ -27,6 +27,7 @@ from kinetic_traffic import (
     build_grid,
     build_tensor,
     collision_rhs,
+    matrices,
     verify_stochasticity,
 )
 
@@ -330,6 +331,42 @@ class TestBand:
         assert tensor.band[2, 0] == 0.4
 
 
+class TestLandingCache:
+    """Each (kernel, N, r) lands its candidates once; P only scales the shares."""
+
+    CASES = [(kernel, t, Fraction(r)) for kernel in (Kernel.CHI, Kernel.DELTA)
+             for t, r in ((3, 1), (2, 20))] + [
+        (Kernel.DELTA, 3, Fraction(14, 3)), (Kernel.DELTA, 3, Fraction(400, 3)),
+    ]
+
+    @pytest.mark.parametrize("kernel,t_jumps,r", CASES)
+    def test_warm_builds_equal_cold_builds(self, kernel, t_jumps, r):
+        grid, ratio = make_grid(t_jumps, r), GridRatio(r)
+        cold = []
+        for p in P_VALUES:
+            matrices._landing.cache_clear()
+            cold.append(build_tensor(kernel, grid, ratio, p).band)
+        for _ in range(2):  # every build after the first hits the cache
+            for p, band in zip(P_VALUES, cold):
+                warm = build_tensor(kernel, grid, ratio, p).band
+                assert warm.shape == band.shape
+                assert warm.tobytes() == band.tobytes()
+        assert matrices._landing.cache_info().hits == 2 * len(P_VALUES)
+
+    def test_cached_arrays_refuse_writes(self):
+        build_chi_tensor(make_grid(2, Fraction(20)), GridRatio(20), 0.3)
+        j, share = matrices._landing(Kernel.CHI, 41, Fraction(20))
+        for cached in (j, share):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0, 0] = 0
+
+    def test_cache_stays_bounded(self):
+        bound = matrices._landing.cache_info().maxsize
+        for n in range(3, bound + 8):
+            build_tensor(Kernel.CHI, VelocityGrid(n_cells=n, v_max=1.0), GridRatio(1), 0.5)
+        assert matrices._landing.cache_info().currsize == bound
+
+
 class TestBuilderRefusals:
     """Each builder names what it refuses; the message is checked exactly."""
 
@@ -414,6 +451,7 @@ class TestStochasticity:
     def test_spread_build_allocates_no_square_array(self):
         # one dense N x N float64 array is 8.0 MB here; the band is 0.8 MB
         grid = make_grid(10, Fraction(100))
+        matrices._landing.cache_clear()  # a cached landing would pass trivially
         tracemalloc.start()
         try:
             tensor = build_chi_tensor(grid, GridRatio(Fraction(100)), 0.7)

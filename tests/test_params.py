@@ -1,6 +1,7 @@
 """Parameter containers, braking-probability laws, and the critical density."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -68,6 +69,21 @@ class TestPowerLaw:
         for bad in (-0.1, 1.1):
             with pytest.raises(ConfigurationError):
                 evaluate_probability(PowerLaw(1.0), bad, PARAMS)
+
+    @pytest.mark.parametrize("law", [PowerLaw(0.5), CustomLaw([(0.0, 1.0), (1.0, 0.0)])])
+    @pytest.mark.parametrize("rho", [math.nan, [0.2, math.nan, 0.4]])
+    def test_nan_density_is_a_domain_error(self, law, rho):
+        # every comparison with NaN is false, so a check that rho is below 0
+        # or above rho_max lets it through, and P comes back as nan
+        with pytest.raises(ConfigurationError):
+            evaluate_probability(law, rho, PARAMS)
+
+    @pytest.mark.parametrize("law", [PowerLaw(0.5), CustomLaw([(0.0, 1.0), (1.0, 0.0)])])
+    def test_finite_densities_keep_their_bits(self, law):
+        rho = np.array([0.0, 0.2, 0.49, 1.0, 1.0 + 1e-13])
+        expected = np.clip(law._evaluate(rho, PARAMS.rho_max), 0.0, 1.0)
+        assert evaluate_probability(law, rho, PARAMS).tobytes() == expected.tobytes()
+        assert [evaluate_probability(law, float(x), PARAMS) for x in rho] == list(expected)
 
     def test_unnormalized_density_scale(self):
         params = ModelParams(rho_max=133.0, delta_v=0.25)
