@@ -30,7 +30,8 @@ grid fills the top of its stack row above cells held at exactly 0.
 Every row gets the arithmetic of a lone run on its own grid, so a
 trajectory does not depend on the batch it was marched in; `integrate`
 is the one-row case.  Steady states come from a linearly implicit march
-whose every step is one forward substitution on the band, see
+on the whole grid whose every step is one forward substitution on the
+band; a start's empty bottom cells stay exactly 0, see
 `find_steady_state`.
 """
 from __future__ import annotations
@@ -91,12 +92,13 @@ DIAGONAL_MIN_WIDTH = 64
 # Most Newton steps that polish a converged steady state, see
 # find_steady_state
 POLISH_STEPS = 8
-# Rows per block of _implicit_solve's forward substitution: one vecdot per
-# block for the cells below it, Python float arithmetic per row.  Numpy's
-# per-call cost swings with the shared machine's speed far more than the
-# benchmark's yardstick does: across processes (2-core Xeon, one BLAS
-# thread, N=401, r=100) a numpy dot per row took 2.1 times the yardstick's
-# change in log time, blocks of 32 take 1.4 and a plain Python loop 1.1.
+# Rows per block of the steady-state solve's forward substitution, planned
+# once per march by _make_implicit_solve: one vecdot per block for the cells
+# below it, Python float arithmetic per row.  Numpy's per-call cost swings
+# with the shared machine's speed far more than the benchmark's yardstick
+# does: across processes (2-core Xeon, one BLAS thread, N=401, r=100) a
+# numpy dot per row took 2.1 times the yardstick's change in log time,
+# blocks of 32 take 1.4 and a plain Python loop 1.1.
 # Blocks of 64 took 32 % more time on the spread kernel, whose top rows
 # keep per-cell deviations; blocks of 16 take twice the vecdots.
 SOLVE_BLOCK = 32
@@ -219,10 +221,15 @@ class IntegratorControls:
     sample_times: Optional[Sequence[float]] = None
 
     def __post_init__(self):
-        if self.step is not None and self.step <= 0:
-            raise ConfigurationError("step must be positive")
-        if self.store_factor <= 1.0:
-            raise ConfigurationError("store_factor must exceed 1")
+        # written so that NaN fails every check
+        if self.step is not None and not 0.0 < self.step < math.inf:
+            raise ConfigurationError(f"step must be positive and finite; got {self.step!r}")
+        if not 1.0 < self.store_factor < math.inf:
+            raise ConfigurationError(
+                f"store_factor must exceed 1 and be finite; got {self.store_factor!r}"
+            )
+        if self.sample_times is not None and not all(map(math.isfinite, self.sample_times)):
+            raise ConfigurationError("sample_times must be finite")
 
 
 def _check_finite(f: np.ndarray):
@@ -409,13 +416,17 @@ def _start(
     f = _as_array(f0, tensor).copy()
     _check_finite(f)
     _clamp_negativity(f, "initial state")
-    h = step if step is not None else 0.1 / (eta * max(f.sum(), 1e-12))
-    if not t_end / h <= MAX_STEPS:  # inf too
+    # in Python floats, where a quotient past the float range is inf
+    # without a RuntimeWarning
+    t_end = float(t_end)
+    h = float(step) if step is not None else 0.1 / (float(eta) * max(float(f.sum()), 1e-12))
+    steps = t_end / h if h > 0.0 else math.inf
+    if not steps <= MAX_STEPS:  # inf too
         raise ConfigurationError(
-            f"t_end={t_end:.6g} at step {h:.6g} needs {t_end / h:.3g} steps, "
+            f"t_end={t_end:.6g} at step {h:.6g} needs {steps:.3g} steps, "
             f"more than the budget of {MAX_STEPS:.0e}"
         )
-    n_steps = max(1, math.ceil(t_end / h - 1e-12))
+    n_steps = max(1, math.ceil(steps - 1e-12))
     return f, t_end / n_steps, n_steps
 
 
@@ -481,8 +492,8 @@ def integrate_many(
         raise ConfigurationError(
             f"{len(states)} states for {len(tensors)} tensors; need one per row"
         )
-    if t_end <= 0:
-        raise ConfigurationError("t_end must be positive")
+    if not t_end > 0:  # NaN too
+        raise ConfigurationError(f"t_end must be positive; got {t_end!r}")
     _check_eta(eta)
     controls = controls or IntegratorControls()
     batch = len(tensors) > 1
@@ -580,29 +591,39 @@ def integrate(
     return integrate_many([f0], [tensor], eta, t_end, controls)[0]
 
 
-@dataclass(frozen=True)
-class _SolvePlan:
-    """A band cut into the row blocks of `_implicit_solve`, see `_solve_plan`."""
+def _make_implicit_solve(
+    tensor: InteractionTensor, eta: float
+) -> Callable[[np.ndarray, np.ndarray, float], Optional[np.ndarray]]:
+    """The map (f, rate, sigma) to the d with (sigma I - J) d = rate, J the
+    RHS Jacobian at f, in O(N b).
 
-    padded: np.ndarray  # d behind b zeros: row j meets padded[j:j + b]
-    # (s, e, band rows s..e-1 left of the diagonal, their windows of
-    # padded, the weights inside the block as (w, deviations) per row)
-    blocks: list[tuple[int, int, np.ndarray, np.ndarray, list[tuple[float, list[float]]]]]
+    J = eta (T + u 1^T) with T lower triangular: T_jk = -2 (1 - P) f_j
+    + S W_jk left of the diagonal and T_jj = -C_j - f_j + (1 - 2P) U_j
+    + S W_jj on it, S the total mass.  The columns of T sum to -(1 - P) S
+    and the rates to 0, so 1^T d = 0 and the u 1^T term drops out: d comes
+    from one forward substitution of sigma I - eta T, row j from the
+    running sum of d below it and band row j.  sigma = 1/dt gives a
+    linearly implicit Euler step, sigma = 0 the mass-conserving Newton
+    step.
 
+    The rows go in blocks of m = SOLVE_BLOCK, planned here once: one
+    vecdot gives every row of a block the weights of the cells below the
+    block, and the block's own cells are added row by row in Python
+    floats.  Row t of block s .. s + m - 1 weighs the block's cell u < t by
+    band[s + t, b - t + u] (0 where u < t - b, outside the band); the plan
+    holds these as the weight w of cell t - 1 and the deviations from w, or
+    no deviations when they are all 0: the spread kernel's and the jump
+    kernel's rows below the top weigh every cell of a block alike.
 
-def _solve_plan(band: np.ndarray) -> _SolvePlan:
-    """The blocks of SOLVE_BLOCK rows that `_implicit_solve` runs through.
-
-    Block k covers rows s = k m .. e - 1, m = SOLVE_BLOCK.  Row t of a
-    block weighs the block's own cells u = 0 .. t - 1 by band[s + t,
-    b - t + u] (0 where u < t - b, outside the band); the plan holds these
-    as the weight w of cell t - 1 and the deviations from w, as Python
-    floats, or no deviations when they are all 0: the spread kernel's and
-    the jump kernel's rows below the top weigh every cell of a block
-    alike.  It does not depend on the state, so a march plans once; its
-    buffer holds the solve's result until the next solve.
+    The solve returns None when a diagonal entry sigma - eta T_jj is not
+    positive: the step would not damp that cell's mode.  Cells below f's
+    first occupied one are left out of that check: their rates and braking
+    terms are exact zeros, so their d is exactly 0 whatever the diagonal,
+    which long steps make negative there.  Otherwise d is a buffer that the
+    next solve overwrites.
     """
     m = SOLVE_BLOCK
+    band = tensor.band
     n, width = band.shape
     b = width - 1
     blocks = -(-n // m)
@@ -615,88 +636,52 @@ def _solve_plan(band: np.ndarray) -> _SolvePlan:
     near[:, 1:] = tri[:, np.arange(1, m), np.arange(m - 1)]
     rest = np.zeros((blocks, m, m))
     rest[:, t, u] = tri[:, t, u] - near[:, t]
-    padded = np.zeros(b + n)
+    padded = np.zeros(b + n)  # d behind b zeros: row j meets padded[j:j + b]
     windows = sliding_window_view(padded, b)
     kk, tt = np.nonzero(rest.any(axis=2))
     deviations = {(k, t): row[:t] for k, t, row in zip(kk.tolist(), tt.tolist(), rest[kk, tt].tolist())}
-    plan = _SolvePlan(padded, [])
+    plan = []
     for k, (s, near_k) in enumerate(zip(range(0, n, m), near.tolist())):
         e = min(s + m, n)
         weights = [(w, deviations.get((k, t), [])) for t, w in enumerate(near_k)]
-        plan.blocks.append((s, e, band[s:e, :b], windows[s:e], weights))
-    return plan
-
-
-def _implicit_solve(
-    tensor: InteractionTensor, eta: float, f: np.ndarray, rate: np.ndarray, sigma: float,
-    plan: Optional[_SolvePlan] = None,
-) -> Optional[np.ndarray]:
-    """The d with (sigma I - J) d = rate, J the RHS Jacobian at f, in O(N b).
-
-    J = eta (T + u 1^T) with T lower triangular: T_jk = -2 (1 - P) f_j
-    + S W_jk left of the diagonal and T_jj = -C_j - f_j + (1 - 2P) U_j
-    + S W_jj on it, S the total mass.  The columns of T sum to -(1 - P) S
-    and the rates to 0, so 1^T d = 0 and the u 1^T term drops out: d comes
-    from one forward substitution of sigma I - eta T, row j from the
-    running sum of d below it and band row j.  The rows go in the blocks
-    of `plan` (`_solve_plan` of the band, made here when not given): one
-    vecdot gives every row of a block the weights of the cells below the
-    block, and the block's own cells are added row by row in Python
-    floats.  sigma = 1/dt gives a linearly implicit Euler step, sigma = 0
-    the mass-conserving Newton step.  Returns None when a diagonal entry
-    sigma - eta T_jj is not positive: the step would not damp that cell's
-    mode.  Otherwise d is the plan's buffer, which the next solve with the
-    plan overwrites.
-    """
-    b = tensor.bandwidth
+        plan.append((s, e, band[s:e, :b], windows[s:e], weights))
     q = 1.0 - 2.0 * tensor.p
-    total = f.sum()
-    # sigma - eta T_jj, with C_j + f_j the running sum of f
-    diag = ((sigma - eta * q * total) + (eta * (1.0 + q)) * np.cumsum(f)
-            - (eta * total) * tensor.band[:, b])
-    if not diag.min() > 0.0:
-        return None
-    if plan is None:
-        plan = _solve_plan(tensor.band)
-    scale = eta * total
-    brakes = ((-2.0 * eta * (1.0 - tensor.p)) * f).tolist()
-    rates, diags = rate.tolist(), diag.tolist()
-    padded = plan.padded
-    padded[b:] = 0.0
+    brake = -2.0 * eta * (1.0 - tensor.p)
+    self_weights = band[:, b]
     mul = operator.mul
-    prefix = 0.0
-    for s, e, band, windows, weights in plan.blocks:
-        # the block's own cells are still 0 in padded
-        outside = np.vecdot(band, windows).tolist()
-        ds: list[float] = []
-        inside = 0.0  # the sum of ds
-        for r_j, c_j, diag_j, out_j, (w_j, rest_j) in zip(
-            rates[s:e], brakes[s:e], diags[s:e], outside, weights
-        ):
-            if rest_j:
-                out_j += sum(map(mul, rest_j, ds))
-            d_j = (r_j + c_j * prefix + scale * (out_j + w_j * inside)) / diag_j
-            ds.append(d_j)
-            inside += d_j
-            prefix += d_j
-        padded[b + s:b + e] = ds
-    return padded[b:]
 
+    def solve(f: np.ndarray, rate: np.ndarray, sigma: float) -> Optional[np.ndarray]:
+        total = f.sum()
+        # sigma - eta T_jj, with C_j + f_j the running sum of f
+        diag = ((sigma - eta * q * total) + (eta * (1.0 + q)) * np.cumsum(f)
+                - (eta * total) * self_weights)
+        # out of the check: an empty bottom cell's d is 0 / 1
+        diag[:int(np.argmax(f > 0.0))] = 1.0
+        if not diag.min() > 0.0:
+            return None
+        scale = eta * total
+        brakes = (brake * f).tolist()
+        rates, diags = rate.tolist(), diag.tolist()
+        padded[b:] = 0.0
+        prefix = 0.0
+        for s, e, rows, row_windows, weights in plan:
+            # the block's own cells are still 0 in padded
+            outside = np.vecdot(rows, row_windows).tolist()
+            ds: list[float] = []
+            inside = 0.0  # the sum of ds
+            for r_j, c_j, diag_j, out_j, (w_j, rest_j) in zip(
+                rates[s:e], brakes[s:e], diags[s:e], outside, weights
+            ):
+                if rest_j:
+                    out_j += sum(map(mul, rest_j, ds))
+                d_j = (r_j + c_j * prefix + scale * (out_j + w_j * inside)) / diag_j
+                ds.append(d_j)
+                inside += d_j
+                prefix += d_j
+            padded[b + s:b + e] = ds
+        return padded[b:]
 
-def _upper_cells(tensor: InteractionTensor, empty: int) -> InteractionTensor:
-    """The tensor of cells empty+1..N alone, for states whose cells
-    1..empty stay empty: band rows empty.. with the weights from the empty
-    cells set to 0, at most N - empty columns wide."""
-    n, b = tensor.n_cells, tensor.bandwidth
-    band = tensor.band[empty:].copy()
-    rows, cols = np.indices(band.shape)
-    band[rows + cols < b] = 0.0  # source cell empty + row - b + col < empty
-    return InteractionTensor(
-        kernel=tensor.kernel,
-        p=tensor.p,
-        grid=VelocityGrid(n_cells=n - empty, v_max=tensor.grid.v_max),
-        band=band[:, max(b + 1 - (n - empty), 0):],
-    )
+    return solve
 
 
 def find_steady_state(
@@ -715,7 +700,8 @@ def find_steady_state(
 
     Pseudo-transient continuation (Kelley & Keyes, SIAM J. Numer. Anal.
     35, 1998): a step of length dt solves (I - dt J) d = dt F(f) by one
-    O(N b) forward substitution (`_implicit_solve`) and sets f <- f + d.
+    O(N b) forward substitution (`_make_implicit_solve`) and sets
+    f <- f + d.
     The first dt is the RK4 step 0.1/(eta*rho).  A step whose solve meets a
     non-positive diagonal entry, or whose state has a negative component,
     is rejected and dt quartered; nothing is clamped.  An accepted step
@@ -735,30 +721,23 @@ def find_steady_state(
     DEBUG level when the march ends.
 
     Braking into cell k goes at a rate proportional to f_k and acceleration
-    only moves mass up, so the start's empty bottom cells 1..s stay empty
-    for all time.  When s > 0 (and some cell below the top is occupied),
-    only cells s+1..N are marched, on `tensor.band[s:]` without the weights
-    from the empty cells, and the result, a timeout's state too, gets its s
-    exact zeros back.  A march of all N cells lets rounding seed the empty
-    cells, which can then grow into the stable branch's bottom.
+    only moves mass up, so the start's empty bottom cells stay empty for
+    all time.  The march runs on the whole grid: there the rates, and so
+    every step, are exact zeros, and the solve leaves those cells out of
+    its diagonal check, so they stay exactly 0, a timeout's state too, and
+    the march ends on the shifted branch above them.
     """
-    if residual_tol <= 0:
-        raise ConfigurationError("residual_tol must be positive")
+    if not residual_tol > 0:  # NaN too
+        raise ConfigurationError(f"residual_tol must be positive; got {residual_tol!r}")
+    if not t_max > 0:
+        raise ConfigurationError(f"t_max must be positive; got {t_max!r}")
     _check_eta(eta)
     f = _as_array(f0, tensor).copy()
     _check_finite(f)
     _clamp_negativity(f, "initial state")
-    grid = tensor.grid
-    # the first occupied cell below the top, 0 when there is none
-    empty = int(np.argmax(f[:-1] > 0.0))
-    if empty:
-        f, tensor = f[empty:], _upper_cells(tensor, empty)
-
-    def state(f: np.ndarray) -> CellMassVector:
-        return CellMassVector(np.concatenate((np.zeros(empty), f)), grid)
-
     rho0 = f.sum()
     batch_rhs = _make_batch_rhs([tensor], eta, 1)
+    implicit_solve = _make_implicit_solve(tensor, eta)
     work = dict(steps=0, rejected=0, rhs_evals=0, jac_evals=0, t_reached=0.0)
 
     def rhs(f: np.ndarray) -> tuple[np.ndarray, float]:
@@ -766,15 +745,13 @@ def find_steady_state(
         rate = batch_rhs(f[None])[0]
         return rate, float(np.abs(rate).max())
 
-    plan = _solve_plan(tensor.band)
-
     def solve(f: np.ndarray, rate: np.ndarray, sigma: float) -> Optional[np.ndarray]:
         work["jac_evals"] += 1
-        return _implicit_solve(tensor, eta, f, rate, sigma, plan)
+        return implicit_solve(f, rate, sigma)
 
     rate, residual = rhs(f)
     if residual <= residual_tol:
-        return state(f)
+        return CellMassVector(f, tensor.grid)
 
     t, dt = 0.0, 0.1 / (eta * float(rho0))  # Python floats: 1/dt may overflow
     change_rate = math.inf
@@ -784,7 +761,7 @@ def find_steady_state(
                 raise SteadyStateTimeout(
                     f"no steady state within t_max={t_max:.3g}: "
                     f"residual {residual:.3e}, state change rate {change_rate:.3e}",
-                    state=state(f),
+                    state=CellMassVector(f, tensor.grid),
                     residual=residual,
                     **work,
                 )
@@ -833,7 +810,7 @@ def find_steady_state(
             if not g_residual < residual:
                 break
             f, rate, residual = g, g_rate, g_residual
-        return state(f)
+        return CellMassVector(f, tensor.grid)
     finally:
         logger.debug(
             "steady-state solve ended: t_reached=%.6g steps=%d rejected=%d "

@@ -76,10 +76,12 @@ class VelocityGrid:
     v_max: float
 
     def __post_init__(self):
-        if self.n_cells < 2:
-            raise ConfigurationError("grid needs at least 2 cells")
-        if self.v_max <= 0:
-            raise ConfigurationError("v_max must be positive")
+        if not isinstance(self.n_cells, numbers.Integral) or self.n_cells < 2:
+            raise ConfigurationError(
+                f"grid needs a whole number of at least 2 cells; got {self.n_cells!r}"
+            )
+        if not 0.0 < self.v_max < math.inf:  # NaN too
+            raise ConfigurationError(f"v_max must be positive and finite; got {self.v_max!r}")
 
     @property
     def dv(self) -> float:

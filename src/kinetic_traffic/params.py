@@ -121,6 +121,8 @@ class CustomLaw(ProbabilityLaw):
             raise ConfigurationError("custom law needs at least two (rho, P) points")
         rhos = [r for r, _ in pts]
         ps = [p for _, p in pts]
+        if not all(math.isfinite(r) for r in rhos):
+            raise ConfigurationError("custom law: rho values must be finite")
         if any(b <= a for a, b in zip(rhos, rhos[1:])):
             raise ConfigurationError("custom law: rho values must be strictly increasing")
         if any(b > a + 1e-15 for a, b in zip(ps, ps[1:])):

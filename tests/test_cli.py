@@ -6,6 +6,7 @@ configuration; wall-clock details are confined to the JSON manifest.
 import argparse
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,17 @@ class TestSimulate:
         for row in rows:
             assert all(float(x) == 0.0 for x in row[1:])
 
+    def test_step_count_past_the_float_range_exits_2_alone(self, tmp_path, capsys):
+        # t_end / h overflows the float range: a refusal, with no warning
+        # line before it
+        argv = ("simulate", "--T", "3", "--r", "1", "--rho", "0.5", "--t-end", "1e308")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(tmp_path, *argv) == 2
+        err = capsys.readouterr().err
+        assert "needs inf steps" in err
+        assert "Warning" not in err
+
     def test_custom_masses_on_an_empty_road_are_refused(self, tmp_path, capsys):
         path = tmp_path / "run.yaml"
         path.write_text(
@@ -132,7 +144,7 @@ class TestEquilibrium:
 
     def test_starved_bottom_stays_empty_and_meets_the_reference(self, tmp_path):
         # a start with cells 1-3 empty keeps them empty under exact dynamics;
-        # the march runs on cells 4-13 alone and ends on the shifted chain
+        # the whole-grid march keeps them at 0 and ends on the shifted chain
         path = tmp_path / "run.yaml"
         path.write_text(yaml.safe_dump({
             "kernel": "chi", "T": 2, "r": 6, "rho": 0.6,

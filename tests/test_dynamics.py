@@ -7,6 +7,7 @@ fitter against synthetic exponentials plus the linearization spectrum.
 import logging
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -181,10 +182,11 @@ class TestImplicitSolve:
             y[:empty] = 0.0
             y[empty:] -= y[empty:].mean()
             jac = dense_jacobian(f, tensor, 2.0)
-            d = dynamics._implicit_solve(tensor, 2.0, f, y, sigma)
+            d = dynamics._make_implicit_solve(tensor, 2.0)(f, y, sigma)
             # J's eigenvalues: J_jj - J_jN below the top (J_jN is its
-            # rank-one part there) and the conservation mode 0
-            modes = sigma - (np.diag(jac) - jac[:, -1])[:-1]
+            # rank-one part there) and the conservation mode 0; the empty
+            # cells' modes leave their d at 0 and are not checked
+            modes = sigma - (np.diag(jac) - jac[:, -1])[empty:-1]
             if d is None:
                 assert modes.min() <= 1e-12
                 continue
@@ -211,7 +213,7 @@ class TestImplicitSolve:
         grid, tensor = zoo_tensor(t_jumps, r, builder, 0.35)
         n = grid.n_cells
         assert n > 2 * dynamics.SOLVE_BLOCK
-        plan = dynamics._solve_plan(tensor.band)
+        solve = dynamics._make_implicit_solve(tensor, 2.0)
         rng = np.random.default_rng(11)
         for empty in (0, 40):
             f = rng.uniform(0.0, 1.0, n)
@@ -221,18 +223,34 @@ class TestImplicitSolve:
             y[:empty] = 0.0
             y[empty:] -= y[empty:].mean()
             jac = dense_jacobian(f, tensor, 2.0)
-            d = dynamics._implicit_solve(tensor, 2.0, f, y, sigma, plan)
+            d = solve(f, y, sigma)
             if d is None:
-                assert (sigma - (np.diag(jac) - jac[:, -1])[:-1]).min() <= 1e-12
+                assert (sigma - (np.diag(jac) - jac[:, -1])[empty:-1]).min() <= 1e-12
                 continue
             d = d.copy()
-            # the plan's buffer is reused; a fresh plan gives the same bits
-            assert np.array_equal(d, dynamics._implicit_solve(tensor, 2.0, f, y, sigma))
+            # the solve's buffer is reused; a fresh solve gives the same bits
+            assert np.array_equal(d, dynamics._make_implicit_solve(tensor, 2.0)(f, y, sigma))
             matrix = sigma * np.eye(n) - jac
             total = 2.0 * f.sum()
             mass_mode = max(1.0, total / (sigma + 0.65 * total))
             assert np.abs(matrix @ d - y).max() <= 1e-14 * mass_mode * np.abs(y).max()
             assert np.array_equal(d[:empty], np.zeros(empty))
+
+    def test_empty_bottom_cells_stay_out_of_the_veto(self):
+        # sigma - eta T_jj on the two empty cells is 0.2 - 0.7 * 0.4 = -0.08;
+        # their rates and braking terms are exact zeros, so their d is 0
+        # and the step goes ahead on the occupied cells
+        grid = VelocityGrid(n_cells=7, v_max=1.0)
+        tensor = build_delta_tensor_integer(grid, GridRatio(Fraction(2)), 0.3)
+        f = np.array([0.0, 0.0, 0.14, 0.14, 0.14, 0.14, 0.14])
+        rate = collision_rhs(f, tensor, 1.0)
+        jac = dense_jacobian(f, tensor, 1.0)
+        assert (0.2 - np.diag(jac))[:2] == pytest.approx([-0.08, -0.08])
+        d = dynamics._make_implicit_solve(tensor, 1.0)(f, rate, 0.2)
+        assert d is not None
+        assert np.array_equal(d[:2], np.zeros(2))
+        residual = (0.2 * np.eye(7) - jac) @ d - rate
+        assert np.abs(residual[2:]).max() <= 1e-14 * np.abs(rate).max()
 
     def test_one_solve_allocates_under_one_square_array(self):
         grid = VelocityGrid(n_cells=401, v_max=1.0)
@@ -241,7 +259,7 @@ class TestImplicitSolve:
         rate = collision_rhs(f, tensor, 1.0)
         tracemalloc.start()
         try:
-            d = dynamics._implicit_solve(tensor, 1.0, f, rate, 10.0)
+            d = dynamics._make_implicit_solve(tensor, 1.0)(f, rate, 10.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -652,7 +670,8 @@ class TestSteadyState:
     def test_endless_rejections_end_in_a_numerical_error(self, monkeypatch):
         # with every solve vetoed, dt is quartered until it no longer moves
         # the clock; the march must stop there, not spin
-        monkeypatch.setattr(dynamics, "_implicit_solve", lambda *args: None)
+        monkeypatch.setattr(dynamics, "_make_implicit_solve",
+                            lambda tensor, eta: lambda f, rate, sigma: None)
         grid = VelocityGrid(n_cells=7, v_max=1.0)
         tensor = build_delta_tensor_integer(grid, GridRatio(Fraction(2)), 0.4)
         with pytest.raises(NumericalError, match="too small to advance") as exc:
@@ -749,6 +768,49 @@ class TestBadInputs:
         with pytest.raises(ConfigurationError, match="budget"):
             integrate(np.full(7, 0.1), tensor, 1.0, 1.0,
                       IntegratorControls(step=1.0 / (dynamics.MAX_STEPS + 1)))
+
+    @pytest.mark.parametrize("eta,t_end", [(1.0, 1e308), (1e308, 1.0)])
+    def test_step_count_past_the_float_range_is_refused_without_a_warning(self, eta, t_end):
+        # t_end / h is past the largest float, or eta * rho is and the
+        # default step is 0: the count is inf, and no overflow or
+        # division warning comes before the refusal
+        grid = VelocityGrid(n_cells=7, v_max=1.0)
+        tensor = build_delta_tensor_integer(grid, GridRatio(Fraction(2)), 0.4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="needs inf steps"):
+                integrate(np.full(7, 1.0), tensor, eta, t_end)
+
+    @pytest.mark.parametrize("call,kwargs,message", [
+        ("integrate", dict(t_end=math.nan), "t_end must be positive"),
+        ("find_steady_state", dict(residual_tol=math.nan), "residual_tol must be positive"),
+        ("find_steady_state", dict(t_max=math.nan), "t_max must be positive"),
+        ("find_steady_state", dict(t_max=0.0), "t_max must be positive"),
+    ])
+    def test_nan_or_non_positive_horizons_and_tolerances_are_refused(self, call, kwargs, message):
+        grid = VelocityGrid(n_cells=7, v_max=1.0)
+        tensor = build_delta_tensor_integer(grid, GridRatio(Fraction(2)), 0.4)
+        f0 = np.full(7, 0.5 / 7)
+        with pytest.raises(ConfigurationError, match=message):
+            if call == "integrate":
+                integrate(f0, tensor, 1.0, **kwargs)
+            else:
+                find_steady_state(f0, tensor, 1.0, **kwargs)
+
+    @pytest.mark.parametrize("step", [math.nan, math.inf, -1.0, 0.0])
+    def test_controls_refuse_a_non_finite_or_non_positive_step(self, step):
+        with pytest.raises(ConfigurationError, match="step must be positive and finite"):
+            IntegratorControls(step=step)
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, 1.0])
+    def test_controls_refuse_a_non_finite_or_small_store_factor(self, factor):
+        with pytest.raises(ConfigurationError, match="store_factor must exceed 1"):
+            IntegratorControls(store_factor=factor)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_controls_refuse_non_finite_sample_times(self, bad):
+        with pytest.raises(ConfigurationError, match="sample_times must be finite"):
+            IntegratorControls(sample_times=[0.5, bad, 1.0])
 
 
 class TestRateFitting:

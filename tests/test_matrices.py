@@ -106,6 +106,19 @@ class TestVelocityGrid:
         with pytest.raises(ConfigurationError):
             build_grid(ModelParams(delta_v=0.5), 0)
 
+    @pytest.mark.parametrize("n_cells", [3.5, 5.0, 1, 0, "5"])
+    def test_cell_count_must_be_a_whole_number_of_at_least_two(self, n_cells):
+        with pytest.raises(ConfigurationError, match="whole number of at least 2 cells"):
+            VelocityGrid(n_cells=n_cells, v_max=1.0)
+
+    @pytest.mark.parametrize("v_max", [math.nan, math.inf, 0.0, -1.0])
+    def test_top_speed_must_be_finite_and_positive(self, v_max):
+        with pytest.raises(ConfigurationError, match="v_max must be positive and finite"):
+            VelocityGrid(n_cells=5, v_max=v_max)
+
+    def test_numpy_cell_count_is_accepted(self):
+        assert VelocityGrid(n_cells=np.int64(5), v_max=1.0).centers.shape == (5,)
+
 
 class TestGridRatio:
     def test_half_offsets(self):

@@ -143,6 +143,12 @@ class TestCustomLaw:
         with pytest.raises(ConfigurationError):
             CustomLaw([(0.0, 1.2), (1.0, 0.0)])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_densities(self, bad):
+        # no comparison holds for NaN, so the ordering check alone passes it
+        with pytest.raises(ConfigurationError, match="rho values must be finite"):
+            CustomLaw([(0.0, 1.0), (bad, 0.5), (1.0, 0.0)])
+
     def test_table_must_cover_density_range(self):
         law = CustomLaw([(0.2, 0.9), (1.0, 0.1)])
         with pytest.raises(ConfigurationError):
