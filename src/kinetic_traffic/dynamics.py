@@ -92,6 +92,23 @@ DIAGONAL_MIN_WIDTH = 64
 # Most Newton steps that polish a converged steady state, see
 # find_steady_state
 POLISH_STEPS = 8
+# Least scale, relative to the total mass, against which find_steady_state
+# sizes a cell's change when it picks the next step: a cell that drains
+# geometrically towards 0 would otherwise read a relative change of 1/2 at
+# every step and hold dt in place.  It only picks the next step; the
+# rejection rule and the drift check are unchanged.  Accepted steps from
+# uniform starts at floors 0 / 1e-4 / 1e-3: spread T=4, r=100 at rho 0.3
+# and 0.45, 138 / 52 / 39 and 298 / 99 / 74; spread T=2, r=20, rho=0.49,
+# 562 / 110 / 87; jump T=4, r=100, rho=0.45, 54 / 32 / 26, none rejected.
+# At 1e-2 the clock runs out: dt grows while the residual stalls, and
+# spread T=4, r=100, rho=0.45 and T=2, r=20, rho=0.49 use up t_max=1e7 at
+# residuals 4.5e-5 and 3.2e-6.  1e-3 already thins that margin where a
+# spread-kernel cell's steady mass leaves 0: from uniform starts at 3,000
+# densities in [0.3, 0.9] on T=3, r=4; T=2, r=6 and T=4, r=4, 1e-3 used up
+# t_max=1e7 at rho 0.4666 (two grids) and 0.4782, where 0 and 1e-4
+# converge; of 100 densities in [0.4655, 0.4675) on T=3, r=4, 10 time
+# out at 1e-3, 3 at 1e-4 and 3 at 0.  So 1e-4, a decade below that.
+STEP_MASS_FLOOR = 1e-4
 # Rows per block of the steady-state solve's forward substitution, planned
 # once per march by _make_implicit_solve: one vecdot per block for the cells
 # below it, Python float arithmetic per row.  Numpy's per-call cost swings
@@ -369,14 +386,17 @@ def collision_rhs(
     """Rate of change of each cell mass; sums to zero up to rounding.
 
     f is one state or a (B, N) stack of states; a stack gets the rates of
-    every row from one batched evaluation.
+    every row from one batched evaluation.  A non-finite cell mass, or an
+    eta that is not finite and positive, raises ConfigurationError.
     """
+    _check_eta(eta)
     stacked = np.ndim(f) == 2
     arr = np.asarray(f, dtype=float) if stacked else _as_array(f, tensor)[None]
     if arr.shape[1] != tensor.n_cells:
         raise ConfigurationError(
             f"states have {arr.shape[1]} cells, tensor expects {tensor.n_cells}"
         )
+    _check_finite(arr)
     out = _make_batch_rhs([tensor], eta, len(arr))(arr)
     return out if stacked else out[0]
 
@@ -706,7 +726,9 @@ def find_steady_state(
     non-positive diagonal entry, or whose state has a negative component,
     is rejected and dt quartered; nothing is clamped.  An accepted step
     scales dt by 0.5 over the largest relative change of a cell,
-    |d_j| / max(f_j, f_j + d_j), at most fourfold.  The steps count against
+    |d_j| / max(f_j, f_j + d_j, STEP_MASS_FLOOR * rho), at most fourfold:
+    the floor, relative to the total mass rho, keeps a cell that drains
+    towards 0 from holding dt in place.  The steps count against
     t_max, the last one cut to end on it.  Once the stopping rule holds, up
     to POLISH_STEPS Newton steps follow, each kept, with rounding-level
     negatives set to 0 and the mass re-projected, while it lowers the
@@ -716,7 +738,8 @@ def find_steady_state(
     relative, raises NumericalError: from a finite state a step leaves a
     finite one unless the rates overflow, which no shorter step mends.  So
     does a dt too small to advance t, which only rejections without end
-    can bring about.  t_max exhausted raises SteadyStateTimeout, carrying
+    can bring about; both messages name the time reached and the accepted
+    and rejected steps.  t_max exhausted raises SteadyStateTimeout, carrying
     the last state, the residual and the work done, which is logged at
     DEBUG level when the march ends.
 
@@ -749,11 +772,16 @@ def find_steady_state(
         work["jac_evals"] += 1
         return implicit_solve(f, rate, sigma)
 
+    def done() -> str:
+        return (f"t_reached={work['t_reached']:.6g} steps={work['steps']} "
+                f"rejected={work['rejected']}")
+
     rate, residual = rhs(f)
     if residual <= residual_tol:
         return CellMassVector(f, tensor.grid)
 
     t, dt = 0.0, 0.1 / (eta * float(rho0))  # Python floats: 1/dt may overflow
+    floor = STEP_MASS_FLOOR * rho0
     change_rate = math.inf
     try:
         while not (residual <= residual_tol and change_rate <= residual_tol):
@@ -770,7 +798,7 @@ def find_steady_state(
                 dt = t_max - t
             if t + dt == t:  # no step left that moves the clock
                 raise NumericalError(
-                    f"steady-state step {dt:.3e} too small to advance t={t:.6g}"
+                    f"steady-state step {dt:.3e} too small to advance t ({done()})"
                 )
             d = solve(f, rate, 1.0 / dt)
             if d is not None:
@@ -778,7 +806,8 @@ def find_steady_state(
                 total = g.sum()
                 if not abs(total - rho0) <= 1e-8 * max(rho0, 1.0):  # NaN and inf too
                     raise NumericalError(
-                        f"mass drifted by {total - rho0:.3e} within one step; aborting"
+                        f"mass drifted by {total - rho0:.3e} within one step; aborting "
+                        f"({done()})"
                     )
             if d is None or g.min() < 0.0:
                 work["rejected"] += 1
@@ -787,11 +816,12 @@ def find_steady_state(
             work["steps"] += 1
             t = t_max if last else t + dt
             work["t_reached"] = t
-            # |d_j| <= max(f_j, g_j) as g >= 0: worst <= 1, so dt at most
-            # halves, when a cell empties or fills from nothing
-            scale = np.maximum(f, g)
+            # |d_j| <= max(f_j, g_j) as g >= 0, and the floor only raises
+            # the scale: worst <= 1, so dt at most halves, when a cell at or
+            # above the floor empties or fills from nothing
+            scale = np.maximum(np.maximum(f, g), floor)
             size = np.abs(d)
-            worst = float((size / np.where(scale > 0.0, scale, 1.0)).max())
+            worst = float((size / scale).max())
             f = g
             rate, residual = rhs(f)
             change_rate = float(size.max()) / (rho0 * dt)

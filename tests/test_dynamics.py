@@ -121,6 +121,14 @@ class TestCollisionRhs:
         with pytest.raises(ConfigurationError):
             collision_rhs(np.full((2, 5), 0.1), tensor, 1.0)
 
+    def test_stack_with_a_non_finite_row_is_refused(self):
+        # one state, and bad eta values, are in TestBadInputs
+        grid, tensor = zoo_tensor(3, Fraction(2), build_delta_tensor_integer, 0.4)
+        states = np.full((2, grid.n_cells), 0.1)
+        states[1, 3] = math.nan
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            collision_rhs(states, tensor, 1.0)
+
     @pytest.mark.parametrize("t_jumps,r,builder", TENSOR_ZOO)
     def test_stack_gives_each_row_its_own_rate(self, t_jumps, r, builder):
         grid, tensor = zoo_tensor(t_jumps, r, builder, 0.35)
@@ -669,14 +677,17 @@ class TestSteadyState:
 
     def test_endless_rejections_end_in_a_numerical_error(self, monkeypatch):
         # with every solve vetoed, dt is quartered until it no longer moves
-        # the clock; the march must stop there, not spin
+        # the clock; the march must stop there, not spin, and say how far it got
+        vetoes = []
         monkeypatch.setattr(dynamics, "_make_implicit_solve",
-                            lambda tensor, eta: lambda f, rate, sigma: None)
+                            lambda tensor, eta: lambda f, rate, sigma: vetoes.append(sigma))
         grid = VelocityGrid(n_cells=7, v_max=1.0)
         tensor = build_delta_tensor_integer(grid, GridRatio(Fraction(2)), 0.4)
         with pytest.raises(NumericalError, match="too small to advance") as exc:
             find_steady_state(np.full(7, 0.5 / 7), tensor, 1.0, t_max=10.0)
         assert type(exc.value) is NumericalError
+        assert len(vetoes) > 500
+        assert str(exc.value).endswith(f"(t_reached=0 steps=0 rejected={len(vetoes)})")
 
     @pytest.mark.parametrize("kernel,n_jumps,r,rho", [
         (Kernel.CHI, 2, 1, 0.3),
@@ -688,6 +699,51 @@ class TestSteadyState:
         got = find_steady_state(f0, tensor, 1.0, residual_tol=1e-10, t_max=1e7)
         want = solve_ivp_steady_state(f0, tensor, 1.0, residual_tol=1e-10, t_max=1e7)
         assert np.abs(got.masses - want.masses).max() <= 1e-12
+
+    @pytest.mark.parametrize("n_jumps,r,rho,budget", [
+        (4, 100, 0.3, 60), (4, 100, 0.45, 110), (2, 20, 0.49, 130),
+    ])
+    def test_draining_cells_do_not_hold_the_step(self, caplog, n_jumps, r, rho, budget):
+        # most cells of a spread march drain towards 0; sized against their
+        # own mass alone they would hold dt in place, at 138, 298 and 562
+        # accepted steps on these three cases
+        tensor, f0 = _diagram_problem(Kernel.CHI, n_jumps, r, rho)
+        with caplog.at_level(logging.DEBUG, logger="kinetic_traffic.dynamics"):
+            got = find_steady_state(f0, tensor, 1.0, residual_tol=1e-10, t_max=1e7).masses
+        logged = caplog.records[-1].getMessage().split()
+        work = dict(item.split("=") for item in logged if "=" in item)
+        assert int(work["rejected"]) == 0
+        assert int(work["steps"]) <= budget
+        assert np.abs(got - banded_equilibrium(tensor, rho).masses).max() <= 1e-15
+
+    # Densities within 0.03 of 1/2 are left out: there the stable branch
+    # and the shifted one above an empty rest cell meet (P = 1/2 for the
+    # jump kernel), so a jump march times out (criterion 02) and a spread
+    # start whose rest cell holds 1e-12 of the mass meets residual_tol on
+    # the shifted branch, 2e-3 to 2e-2 from the chain at rho 0.485-0.5.
+    # A spread march also times out within about 3e-5 of a density where a
+    # cell's steady mass leaves 0 (rho 0.4666 on T=3, r=4 and T=4, r=4;
+    # 0.4782 on T=2, r=6), as it did before the step floor; draws from
+    # these ranges land there about once in 3e4.
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kernel=st.sampled_from([Kernel.CHI, Kernel.DELTA]),
+        shape=st.sampled_from([(3, 4), (2, 6), (4, 4)]),
+        rho=st.floats(0.3, 0.47) | st.floats(0.53, 0.9),
+        exponents=st.lists(st.floats(-12.0, 0.0), min_size=17, max_size=17),
+        empty=st.integers(0, 3),
+    )
+    def test_random_starts_reach_the_chain(self, kernel, shape, rho, exponents, empty):
+        n_jumps, r = shape
+        params = ModelParams(delta_v=1.0 / n_jumps, kernel=kernel)
+        grid, ratio = build_grid(params, r)
+        n = grid.n_cells
+        tensor = build_tensor(kernel, grid, ratio, evaluate_probability(PowerLaw(), rho, params))
+        f0 = np.zeros(n)
+        f0[empty:] = np.power(10.0, exponents[:n - empty])
+        f0 *= rho / f0.sum()
+        got = find_steady_state(f0, tensor, 1.0, residual_tol=1e-10, t_max=1e7).masses
+        assert np.abs(got - banded_equilibrium(tensor, rho, empty=empty).masses).max() <= 1e-14
 
     def test_near_critical_sample_reaches_the_chain(self):
         # criterion 09's spread sample at rho=0.49, r=20: the LSODA reference
@@ -711,11 +767,11 @@ def _diagram_problem(kernel, n_jumps, r, rho):
 
 BAD_INPUTS = [
     (call, eta, None)
-    for call in ("integrate", "find_steady_state")
+    for call in ("integrate", "find_steady_state", "collision_rhs")
     for eta in (-1.0, 0.0, math.inf, math.nan)
 ] + [
     (call, 1.0, mass)
-    for call in ("integrate", "find_steady_state", "state")
+    for call in ("integrate", "find_steady_state", "collision_rhs", "state")
     for mass in (math.nan, math.inf)
 ]
 
@@ -729,11 +785,13 @@ class TestBadInputs:
         tensor = build_delta_tensor_integer(grid, GridRatio(Fraction(2)), 0.4)
         f0 = np.full(7, 1e160)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalError, match="drift"):
+            with pytest.raises(NumericalError, match="drift") as exc:
                 if call == "integrate":
                     integrate(f0, tensor, 1.0, 1.0, IntegratorControls(step=1.0))
                 else:
                     find_steady_state(f0, tensor, 1.0, t_max=10.0)
+        if call == "find_steady_state":
+            assert str(exc.value).endswith("(t_reached=0 steps=0 rejected=0)")
 
     @pytest.mark.parametrize("call,eta,bad_mass", BAD_INPUTS)
     def test_rejected_before_any_stepping(self, call, eta, bad_mass):
@@ -747,6 +805,8 @@ class TestBadInputs:
                 integrate(f0, tensor, eta, 1.0)
             elif call == "find_steady_state":
                 find_steady_state(f0, tensor, eta, t_max=10.0)
+            elif call == "collision_rhs":
+                collision_rhs(f0, tensor, eta)
             else:
                 CellMassVector(f0, grid)
 
