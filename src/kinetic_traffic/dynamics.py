@@ -46,7 +46,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .matrices import InteractionTensor, VelocityGrid
+from .matrices import InteractionTensor, VelocityGrid, _windows
 from .params import ConfigurationError
 
 __all__ = [
@@ -109,16 +109,6 @@ POLISH_STEPS = 8
 # converge; of 100 densities in [0.4655, 0.4675) on T=3, r=4, 10 time
 # out at 1e-3, 3 at 1e-4 and 3 at 0.  So 1e-4, a decade below that.
 STEP_MASS_FLOOR = 1e-4
-# Rows per block of the steady-state solve's forward substitution, planned
-# once per march by _make_implicit_solve: one vecdot per block for the cells
-# below it, Python float arithmetic per row.  Numpy's per-call cost swings
-# with the shared machine's speed far more than the benchmark's yardstick
-# does: across processes (2-core Xeon, one BLAS thread, N=401, r=100) a
-# numpy dot per row took 2.1 times the yardstick's change in log time,
-# blocks of 32 take 1.4 and a plain Python loop 1.1.
-# Blocks of 64 took 32 % more time on the spread kernel, whose top rows
-# keep per-cell deviations; blocks of 16 take twice the vecdots.
-SOLVE_BLOCK = 32
 # select_fit_window's guard bands, see there
 HEAD_DROP = 1e-2
 DECADES_ABOVE_FLOOR = 1.5
@@ -386,19 +376,34 @@ def collision_rhs(
     """Rate of change of each cell mass; sums to zero up to rounding.
 
     f is one state or a (B, N) stack of states; a stack gets the rates of
-    every row from one batched evaluation.  A non-finite cell mass, or an
-    eta that is not finite and positive, raises ConfigurationError.
+    every row from one batched evaluation (`_make_batch_rhs`).  One state
+    takes W @ f as one vecdot of the band against the windows of one
+    zero-padded copy of f, with no plan, and gets the bits of its row in a
+    stack.  A non-finite cell mass, or an eta that is not finite and
+    positive, raises ConfigurationError.
     """
     _check_eta(eta)
-    stacked = np.ndim(f) == 2
-    arr = np.asarray(f, dtype=float) if stacked else _as_array(f, tensor)[None]
-    if arr.shape[1] != tensor.n_cells:
-        raise ConfigurationError(
-            f"states have {arr.shape[1]} cells, tensor expects {tensor.n_cells}"
-        )
-    _check_finite(arr)
-    out = _make_batch_rhs([tensor], eta, len(arr))(arr)
-    return out if stacked else out[0]
+    if np.ndim(f) == 2:
+        arr = np.asarray(f, dtype=float)
+        if arr.shape[1] != tensor.n_cells:
+            raise ConfigurationError(
+                f"states have {arr.shape[1]} cells, tensor expects {tensor.n_cells}"
+            )
+        _check_finite(arr)
+        return _make_batch_rhs([tensor], eta, len(arr))(arr)
+    f = _as_array(f, tensor)
+    _check_finite(f)
+    n, width = tensor.band.shape
+    padded = np.zeros(n + width - 1)
+    padded[width - 1:] = f
+    wf = np.vecdot(tensor.band, _windows(padded, width))
+    p = tensor.p
+    total = f.sum()
+    csum = f.cumsum()
+    below = csum - f
+    above = total - csum
+    # _make_batch_rhs's terms in its order: a lone state gets its row's bits
+    return eta * (f * (-below - p * f + (1.0 - 2.0 * p) * above) + wf * total)
 
 
 def _clamp_negativity(f: np.ndarray, context: str) -> int:
@@ -626,14 +631,10 @@ def _make_implicit_solve(
     linearly implicit Euler step, sigma = 0 the mass-conserving Newton
     step.
 
-    The rows go in blocks of m = SOLVE_BLOCK, planned here once: one
-    vecdot gives every row of a block the weights of the cells below the
-    block, and the block's own cells are added row by row in Python
-    floats.  Row t of block s .. s + m - 1 weighs the block's cell u < t by
-    band[s + t, b - t + u] (0 where u < t - b, outside the band); the plan
-    holds these as the weight w of cell t - 1 and the deviations from w, or
-    no deviations when they are all 0: the spread kernel's and the jump
-    kernel's rows below the top weigh every cell of a block alike.
+    The substitution is a forward sweep on the tensor's sweep plan (see
+    `matrices._plan_sweep`), planned once per grid from the P-free band and
+    shared with `banded_equilibrium`; P joins the row scale, eta S P, and
+    nothing is planned here.
 
     The solve returns None when a diagonal entry sigma - eta T_jj is not
     positive: the step would not damp that cell's mode.  Cells below f's
@@ -642,32 +643,14 @@ def _make_implicit_solve(
     which long steps make negative there.  Otherwise d is a buffer that the
     next solve overwrites.
     """
-    m = SOLVE_BLOCK
-    band = tensor.band
-    n, width = band.shape
-    b = width - 1
-    blocks = -(-n // m)
-    wide = np.zeros((blocks * m, m + b))  # band[:, :b] behind m zero columns
-    wide[:n, m:] = band[:, :b]
-    t, u = np.tril_indices(m, -1)
-    tri = np.zeros((blocks, m, m))
-    tri[:, t, u] = wide[np.arange(0, blocks * m, m)[:, None] + t, m + b - t + u]
-    near = np.zeros((blocks, m))
-    near[:, 1:] = tri[:, np.arange(1, m), np.arange(m - 1)]
-    rest = np.zeros((blocks, m, m))
-    rest[:, t, u] = tri[:, t, u] - near[:, t]
-    padded = np.zeros(b + n)  # d behind b zeros: row j meets padded[j:j + b]
-    windows = sliding_window_view(padded, b)
-    kk, tt = np.nonzero(rest.any(axis=2))
-    deviations = {(k, t): row[:t] for k, t, row in zip(kk.tolist(), tt.tolist(), rest[kk, tt].tolist())}
-    plan = []
-    for k, (s, near_k) in enumerate(zip(range(0, n, m), near.tolist())):
-        e = min(s + m, n)
-        weights = [(w, deviations.get((k, t), [])) for t, w in enumerate(near_k)]
-        plan.append((s, e, band[s:e, :b], windows[s:e], weights))
+    plan, factor = tensor._sweep
+    b = tensor.bandwidth
+    padded = np.zeros(b + tensor.n_cells)  # d behind b zeros: row j meets padded[j:j + b]
+    windows = _windows(padded, b)
+    blocks = [(s, e, rows, windows[s:e], weights) for s, e, rows, weights in plan]
     q = 1.0 - 2.0 * tensor.p
     brake = -2.0 * eta * (1.0 - tensor.p)
-    self_weights = band[:, b]
+    self_weights = tensor.band[:, b]
     mul = operator.mul
 
     def solve(f: np.ndarray, rate: np.ndarray, sigma: float) -> Optional[np.ndarray]:
@@ -679,12 +662,12 @@ def _make_implicit_solve(
         diag[:int(np.argmax(f > 0.0))] = 1.0
         if not diag.min() > 0.0:
             return None
-        scale = eta * total
+        scale = (eta * total) * factor
         brakes = (brake * f).tolist()
         rates, diags = rate.tolist(), diag.tolist()
         padded[b:] = 0.0
         prefix = 0.0
-        for s, e, rows, row_windows, weights in plan:
+        for s, e, rows, row_windows, weights in blocks:
             # the block's own cells are still 0 in padded
             outside = np.vecdot(rows, row_windows).tolist()
             ds: list[float] = []

@@ -15,6 +15,7 @@ the shifted (unstable) branch.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -22,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import NEGATIVITY_TOL, CellMassVector, NumericalError
-from .matrices import InteractionTensor, VelocityGrid
+from .matrices import InteractionTensor, VelocityGrid, _windows
 from .params import (
     ConfigurationError,
     Kernel,
@@ -145,7 +146,11 @@ def banded_equilibrium(tensor: InteractionTensor, rho: float, empty: int = 0) ->
         b_j = (1-2P) rho - 2(1-P) C_j + rho W_jj,  c_j = rho sum_{i<j} W_ji f_i,
 
     with C_j the mass below cell j.  Cells 1..N-1 are solved in turn and
-    the top cell closes the mass balance, in O(N b) from `tensor.band`.
+    the top cell closes the mass balance, in O(N b): a forward sweep on the
+    tensor's sweep plan (see `matrices._plan_sweep`), which a builder's
+    tensor shares with every density on its grid and with the steady-state
+    solve.  The plan sums the P-free weights, and P joins the row scale,
+    rho P, so no plan is made here.
     With c_j > 0 the positive root is taken (via the other root and the
     root product when b_j < 0, so that a tiny root survives cancellation);
     with c_j = 0 the root max(b_j/(1-P), 0), which never starts a state
@@ -162,22 +167,42 @@ def banded_equilibrium(tensor: InteractionTensor, rho: float, empty: int = 0) ->
     n, b = tensor.n_cells, tensor.bandwidth
     if not 0 <= empty < n:
         raise ConfigurationError(f"empty prefix {empty!r} outside [0, {n - 1}]")
+    plan, factor = tensor._sweep
     a = 1.0 - tensor.p
     lin = (1.0 - 2.0 * tensor.p) * rho
-    lower = tensor.band[:, :b]
-    diag = tensor.band[:, b].tolist()
+    scale = rho * factor
+    self_weights = tensor.band[:, b].tolist()
     f = np.zeros(b + n)  # cell j at f[b + j], after b zeros for the band window
+    windows = _windows(f, b)
+    mul = operator.mul
     below = 0.0
-    for j in range(empty, n - 1):
-        c = rho * float(lower[j] @ f[j:j + b])
-        bj = lin - 2.0 * a * below + rho * diag[j]
-        if c > 0.0:  # so P < 1: at P = 1 every c_j is 0
-            x = _positive_root(a, bj, c)
-        else:
-            # roots 0 and b_j/(1-P); at P = 1 the equation is linear
-            x = max(bj / a, 0.0) if a > 0.0 else 0.0
-        f[b + j] = x
-        below += x
+    for s, e, rows, weights in plan:
+        if e <= empty:
+            continue
+        # the block's own cells are still 0 in f, and every cell below a
+        # block that starts in the empty prefix
+        outside = np.vecdot(rows, windows[s:e]).tolist() if s > empty else [0.0] * (e - s)
+        xs: list[float] = []
+        inside = 0.0  # the sum of xs
+        for j, out_j, (w_j, rest_j), self_j in zip(
+            range(s, n - 1), outside, weights, self_weights[s:e]
+        ):
+            if j < empty:
+                x = 0.0
+            else:
+                if rest_j:
+                    out_j += sum(map(mul, rest_j, xs))
+                c = scale * (out_j + w_j * inside)
+                bj = lin - 2.0 * a * below + rho * self_j
+                if c > 0.0:  # so P < 1: at P = 1 every c_j is 0
+                    x = _positive_root(a, bj, c)
+                else:
+                    # roots 0 and b_j/(1-P); at P = 1 the equation is linear
+                    x = max(bj / a, 0.0) if a > 0.0 else 0.0
+            xs.append(x)
+            inside += x
+            below += x
+        f[b + s:b + s + len(xs)] = xs
     top = rho - below
     if top < NEGATIVITY_TOL:
         raise NumericalError(f"top cell mass {top:.3e} went negative")

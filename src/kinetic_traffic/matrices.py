@@ -20,10 +20,15 @@ output cells j and the share of h landing in each: an interval overlap
 on int64 edges, exact in float64, for the jump kernel (two shares per
 candidate), a closed-form window integral for the spread kernel (r + 1
 shares per candidate, exact up to the division by r and one logarithm
-per candidate).  The shares do not depend on P: they are computed once
-per (kernel, N, r), cached read-only for the 8 grids used last, and
-scaled by P on each build, so a sweep over densities on one grid lands
-its candidates once.
+per candidate).  The shares do not depend on P.  So one cache entry per
+(kernel, N, r), kept for the 8 grids used last, holds the P-free band
+(the band at P = 1), read-only and checked once, when it enters the
+cache, and the plan of a forward sweep over its rows (`_plan_sweep`),
+which the band chain and the steady-state solve share.  At N=1001, r=100
+a spread-kernel entry is 0.8 MB of band and 0.15 MB of plan; a jump band
+at r=1000/3 is 2.7 MB.  A build at any P is then one product, P times
+the P-free band, and a sweep takes P into its row scale: a diagram or a
+march at a new density on a cached grid lands and plans nothing.
 Only the band, an (N, b + 1) array, is stored; the band plus P is the
 whole tensor: the right-hand side takes W @ f from it, in O(N * b) by
 one vecdot over the band, or in O(N + b) on a wide jump-kernel band,
@@ -61,6 +66,19 @@ __all__ = [
 # Largest deviation of an acceleration column sum from P that
 # verify_stochasticity passes
 STOCHASTICITY_TOL = 1e-12
+# Most rows per block of a forward sweep over the band, see _plan_sweep:
+# one vecdot per block for the cells below it, Python float arithmetic per
+# row.  Numpy's per-call cost swings with the shared machine's speed far
+# more than the benchmark's yardstick does: across processes (2-core Xeon,
+# one BLAS thread, N=401, r=100) a numpy dot per row took 2.1 times the
+# yardstick's change in log time, blocks of 32 take 1.4 and a plain Python
+# loop 1.1.  Blocks of 64 took 32 % more time on the spread kernel, whose
+# top rows keep per-cell deviations; blocks of 16 take twice the vecdots.
+SOLVE_BLOCK = 32
+
+# Blocks (s, e, rows, weights) of a forward sweep over band rows s .. e - 1,
+# see _plan_sweep
+SweepPlan = tuple[tuple[int, int, np.ndarray, tuple[tuple[float, tuple[float, ...]], ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -175,8 +193,11 @@ class InteractionTensor:
     built from the band on first use, which no solver reads.  The
     constructor requires 0 <= p <= 1 and a finite, nonnegative band, the
     assumptions of the column-sum check in `verify_stochasticity`, and keeps
-    a float copy of the band, so the caller's array stays writable.  Both
-    stored arrays are read-only.
+    a float copy of the band, so the caller's array stays writable; it plans
+    the band's sweep on first use.  The builders check p and take their
+    band as p times their grid's cached P-free band, which was checked
+    once, when it entered the cache, so a build copies and rescans nothing.
+    Both stored arrays are read-only.
     """
 
     kernel: Kernel
@@ -186,19 +207,23 @@ class InteractionTensor:
 
     def __post_init__(self):
         _check_probability(self.p)
-        n = self.grid.n_cells
         band = np.array(self.band, dtype=float)
-        if band.ndim != 2 or band.shape[0] != n or not 1 <= band.shape[1] <= n:
-            raise ConfigurationError(
-                f"acceleration band of shape {band.shape} does not fit {n} cells"
-            )
-        if not np.isfinite(band).all() or np.any(band < 0.0):
-            raise ConfigurationError("acceleration band has a negative or non-finite weight")
-        rows, cols = np.nonzero(band)
-        if np.any(rows + cols < band.shape[1] - 1):
-            raise ConfigurationError("acceleration band has weight left of the first cell")
+        _check_band(band, self.grid.n_cells)
         band.setflags(write=False)
         object.__setattr__(self, "band", band)
+
+    @classmethod
+    def _scaled(cls, kernel: Kernel, p: float, grid: VelocityGrid, band: np.ndarray,
+                plan: SweepPlan) -> "InteractionTensor":
+        """The tensor whose read-only band is p times a P-free band from the
+        landing cache, with that band's cached sweep plan at factor p.  The
+        P-free band was checked when it entered the cache and p by the
+        builder, so nothing is copied or rescanned here."""
+        tensor = object.__new__(cls)
+        for name, value in (("kernel", kernel), ("p", p), ("grid", grid), ("band", band)):
+            object.__setattr__(tensor, name, value)
+        object.__setattr__(tensor, "_sweep", (plan, p))
+        return tensor
 
     @property
     def n_cells(self) -> int:
@@ -222,6 +247,13 @@ class InteractionTensor:
         dense.setflags(write=False)
         return dense
 
+    @cached_property
+    def _sweep(self) -> tuple[SweepPlan, float]:
+        """The sweep plan of this band's rows and the factor its weights take:
+        the band's own plan at factor 1.  A builder's tensor instead carries
+        the cached plan of its grid's P-free band at factor p."""
+        return _plan_sweep(self.band), 1.0
+
 
 def build_grid(params: ModelParams, r: Union[int, float, Fraction]) -> tuple[VelocityGrid, GridRatio]:
     """Velocity grid with N = r*T + 1 cells plus the exact grid ratio.
@@ -242,6 +274,20 @@ def build_grid(params: ModelParams, r: Union[int, float, Fraction]) -> tuple[Vel
 def _check_probability(p: float):
     if not 0.0 <= p <= 1.0:
         raise ConfigurationError(f"probability P={p!r} outside [0, 1]")
+
+
+def _check_band(band: np.ndarray, n: int):
+    """Refuse an acceleration band that does not fit n cells, has a negative
+    or non-finite weight, or puts weight left of the first cell."""
+    if band.ndim != 2 or band.shape[0] != n or not 1 <= band.shape[1] <= n:
+        raise ConfigurationError(
+            f"acceleration band of shape {band.shape} does not fit {n} cells"
+        )
+    if not np.isfinite(band).all() or np.any(band < 0.0):
+        raise ConfigurationError("acceleration band has a negative or non-finite weight")
+    rows, cols = np.nonzero(band)
+    if np.any(rows + cols < band.shape[1] - 1):
+        raise ConfigurationError("acceleration band has weight left of the first cell")
 
 
 def build_delta_tensor_integer(grid: VelocityGrid, ratio: GridRatio, p: float) -> InteractionTensor:
@@ -355,32 +401,94 @@ def _spread_landing(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     return j, (below + above) / (hi - lo)
 
 
+def _windows(padded: np.ndarray, width: int) -> np.ndarray:
+    """The overlapping view whose row j is padded[j:j + width], for a
+    contiguous 1-d padded: the window a band row meets.  No copy, and a
+    twentieth of sliding_window_view's cost per call (0.5 against 12 us)."""
+    step = padded.itemsize
+    return np.ndarray((len(padded) - width + 1, width), padded.dtype, padded, 0, (step, step))
+
+
+def _plan_sweep(band: np.ndarray) -> SweepPlan:
+    """The blocks of a forward sweep over the rows of an (N, b + 1) band.
+
+    A forward sweep gives row j the sum of band row j's weights against the
+    b cells below j, all found before row j, then one scalar step: the
+    band chain's quadratic root (`banded_equilibrium`) or the implicit
+    solve's division (`dynamics._make_implicit_solve`).  The rows go in
+    blocks of m = min(SOLVE_BLOCK, b + 1): one vecdot of the block's `rows`,
+    band[s:e, :b], against their windows gives every row of the block the
+    weights of the cells below the block, and the block's own cells are
+    added row by row in Python floats.  Row t of block s .. e - 1 weighs the
+    block's cell u < t by band[s + t, b - t + u]; `weights` holds these per
+    row as the weight w of cell t - 1 and the deviations from w, or no
+    deviations when they are all 0: the spread kernel's and the jump
+    kernel's rows below the top weigh every cell of a block alike.  A row
+    sums w times the running sum of the block's cells plus the deviations'
+    products.  With m <= b + 1 every earlier cell of a block lies inside
+    the row's band window; a longer block would count a cell outside it as
+    w minus w, which rounding does not cancel.  A sweep scales every weight
+    by one factor, so a grid's P-free band plans the sweep at every P.
+    """
+    n, width = band.shape
+    b = width - 1
+    m = min(SOLVE_BLOCK, width)
+    blocks = -(-n // m)
+    lower = np.zeros((blocks * m, b))  # band[:, :b], then zero rows to whole blocks
+    lower[:n] = band[:, :b]
+    t, u = np.tril_indices(m, -1)
+    tri = np.zeros((blocks, m, m))
+    tri[:, t, u] = lower[np.arange(0, blocks * m, m)[:, None] + t, b - t + u]
+    near = np.zeros((blocks, m))
+    near[:, 1:] = tri[:, np.arange(1, m), np.arange(m - 1)]
+    rest = np.zeros((blocks, m, m))
+    rest[:, t, u] = tri[:, t, u] - near[:, t]
+    kk, tt = np.nonzero(rest.any(axis=2))
+    deviations = {(k, t): tuple(row[:t])
+                  for k, t, row in zip(kk.tolist(), tt.tolist(), rest[kk, tt].tolist())}
+    plan = []
+    for k, (s, near_k) in enumerate(zip(range(0, n, m), near.tolist())):
+        e = min(s + m, n)
+        weights = tuple((w, deviations.get((k, t), ())) for t, w in enumerate(near_k[:e - s]))
+        plan.append((s, e, band[s:e, :b], weights))
+    return tuple(plan)
+
+
 # 8 grids cover every benchmark workload: fd-sweep uses 2, refined-solve 4,
-# cli-runs 5; an (N, r + 1) spread landing at N=1001, r=100 is 1.6 MB
+# cli-runs 5.  At N=1001, r=100 a spread-kernel entry holds an 0.8 MB band
+# and a 0.15 MB plan.
 @lru_cache(maxsize=8)
-def _landing(kernel: Kernel, n: int, rf: Fraction) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only output cells j and shares of every candidate cell h = 1 .. N
-    (one row per candidate), the part of a band that does not depend on P."""
+def _landing(kernel: Kernel, n: int, rf: Fraction) -> tuple[np.ndarray, SweepPlan]:
+    """The P-free band of this kernel and grid, the band at P = 1, read-only,
+    and its sweep plan: the part of every band that does not depend on P.
+
+    The band's columns come from the output cells j and shares of every
+    candidate cell h = 1 .. N; output cells past N get rows of their own,
+    which are dropped.  The band is checked here, once per grid, as the
+    constructor checks a band from outside: finite, non-negative and inside
+    the band.
+    """
     if kernel is Kernel.CHI:
         j, share = _spread_landing(n, int(rf))
     else:
         j, share = _jump_landing(n, rf)
-    j.setflags(write=False)
-    share.setflags(write=False)
-    return j, share
+    cr = math.ceil(rf)
+    h = np.arange(1, n + 1)[:, None]
+    band = np.zeros((j.max(), cr + 1))  # column cr - d is the d-th lower diagonal
+    band[j - 1, cr - (j - h)] = share
+    band = band[:n]
+    _check_band(band, n)
+    band.setflags(write=False)
+    return band, _plan_sweep(band)
 
 
 def _assemble(kernel: Kernel, grid: VelocityGrid, rf: Fraction, p: float) -> InteractionTensor:
-    """Band of bandwidth ceil(r) at braking level p from the cached landing
-    of this kernel, grid and ratio: the shares are computed once per
-    (kernel, N, r) and scaled by p on each build.  Output cells past N get
-    rows of their own, which are dropped."""
-    n, cr = grid.n_cells, math.ceil(rf)
-    h = np.arange(1, n + 1)[:, None]
-    j, share = _landing(kernel, n, rf)
-    band = np.zeros((j.max(), cr + 1))  # column cr - d is the d-th lower diagonal
-    band[j - 1, cr - (j - h)] = p * share
-    return InteractionTensor(kernel=kernel, p=p, grid=grid, band=band[:n])
+    """Band of bandwidth ceil(r) at braking level p: p times the cached
+    P-free band of this kernel, grid and ratio, with its cached sweep plan."""
+    free, plan = _landing(kernel, grid.n_cells, rf)
+    band = p * free
+    band.setflags(write=False)
+    return InteractionTensor._scaled(kernel, p, grid, band, plan)
 
 
 def build_tensor(kernel: Kernel, grid: VelocityGrid, ratio: GridRatio, p: float) -> InteractionTensor:

@@ -46,7 +46,7 @@ from kinetic_traffic import (
     select_fit_window,
     staircase_distance,
 )
-from kinetic_traffic import dynamics
+from kinetic_traffic import dynamics, matrices
 from kinetic_traffic.matrices import InteractionTensor
 
 from _oracles import (
@@ -129,12 +129,18 @@ class TestCollisionRhs:
         with pytest.raises(ConfigurationError, match="non-finite"):
             collision_rhs(states, tensor, 1.0)
 
-    @pytest.mark.parametrize("t_jumps,r,builder", TENSOR_ZOO)
+    @pytest.mark.parametrize("t_jumps,r,builder", TENSOR_ZOO + [
+        (t, r, build_delta_tensor_generic) for t, r in DIAGONAL_GRIDS
+    ])
     def test_stack_gives_each_row_its_own_rate(self, t_jumps, r, builder):
+        # one state takes a plain vecdot, a stack on a wide jump band the
+        # diagonal product: the same bits, down to the sign of every zero
         grid, tensor = zoo_tensor(t_jumps, r, builder, 0.35)
-        states = np.random.default_rng(13).uniform(0.0, 0.2, (6, grid.n_cells))
+        rng = np.random.default_rng(13)
+        states = rng.uniform(0.0, 0.2, (6, grid.n_cells))
+        states[rng.uniform(size=states.shape) < 0.2] = 0.0
         rows = np.array([collision_rhs(f, tensor, 1.5) for f in states])
-        assert np.array_equal(collision_rhs(states, tensor, 1.5), rows)
+        assert same_bits(collision_rhs(states, tensor, 1.5), rows)
 
     def test_band_product_allocates_no_square_array(self):
         # one dense (N, N) float64 array at N=1001 would take 8 MB
@@ -169,6 +175,41 @@ class TestCollisionRhs:
             tracemalloc.stop()
         assert rhs_peak < 1_000_000
         assert rk4_peak < 1_000_000
+
+
+class TestConstructorTensors:
+    """A tensor built from a builder's band by the public constructor plans
+    its sweep from that band at factor 1, where the builder's tensor shares
+    its grid's cached P-free plan at factor P; both agree."""
+
+    @pytest.mark.parametrize("t_jumps,r,builder", TENSOR_ZOO)
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_builder_and_constructor_agree(self, t_jumps, r, builder, p):
+        grid, built = zoo_tensor(t_jumps, r, builder, p)
+        made = InteractionTensor(kernel=built.kernel, p=p, grid=grid, band=built.band)
+        assert made.band.tobytes() == built.band.tobytes()
+        assert made._sweep[1] == 1.0 and built._sweep[1] == p
+        rng = np.random.default_rng(17)
+        f = rng.uniform(0.0, 0.2, (4, grid.n_cells))
+        f[:, :2] = 0.0
+        for row in f:
+            assert same_bits(collision_rhs(row, made, 2.0), collision_rhs(row, built, 2.0))
+        assert same_bits(collision_rhs(f, made, 2.0), collision_rhs(f, built, 2.0))
+        for rho in (0.2, 0.45, 0.8):
+            for empty in (0, 2):
+                gap = banded_equilibrium(made, rho, empty).masses - banded_equilibrium(
+                    built, rho, empty).masses
+                # the top cell closes the balance as rho less the rest: one
+                # ulp of rho, 1.1e-16 at rho = 0.8
+                assert np.abs(gap).max() <= max(1e-16, np.spacing(rho))
+        y = rng.normal(size=grid.n_cells)
+        y -= y.mean()
+        for sigma in (10.0, 0.1):
+            d_made = dynamics._make_implicit_solve(made, 2.0)(f[0] + 0.05, y, sigma)
+            d_built = dynamics._make_implicit_solve(built, 2.0)(f[0] + 0.05, y, sigma)
+            assert (d_made is None) == (d_built is None)
+            if d_made is not None:
+                assert np.abs(d_made - d_built).max() <= 1e-14 * np.abs(d_built).max()
 
 
 class TestImplicitSolve:
@@ -220,7 +261,7 @@ class TestImplicitSolve:
         # grids of several blocks; 40 empty bottom cells span a block edge
         grid, tensor = zoo_tensor(t_jumps, r, builder, 0.35)
         n = grid.n_cells
-        assert n > 2 * dynamics.SOLVE_BLOCK
+        assert n > 2 * matrices.SOLVE_BLOCK
         solve = dynamics._make_implicit_solve(tensor, 2.0)
         rng = np.random.default_rng(11)
         for empty in (0, 40):

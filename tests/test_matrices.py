@@ -20,6 +20,7 @@ from kinetic_traffic import (
     InteractionTensor,
     Kernel,
     ModelParams,
+    PowerLaw,
     VelocityGrid,
     build_chi_tensor,
     build_delta_tensor_generic,
@@ -27,6 +28,8 @@ from kinetic_traffic import (
     build_grid,
     build_tensor,
     collision_rhs,
+    find_steady_state,
+    fundamental_diagram,
     matrices,
     verify_stochasticity,
 )
@@ -367,11 +370,33 @@ class TestLandingCache:
         assert matrices._landing.cache_info().hits == 2 * len(P_VALUES)
 
     def test_cached_arrays_refuse_writes(self):
-        build_chi_tensor(make_grid(2, Fraction(20)), GridRatio(20), 0.3)
-        j, share = matrices._landing(Kernel.CHI, 41, Fraction(20))
-        for cached in (j, share):
+        tensor = build_chi_tensor(make_grid(2, Fraction(20)), GridRatio(20), 0.3)
+        band, plan = matrices._landing(Kernel.CHI, 41, Fraction(20))
+        for cached in [tensor.band, band] + [rows for _, _, rows, _ in plan]:
             with pytest.raises(ValueError, match="read-only"):
                 cached[0, 0] = 0
+
+    def test_one_plan_per_grid(self, monkeypatch):
+        # the P-free plan is made when the grid enters the cache: a whole
+        # diagram plans once, and a march at a new density plans nothing
+        plans = []
+
+        def planner(band):
+            plans.append(band.shape)
+            return plan_sweep(band)
+
+        plan_sweep = matrices._plan_sweep
+        monkeypatch.setattr(matrices, "_plan_sweep", planner)
+        matrices._landing.cache_clear()
+        params = ModelParams(delta_v=0.5, kernel=Kernel.CHI)
+        diagram = fundamental_diagram(params, PowerLaw(1.0), 20, [0.01 + 0.02 * k for k in range(50)])
+        assert len(diagram.samples) == 50
+        assert plans == [(41, 21)]
+        grid, ratio = build_grid(params, 20)
+        tensor = build_chi_tensor(grid, ratio, 0.37)  # rho = 0.63, not in the sweep
+        find_steady_state(np.full(41, 0.63 / 41), tensor, 1.0, t_max=1e7)
+        assert plans == [(41, 21)]
+        assert matrices._landing.cache_info().misses == 1
 
     def test_cache_stays_bounded(self):
         bound = matrices._landing.cache_info().maxsize

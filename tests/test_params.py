@@ -85,6 +85,28 @@ class TestPowerLaw:
         assert evaluate_probability(law, rho, PARAMS).tobytes() == expected.tobytes()
         assert [evaluate_probability(law, float(x), PARAMS) for x in rho] == list(expected)
 
+    @pytest.mark.parametrize("gamma", [1.0, 0.75, 0.5, 1.0 / 3.0, 0.05])
+    @pytest.mark.parametrize("rho_max", [1.0, 0.7, 133.0])
+    def test_scalar_calls_keep_the_array_bits(self, gamma, rho_max):
+        # a scalar goes through Python floats, a 0-d array through numpy;
+        # both take the C library's pow.  (A longer array may take numpy's
+        # vectorised pow, which rounds some powers one ulp apart.)
+        params = ModelParams(rho_max=rho_max)
+        law = PowerLaw(gamma)
+        top = rho_max * (1 + 1e-12)  # the last density the check lets through
+        rho = np.r_[np.linspace(0.0, rho_max, 2001),
+                    5e-324, 1e-300, np.nextafter(rho_max, 0.0), rho_max, top]
+        arrays = [evaluate_probability(law, np.asarray(x), params) for x in rho]
+        for scalar in (float, np.float64):
+            got = [evaluate_probability(law, scalar(x), params) for x in rho.tolist()]
+            assert all(type(p) is float for p in got + arrays)
+            assert np.array(got).tobytes() == np.array(arrays).tobytes()
+        for bad in (-5e-324, np.nextafter(top, math.inf), math.nan):
+            with pytest.raises(ConfigurationError, match="outside"):
+                evaluate_probability(law, bad, params)
+            with pytest.raises(ConfigurationError, match="outside"):
+                evaluate_probability(law, np.array([bad]), params)
+
     def test_unnormalized_density_scale(self):
         params = ModelParams(rho_max=133.0, delta_v=0.25)
         assert evaluate_probability(PowerLaw(1.0), 66.5, params) == pytest.approx(0.5)
