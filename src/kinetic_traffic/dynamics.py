@@ -15,14 +15,17 @@ of gain and loss terms close to equilibrium: with C_j / U_j the mass below
 where W is the acceleration weight matrix.  The two forms are identical
 algebraically; the second loses no precision when the state is within
 roundoff of a fixed point, which matters when measuring residuals at the
-1e-10 scale.  The product W f comes from the tensor's band: a vecdot of
-each band row against its window of f, except on wide jump-kernel bands,
+1e-10 scale.  One function, `_rates`, evaluates that form for a lone
+state, for the RK4 stack and for the implicit march alike.  The product
+W f comes from the tensor's band: a vecdot of each band row against its
+window of f (`matrices._windows`), except on wide jump-kernel bands,
 whose rows below the top one hold at most two weights on a few fixed
 diagonals and take one O(N) slice product per diagonal instead.  Both
 paths give the same bits.
 
 Trajectories come from classical fourth-order Runge-Kutta with a fixed
-step.  `integrate_many` marches B states in one loop over a (B, N) stack,
+step, which clamps nothing: a step that leaves a negative cell mass is an
+error.  `integrate_many` marches B states in one loop over a (B, N) stack,
 rows in the order given: each row keeps its own tensor (so its own grid,
 P and band) and its own step t_end/ceil(t_end*eta*rho/0.1), held as a
 column, and stands still once its steps are done; a row on a smaller
@@ -44,7 +47,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .matrices import InteractionTensor, VelocityGrid, _windows
 from .params import ConfigurationError
@@ -251,15 +253,18 @@ def _check_eta(eta: float):
 
 
 def _as_array(f: Union[CellMassVector, np.ndarray], tensor: InteractionTensor) -> np.ndarray:
+    """One state of the tensor's grid as a float array of finite cell masses."""
     if isinstance(f, CellMassVector):
         if f.grid.n_cells != tensor.n_cells:
             raise ConfigurationError("state and tensor grids differ")
-        return np.asarray(f.masses, dtype=float)
-    arr = np.asarray(f, dtype=float)
-    if arr.shape != (tensor.n_cells,):
-        raise ConfigurationError(
-            f"state has shape {arr.shape}, tensor expects ({tensor.n_cells},)"
-        )
+        arr = np.asarray(f.masses, dtype=float)
+    else:
+        arr = np.asarray(f, dtype=float)
+        if arr.shape != (tensor.n_cells,):
+            raise ConfigurationError(
+                f"state has shape {arr.shape}, tensor expects ({tensor.n_cells},)"
+            )
+    _check_finite(arr)
     return arr
 
 
@@ -289,37 +294,42 @@ def _make_band_product(band: np.ndarray, out: np.ndarray) -> Callable[[np.ndarra
 
     `band` is (B, N, b + 1), with B = 1 or B = rows, and `out` is a
     (rows, N) array or view.  Row j of the band meets the window
-    f[j - b .. j] of a zero-padded buffer.  Rows [0, m) of `_diagonal_plan`
-    take one slice product per diagonal, added into `out` from zero, in
-    O(N) each; the rows left, or all of them, run as one vecdot of the band
-    against the windows.  Both give a row the bits of the vecdot of its
-    band row alone.
+    f[j - b .. j] of a zero-padded buffer (`matrices._windows`).  Rows
+    [0, m) of `_diagonal_plan` take one slice product per diagonal, added
+    into `out` from zero, in O(N) each; the rows from m on, every row when
+    m is 0, run as one vecdot of the band against the windows.  Both give a
+    row the bits of the vecdot of its band row alone.
     """
     rows = out.shape[0]
     n, width = band.shape[1:]
     padded = np.zeros((rows, n + width - 1))
-    windows = sliding_window_view(padded, width, axis=1)
+    windows = _windows(padded, width)
     m, diagonals = _diagonal_plan(band)
-    if not m:
-        # the vecdot alone: the diagonal closure with m = 0 gives the same
-        # bits, but 0.3-0.4 us (3%) more per RHS on six rows of 6 or 11 cells
-        def product(f: np.ndarray) -> None:
-            padded[:, width - 1:] = f
-            np.vecdot(band, windows, out=out)
-
-        return product
     acc, top = out[:, :m], out[:, m:]
     band_top, windows_top = band[:, m:], windows[:, m:]
 
     def product(f: np.ndarray) -> None:
         padded[:, width - 1:] = f
-        # from +0, so a row of products -0 and +0 sums to +0, as in vecdot
-        acc[...] = 0.0
-        for k, weights in diagonals:
-            acc[...] += weights * padded[:, k:k + m]
+        # without diagonal rows, skipped: zeroing an empty acc cost 0.3-0.4
+        # us (3%) per RHS on six rows of 6 or 11 cells
+        if m:
+            # from +0, so a row of products -0 and +0 sums to +0, as in vecdot
+            acc[...] = 0.0
+            for k, weights in diagonals:
+                acc[...] += weights * padded[:, k:k + m]
         np.vecdot(band_top, windows_top, out=top)
 
     return product
+
+
+def _rates(f: np.ndarray, wf: np.ndarray, total, p, q, eta: float) -> np.ndarray:
+    """The rearranged right-hand side along f's last axis, from wf = W @ f,
+    the total mass (a column for a stack), p and q = 1 - 2p: the one formula
+    every rate evaluation runs, so a lone state gets its row's bits."""
+    csum = f.cumsum(axis=-1)
+    below = csum - f
+    above = total - csum
+    return eta * (f * (-below - p * f + q * above) + wf * total)
 
 
 def _make_batch_rhs(tensors: Sequence[InteractionTensor], eta: float, rows: int):
@@ -335,25 +345,23 @@ def _make_batch_rhs(tensors: Sequence[InteractionTensor], eta: float, rows: int)
     against a band with leading zero columns.  So each run of consecutive
     rows whose bands share a shape sums its own cells and takes its own
     `_make_band_product`, planned once per closure, into its slice of one
-    W @ f buffer whose padded cells stay 0.  A padded cell's rate is then
-    exactly +0, and every row gets the operations the rearranged form gives
-    one state with the vecdot band product on its own grid, bit for bit, so
-    its rate depends on neither the batch nor the path the product takes.
+    W @ f buffer whose padded cells stay 0; a run of one tensor reads that
+    tensor's band in place, a longer run a stack of its bands.  A padded
+    cell's rate is then exactly +0, and every row gets `_rates` on its own
+    grid, the operations `collision_rhs` gives it alone, bit for bit, so its
+    rate depends on neither the batch nor the path the product takes.
     """
     n_max = max(t.n_cells for t in tensors)
     p = np.array([[t.p] for t in tensors])
-    one_minus_2p = 1.0 - 2.0 * p
+    q = 1.0 - 2.0 * p
     total = np.empty((rows, 1))
     wf = np.zeros((rows, n_max))
-    if len(tensors) == 1:
-        bands = [(0, rows, tensors[0].band[None])]
-    else:
-        firsts = [i for i, t in enumerate(tensors)
-                  if i == 0 or t.band.shape != tensors[i - 1].band.shape]
-        bands = [(a, b, np.stack([t.band for t in tensors[a:b]]))
-                 for a, b in zip(firsts, firsts[1:] + [rows])]
+    firsts = [i for i, t in enumerate(tensors)
+              if i == 0 or t.band.shape != tensors[i - 1].band.shape]
     runs = []
-    for a, b, band in bands:
+    for a, b in zip(firsts, firsts[1:] + [rows]):
+        group = tensors[a:b]
+        band = group[0].band[None] if len(group) == 1 else np.stack([t.band for t in group])
         cells = (slice(a, b), slice(n_max - band.shape[1], None))
         runs.append((cells, total[a:b], _make_band_product(band, wf[cells])))
 
@@ -362,10 +370,7 @@ def _make_batch_rhs(tensors: Sequence[InteractionTensor], eta: float, rows: int)
             own = f[cells]
             np.add.reduce(own, axis=1, keepdims=True, out=run_total)
             product(own)
-        csum = f.cumsum(axis=1)
-        below = csum - f
-        above = total - csum
-        return eta * (f * (-below - p * f + one_minus_2p * above) + wf * total)
+        return _rates(f, wf, total, p, q, eta)
 
     return rhs
 
@@ -378,12 +383,13 @@ def collision_rhs(
     f is one state or a (B, N) stack of states; a stack gets the rates of
     every row from one batched evaluation (`_make_batch_rhs`).  One state
     takes W @ f as one vecdot of the band against the windows of one
-    zero-padded copy of f, with no plan, and gets the bits of its row in a
-    stack.  A non-finite cell mass, or an eta that is not finite and
-    positive, raises ConfigurationError.
+    zero-padded copy of f, with no plan, and then the same `_rates` as a
+    row of a stack, so it gets that row's bits.  A non-finite cell mass, or
+    an eta that is not finite and positive, raises ConfigurationError.
     """
     _check_eta(eta)
-    if np.ndim(f) == 2:
+    # np.ndim of a CellMassVector goes through an object array: 1.4 us
+    if not isinstance(f, CellMassVector) and np.ndim(f) == 2:
         arr = np.asarray(f, dtype=float)
         if arr.shape[1] != tensor.n_cells:
             raise ConfigurationError(
@@ -392,32 +398,21 @@ def collision_rhs(
         _check_finite(arr)
         return _make_batch_rhs([tensor], eta, len(arr))(arr)
     f = _as_array(f, tensor)
-    _check_finite(f)
     n, width = tensor.band.shape
     padded = np.zeros(n + width - 1)
     padded[width - 1:] = f
     wf = np.vecdot(tensor.band, _windows(padded, width))
-    p = tensor.p
-    total = f.sum()
-    csum = f.cumsum()
-    below = csum - f
-    above = total - csum
-    # _make_batch_rhs's terms in its order: a lone state gets its row's bits
-    return eta * (f * (-below - p * f + (1.0 - 2.0 * p) * above) + wf * total)
+    return _rates(f, wf, f.sum(), tensor.p, 1.0 - 2.0 * tensor.p, eta)
 
 
-def _clamp_negativity(f: np.ndarray, context: str) -> int:
+def _clamp_negativity(f: np.ndarray, context: str) -> None:
     low = f.min(initial=0.0)
     if low < NEGATIVITY_TOL:
         raise NumericalError(
             f"{context}: component {low:.3e} below tolerance {NEGATIVITY_TOL:.0e}; "
             "this indicates an integration bug, not a model property"
         )
-    mask = f < 0.0
-    count = int(mask.sum())
-    if count:
-        f[mask] = 0.0
-    return count
+    f[f < 0.0] = 0.0
 
 
 def _row_label(i: int, rho: float) -> str:
@@ -439,7 +434,6 @@ def _start(
     steps is refused with ConfigurationError.
     """
     f = _as_array(f0, tensor).copy()
-    _check_finite(f)
     _clamp_negativity(f, "initial state")
     # in Python floats, where a quotient past the float range is inf
     # without a RuntimeWarning
@@ -506,11 +500,12 @@ def integrate_many(
     Trajectory's grid are its own.  Rows on one grid, next to each other,
     share the band product's and the row sum's numpy calls.
 
-    Each row is checked on its own.  A row that would take more than
+    Each row is checked on its own.  A start's negatives above -1e-12 are
+    set to 0 and deeper ones refused.  A row that would take more than
     MAX_STEPS steps is refused with ConfigurationError before the first
-    step of any row.  Mass drift beyond 1e-10 or negativity beyond -1e-12
-    abort the run with NumericalError; negative components above that
-    tolerance are clamped to zero with a logged warning.  With more than
+    step of any row.  RK4 clamps nothing: a step that leaves any component
+    below 0 aborts the run with NumericalError, naming the step and its
+    time, and so does mass drift beyond 1e-10 at the end.  With more than
     one row, every such error names the row's index and density.
     """
     if len(states) != len(tensors) or not tensors:
@@ -557,7 +552,6 @@ def integrate_many(
 
     times = [[0.0] for _ in starts]
     stored = [[start[0]] for start in starts]
-    clamped = 0
     # 0.5*hk*k is (0.5*hk)*k, so the step's factors are kept until a row
     # finishes; from then on it steps by zero, and f + 0*k is exactly f
     hk = h.copy()
@@ -569,9 +563,13 @@ def integrate_many(
         k3 = rhs(f + half * k2)
         k4 = rhs(f + hk * k3)
         f += sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if f.min(initial=0.0) < 0.0:
+        low = f.min(initial=0.0)
+        if low < 0.0:
             row = int(np.argmin(f)) // n_max
-            clamped += _clamp_negativity(f, f"{label(row)}step {k} (t={k * h[row, 0]:.6g})")
+            raise NumericalError(
+                f"{label(row)}step {k} (t={k * h[row, 0]:.6g}): component {low:.3e} "
+                "below 0; this indicates an integration bug, not a model property"
+            )
         for row in storing.get(k, ()):
             times[row].append(k * h[row, 0])
             stored[row].append(f[row, pads[row]:].copy())
@@ -579,8 +577,6 @@ def integrate_many(
             hk[n_steps == k] = 0.0
             half, sixth = 0.5 * hk, hk / 6.0
 
-    if clamped:
-        logger.warning("clamped %d slightly negative components to zero", clamped)
     drift = np.abs(np.array([row[pad:].sum() for row, pad in zip(f, pads)]) - rho0)
     bad = np.flatnonzero(~(drift <= DRIFT_TOL))  # NaN too
     if bad.size:
@@ -609,9 +605,9 @@ def integrate(
     The default step 0.1/(eta*rho), shortened so that whole steps end on
     t_end, resolves the quadratic timescale with a wide stability margin.
     A run that would take more than MAX_STEPS steps is refused with
-    ConfigurationError before the first one.  Mass drift beyond 1e-10 or
-    negativity beyond -1e-12 abort the run; negative components above that
-    tolerance are clamped to zero with a logged warning.
+    ConfigurationError before the first one.  A step that leaves any
+    component below 0, or mass drift beyond 1e-10, aborts the run with
+    NumericalError; nothing is clamped after the start.
     """
     return integrate_many([f0], [tensor], eta, t_end, controls)[0]
 
@@ -739,7 +735,6 @@ def find_steady_state(
         raise ConfigurationError(f"t_max must be positive; got {t_max!r}")
     _check_eta(eta)
     f = _as_array(f0, tensor).copy()
-    _check_finite(f)
     _clamp_negativity(f, "initial state")
     rho0 = f.sum()
     batch_rhs = _make_batch_rhs([tensor], eta, 1)

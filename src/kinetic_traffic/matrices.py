@@ -402,11 +402,14 @@ def _spread_landing(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _windows(padded: np.ndarray, width: int) -> np.ndarray:
-    """The overlapping view whose row j is padded[j:j + width], for a
-    contiguous 1-d padded: the window a band row meets.  No copy, and a
-    twentieth of sliding_window_view's cost per call (0.5 against 12 us)."""
+    """The overlapping view whose [..., j, :] is padded[..., j:j + width],
+    for a C-contiguous padded of any rank: the window a band row meets, for
+    one state or for each row of a stack.  No copy, and a tenth of the cost
+    per call of numpy's stride_tricks window view (1.8 against 19 us, on a
+    2-core Xeon)."""
     step = padded.itemsize
-    return np.ndarray((len(padded) - width + 1, width), padded.dtype, padded, 0, (step, step))
+    return np.ndarray((*padded.shape[:-1], padded.shape[-1] - width + 1, width),
+                      padded.dtype, padded, 0, (*padded.strides[:-1], step, step))
 
 
 def _plan_sweep(band: np.ndarray) -> SweepPlan:

@@ -148,22 +148,18 @@ def evaluate_probability(law: ProbabilityLaw, rho, params: ModelParams):
 
     Accepts a scalar or array density; densities outside [0, rho_max] are a
     domain error rather than being clamped, and so is NaN, which no
-    comparison holds for.  A scalar is evaluated in Python floats, a
-    twelfth of the cost of a 0-d array and the same bits.
+    comparison holds for.  A scalar is evaluated in Python floats, and an
+    array entry by entry as a scalar, so a density gets the same bits alone
+    as inside an array.
     """
-    if isinstance(rho, numbers.Real):
-        x = float(rho)
-        if not 0.0 <= x <= params.rho_max * (1 + 1e-12):  # NaN too
-            raise ConfigurationError(f"density {rho!r} outside [0, {params.rho_max}]")
-        return float(min(max(law._evaluate(x, params.rho_max), 0.0), 1.0))
-    arr = np.asarray(rho, dtype=float)
-    if not np.all((arr >= 0) & (arr <= params.rho_max * (1 + 1e-12))):
-        raise ConfigurationError(
-            f"density {rho!r} outside [0, {params.rho_max}]"
-        )
-    out = law._evaluate(arr, params.rho_max)
-    out = np.clip(out, 0.0, 1.0)
-    return float(out) if np.isscalar(rho) or arr.ndim == 0 else out
+    if not isinstance(rho, numbers.Real) and np.ndim(rho):
+        arr = np.asarray(rho, dtype=float)
+        return np.array([evaluate_probability(law, x, params) for x in arr.ravel().tolist()],
+                        dtype=float).reshape(arr.shape)
+    x = float(rho)
+    if not 0.0 <= x <= params.rho_max * (1 + 1e-12):  # NaN too
+        raise ConfigurationError(f"density {rho!r} outside [0, {params.rho_max}]")
+    return float(min(max(law._evaluate(x, params.rho_max), 0.0), 1.0))
 
 
 def critical_density(law: ProbabilityLaw, params: ModelParams):

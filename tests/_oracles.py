@@ -43,7 +43,6 @@ from kinetic_traffic.dynamics import (
     _check_eta,
     _check_finite,
     _clamp_negativity,
-    logger,
 )
 from kinetic_traffic.matrices import InteractionTensor, VelocityGrid
 
@@ -497,7 +496,9 @@ def rk4_reference(
     t_end: float,
     controls: Optional[IntegratorControls] = None,
 ) -> Trajectory:
-    """The original scalar RK4 loop of `integrate`, kept verbatim.
+    """The original scalar RK4 loop of `integrate`, kept verbatim but for
+    its negativity rule, which follows `integrate`'s: a step that leaves a
+    component below 0 raises instead of being clamped.
 
     One state, one fixed step, one Python iteration per step; the batched
     march must reproduce its times and states bit for bit, row by row.
@@ -532,7 +533,6 @@ def rk4_reference(
     times = [0.0]
     states = [f.copy()]
     next_store = h if wanted is None else None
-    clamped = 0
     t = 0.0
     for k in range(1, n_steps + 1):
         k1 = rhs(f)
@@ -540,7 +540,12 @@ def rk4_reference(
         k3 = rhs(f + 0.5 * h * k2)
         k4 = rhs(f + h * k3)
         f = f + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        clamped += _clamp_negativity(f, f"step {k} (t={k * h:.6g})")
+        low = f.min(initial=0.0)
+        if low < 0.0:
+            raise NumericalError(
+                f"step {k} (t={k * h:.6g}): component {low:.3e} below 0; "
+                "this indicates an integration bug, not a model property"
+            )
         t = k * h
         if wanted is not None:
             store = np.any((wanted > t - h) & (wanted <= t + 1e-12 * max(t, 1.0)))
@@ -552,8 +557,6 @@ def rk4_reference(
             times.append(t)
             states.append(f.copy())
 
-    if clamped:
-        logger.warning("clamped %d slightly negative components to zero", clamped)
     drift = abs(f.sum() - rho0)
     if not drift <= DRIFT_TOL:  # NaN too
         raise NumericalError(

@@ -85,6 +85,16 @@ class TestGridResolution:
     def test_fractional_jump_count(self):
         with pytest.raises(ConfigurationError):
             load_config(overrides={"N": 14, "r": 4})
+        with pytest.raises(ConfigurationError, match="dv=0.3 with r=1 gives a fractional jump"):
+            load_config(overrides={"dv": 0.3, "r": 1})
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"N": 1, "r": 2}, "jump count must be at least 1, got 0"),
+        ({"r": "7/2", "T": 3}, "fractional cell count 23/2"),
+    ])
+    def test_counts_that_give_no_grid(self, overrides, message):
+        with pytest.raises(ConfigurationError, match=message):
+            load_config(overrides=overrides)
 
     def test_cells_and_width_only_pin_the_product(self):
         with pytest.raises(ConfigurationError):
@@ -311,6 +321,11 @@ class TestYamlRoundTrip:
         {"diagram": {"rho_grid": {"start": 0.1}}},
         {"diagram": {"ratios": 2}},
         {"law": [[0.0, 1.0], [1.0]]},
+        {"integrator": {"step": -1}},
+        {"integrator": {"t_end": 0}},
+        {"integrator": {"t_max": 0}},
+        {"integrator": {"residual_tol": 0}},
+        {"diagram": {"rho_grid": {"count": 0}}},
     ])
     def test_malformed_values_are_configuration_errors(self, overrides):
         with pytest.raises(ConfigurationError):

@@ -4,6 +4,7 @@ Flux and mean-speed formulas are pinned against hand-computed values, the
 diagram machinery against exact free and jammed branches, and the capacity
 drop detector against a bisection-located transition.
 """
+import dataclasses
 import inspect
 import math
 from fractions import Fraction
@@ -167,6 +168,21 @@ class TestFundamentalDiagram:
         assert not d.all_converged
         assert d.samples[0].rho == 0.6
 
+    @pytest.mark.parametrize("rhos,message", [
+        ([], "at least one density"),
+        ([0.3, 0.0], r"must lie in \(0, rho_max\]"),
+        ([1.0 + 1e-9], r"must lie in \(0, rho_max\]"),
+    ])
+    def test_density_samples_outside_the_range_are_refused(self, rhos, message):
+        with pytest.raises(ConfigurationError, match=message):
+            fundamental_diagram(ModelParams(delta_v=0.25), LAW, 1, rhos)
+
+    def test_sample_flux_must_be_rho_times_speed(self):
+        d = fundamental_diagram(ModelParams(delta_v=0.25), LAW, 1, [0.3])
+        bad = d.samples[0]._replace(flux=d.samples[0].flux * (1 + 1e-9))
+        with pytest.raises(ConfigurationError, match=r"flux .* != rho\*u"):
+            dataclasses.replace(d, samples=(bad,))
+
     def test_no_march_settings(self):
         assert list(inspect.signature(fundamental_diagram).parameters) == [
             "params", "law", "ratio", "rho_samples", "residual_tol",
@@ -218,6 +234,15 @@ class TestCapacityDrop:
         assert rep.transitions == ()
         assert rep.warnings == ("flux never falls; bracket spans the flux maximum",)
 
+    @pytest.mark.parametrize("rhos,message", [
+        ([0.2, 0.5], "at least three samples"),
+        ([0.2, 0.8, 0.5], "sorted by density"),
+    ])
+    def test_too_few_or_unsorted_samples_are_refused(self, rhos, message):
+        d = fundamental_diagram(ModelParams(delta_v=0.25), LAW, 1, rhos)
+        with pytest.raises(ConfigurationError, match=message):
+            detect_capacity_drop(d)
+
 
 class TestCompareDiagrams:
     def test_identical_diagrams_have_zero_distance(self):
@@ -230,6 +255,9 @@ class TestCompareDiagrams:
         b = fundamental_diagram(params, LAW, 1, [0.2, 0.5])
         with pytest.raises(ConfigurationError):
             compare_diagrams(a, b)
+        c = fundamental_diagram(params, LAW, 1, [0.2, 0.5, 0.9])
+        with pytest.raises(ConfigurationError, match="different densities"):
+            compare_diagrams(a, c)
 
     def test_kernel_gap_peaks_at_the_transition(self):
         # the flux mismatch between the two kernels lives near the critical

@@ -88,9 +88,9 @@ class TestPowerLaw:
     @pytest.mark.parametrize("gamma", [1.0, 0.75, 0.5, 1.0 / 3.0, 0.05])
     @pytest.mark.parametrize("rho_max", [1.0, 0.7, 133.0])
     def test_scalar_calls_keep_the_array_bits(self, gamma, rho_max):
-        # a scalar goes through Python floats, a 0-d array through numpy;
-        # both take the C library's pow.  (A longer array may take numpy's
-        # vectorised pow, which rounds some powers one ulp apart.)
+        # every entry of an array takes the scalar path, so a density gets
+        # the bits it gets alone; numpy's vectorised pow on the whole array
+        # would round some powers one ulp apart
         params = ModelParams(rho_max=rho_max)
         law = PowerLaw(gamma)
         top = rho_max * (1 + 1e-12)  # the last density the check lets through
@@ -101,6 +101,7 @@ class TestPowerLaw:
             got = [evaluate_probability(law, scalar(x), params) for x in rho.tolist()]
             assert all(type(p) is float for p in got + arrays)
             assert np.array(got).tobytes() == np.array(arrays).tobytes()
+        assert evaluate_probability(law, rho, params).tobytes() == np.array(arrays).tobytes()
         for bad in (-5e-324, np.nextafter(top, math.inf), math.nan):
             with pytest.raises(ConfigurationError, match="outside"):
                 evaluate_probability(law, bad, params)
