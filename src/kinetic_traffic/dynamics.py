@@ -124,8 +124,9 @@ class SteadyStateTimeout(NumericalError):
     """Steady-state search hit t_max; carries the last state and residual.
 
     Also carries the work done: accepted and rejected steps, RHS
-    evaluations, Jacobian evaluations (one per implicit solve) and the time
-    reached.
+    evaluations, Jacobian evaluations (one per implicit solve), the time
+    reached and the Newton polish steps kept, which a march that times out
+    never reaches.
     """
 
     def __init__(
@@ -139,6 +140,7 @@ class SteadyStateTimeout(NumericalError):
         rhs_evals: int = 0,
         jac_evals: int = 0,
         t_reached: float = 0.0,
+        polished: int = 0,
     ):
         super().__init__(message)
         self.state = state
@@ -148,11 +150,17 @@ class SteadyStateTimeout(NumericalError):
         self.rhs_evals = rhs_evals
         self.jac_evals = jac_evals
         self.t_reached = t_reached
+        self.polished = polished
 
 
 @dataclass(frozen=True)
 class CellMassVector:
-    """Non-negative cell masses tied to their velocity grid."""
+    """Non-negative cell masses tied to their velocity grid.
+
+    The constructor copies the masses and refuses a wrong length, a
+    non-finite mass or one below the -1e-12 negativity floor; it sets the
+    masses within the floor to 0.  The stored masses are read-only.
+    """
 
     masses: np.ndarray
     grid: VelocityGrid
@@ -172,6 +180,17 @@ class CellMassVector:
         m[m < 0.0] = 0.0
         m.setflags(write=False)
         object.__setattr__(self, "masses", m)
+
+    @classmethod
+    def _trusted(cls, masses: np.ndarray, grid: VelocityGrid) -> "CellMassVector":
+        """The state of masses this package has just computed, finite and
+        non-negative on this grid, in an array nothing else writes to: made
+        read-only in place, with no copy and no check."""
+        masses.setflags(write=False)
+        state = object.__new__(cls)
+        object.__setattr__(state, "masses", masses)
+        object.__setattr__(state, "grid", grid)
+        return state
 
     @property
     def rho(self) -> float:
@@ -629,8 +648,23 @@ def _make_implicit_solve(
 
     The substitution is a forward sweep on the tensor's sweep plan (see
     `matrices._plan_sweep`), planned once per grid from the P-free band and
-    shared with `banded_equilibrium`; P joins the row scale, eta S P, and
-    nothing is planned here.
+    shared with `banded_equilibrium`; P joins the row scale s = eta S P,
+    and nothing is planned here.  Row j reads
+
+        d_j = (r_j + c_j (prefix + inside) + s (out_j + w_j inside)) / diag_j,
+
+    with r the rates, c_j = -2 eta (1 - P) f_j, prefix the sum of d below
+    the block, inside the sum of the block's d below row j, out_j the
+    block's vecdot and w_j the plan's weight.  Taken over diag_j this is
+    an affine recurrence in inside, d_j = a_j + g_j inside: r / diag,
+    c / diag and s / diag come once per solve over the whole grid, g with
+    them, and a once per block from its vecdot, so only that sequential
+    step is left to Python.  A row whose weights on the block's cells are
+    not all w (the plan's deviations: the spread kernel's edge rows, and
+    on a jump band of at most SOLVE_BLOCK columns the rows that meet the
+    jump's diagonals inside their block) adds s / diag_j times the
+    deviations' products with the block's d.  The prefix advances once
+    per block.
 
     The solve returns None when a diagonal entry sigma - eta T_jj is not
     positive: the step would not damp that cell's mode.  Cells below f's
@@ -643,7 +677,11 @@ def _make_implicit_solve(
     b = tensor.bandwidth
     padded = np.zeros(b + tensor.n_cells)  # d behind b zeros: row j meets padded[j:j + b]
     windows = _windows(padded, b)
-    blocks = [(s, e, rows, windows[s:e], weights) for s, e, rows, weights in plan]
+    near = np.array([w for *_, weights in plan for w, _ in weights])  # w of every row
+    blocks = []
+    for s, e, rows, weights in plan:
+        rests = tuple(rest for _, rest in weights)
+        blocks.append((s, e, rows, windows[s:e], rests if any(rests) else None))
     q = 1.0 - 2.0 * tensor.p
     brake = -2.0 * eta * (1.0 - tensor.p)
     self_weights = tensor.band[:, b]
@@ -658,25 +696,34 @@ def _make_implicit_solve(
         diag[:int(np.argmax(f > 0.0))] = 1.0
         if not diag.min() > 0.0:
             return None
-        scale = (eta * total) * factor
-        brakes = (brake * f).tolist()
-        rates, diags = rate.tolist(), diag.tolist()
+        # r, c and s over diag, and g = (c + s w) / diag
+        rates = rate / diag
+        brakes = (brake * f) / diag
+        scales = ((eta * total) * factor) / diag
+        gains = (brakes + scales * near).tolist()
         padded[b:] = 0.0
         prefix = 0.0
-        for s, e, rows, row_windows, weights in blocks:
+        for s, e, rows, row_windows, deviations in blocks:
             # the block's own cells are still 0 in padded
-            outside = np.vecdot(rows, row_windows).tolist()
+            outside = np.vecdot(rows, row_windows)
+            # a = (r + c prefix + s out) / diag
+            offsets = (rates[s:e] + brakes[s:e] * prefix + scales[s:e] * outside).tolist()
             ds: list[float] = []
             inside = 0.0  # the sum of ds
-            for r_j, c_j, diag_j, out_j, (w_j, rest_j) in zip(
-                rates[s:e], brakes[s:e], diags[s:e], outside, weights
-            ):
-                if rest_j:
-                    out_j += sum(map(mul, rest_j, ds))
-                d_j = (r_j + c_j * prefix + scale * (out_j + w_j * inside)) / diag_j
-                ds.append(d_j)
-                inside += d_j
-                prefix += d_j
+            if deviations is None:
+                for a_j, g_j in zip(offsets, gains[s:e]):
+                    d_j = a_j + g_j * inside
+                    ds.append(d_j)
+                    inside += d_j
+            else:
+                for a_j, g_j, s_j, rest_j in zip(offsets, gains[s:e], scales[s:e].tolist(),
+                                                 deviations):
+                    d_j = a_j + g_j * inside
+                    if rest_j:
+                        d_j += s_j * sum(map(mul, rest_j, ds))
+                    ds.append(d_j)
+                    inside += d_j
+            prefix += inside
             padded[b + s:b + e] = ds
         return padded[b:]
 
@@ -711,7 +758,13 @@ def find_steady_state(
     t_max, the last one cut to end on it.  Once the stopping rule holds, up
     to POLISH_STEPS Newton steps follow, each kept, with rounding-level
     negatives set to 0 and the mass re-projected, while it lowers the
-    residual; one that leaves a component below -1e-12 ends the polish.
+    residual or, after a kept one, while its largest entry is below half
+    of that step's and above 4 eps times the total mass (eps the float64
+    machine epsilon, so above rounding of the masses): near a slow mode
+    the residual reaches its rounding floor up to about 2e-14 from the
+    steady state, where only the shrinking step shows that Newton still
+    converges.  A step that leaves a component below -1e-12 ends the
+    polish.
 
     A new state whose mass is not finite, or has drifted by more than 1e-8
     relative, raises NumericalError: from a finite state a step leaves a
@@ -719,8 +772,9 @@ def find_steady_state(
     does a dt too small to advance t, which only rejections without end
     can bring about; both messages name the time reached and the accepted
     and rejected steps.  t_max exhausted raises SteadyStateTimeout, carrying
-    the last state, the residual and the work done, which is logged at
-    DEBUG level when the march ends.
+    the last state, the residual and the work done.  The work done, the
+    Newton polish steps kept among it, is logged at DEBUG level when the
+    march ends, however it ends.
 
     Braking into cell k goes at a rate proportional to f_k and acceleration
     only moves mass up, so the start's empty bottom cells stay empty for
@@ -739,7 +793,7 @@ def find_steady_state(
     rho0 = f.sum()
     batch_rhs = _make_batch_rhs([tensor], eta, 1)
     implicit_solve = _make_implicit_solve(tensor, eta)
-    work = dict(steps=0, rejected=0, rhs_evals=0, jac_evals=0, t_reached=0.0)
+    work = dict(steps=0, rejected=0, rhs_evals=0, jac_evals=0, t_reached=0.0, polished=0)
 
     def rhs(f: np.ndarray) -> tuple[np.ndarray, float]:
         work["rhs_evals"] += 1
@@ -756,7 +810,7 @@ def find_steady_state(
 
     rate, residual = rhs(f)
     if residual <= residual_tol:
-        return CellMassVector(f, tensor.grid)
+        return CellMassVector._trusted(f, tensor.grid)
 
     t, dt = 0.0, 0.1 / (eta * float(rho0))  # Python floats: 1/dt may overflow
     floor = STEP_MASS_FLOOR * rho0
@@ -767,7 +821,7 @@ def find_steady_state(
                 raise SteadyStateTimeout(
                     f"no steady state within t_max={t_max:.3g}: "
                     f"residual {residual:.3e}, state change rate {change_rate:.3e}",
-                    state=CellMassVector(f, tensor.grid),
+                    state=CellMassVector._trusted(f, tensor.grid),
                     residual=residual,
                     **work,
                 )
@@ -805,6 +859,7 @@ def find_steady_state(
             change_rate = float(size.max()) / (rho0 * dt)
             dt *= min(4.0, 0.5 / worst) if worst > 0.0 else 4.0
 
+        last_step, ulps = 0.0, 4.0 * np.finfo(float).eps * rho0
         for _ in range(POLISH_STEPS):
             d = solve(f, rate, 0.0)
             if d is None:
@@ -815,16 +870,19 @@ def find_steady_state(
             g[g < 0.0] = 0.0
             g *= rho0 / g.sum()
             g_rate, g_residual = rhs(g)
-            if not g_residual < residual:
+            step = float(np.abs(d).max())
+            if not (g_residual < residual or ulps < step < 0.5 * last_step):
                 break
+            last_step = step
             f, rate, residual = g, g_rate, g_residual
-        return CellMassVector(f, tensor.grid)
+            work["polished"] += 1
+        return CellMassVector._trusted(f, tensor.grid)
     finally:
         logger.debug(
             "steady-state solve ended: t_reached=%.6g steps=%d rejected=%d "
-            "rhs_evals=%d jac_evals=%d",
+            "rhs_evals=%d jac_evals=%d polished=%d",
             work["t_reached"], work["steps"], work["rejected"],
-            work["rhs_evals"], work["jac_evals"],
+            work["rhs_evals"], work["jac_evals"], work["polished"],
         )
 
 

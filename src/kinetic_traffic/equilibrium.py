@@ -206,8 +206,10 @@ def banded_equilibrium(tensor: InteractionTensor, rho: float, empty: int = 0) ->
     top = rho - below
     if top < NEGATIVITY_TOL:
         raise NumericalError(f"top cell mass {top:.3e} went negative")
+    if math.isnan(top):  # the roots overflowed: every x is >= 0, so below is NaN
+        raise ConfigurationError(f"state has non-finite cell masses at density {rho!r}")
     f[-1] = max(top, 0.0)
-    return CellMassVector(f[b:], tensor.grid)
+    return CellMassVector._trusted(f[b:], tensor.grid)
 
 
 def equilibrium_on_grid(

@@ -68,12 +68,11 @@ __all__ = [
 STOCHASTICITY_TOL = 1e-12
 # Most rows per block of a forward sweep over the band, see _plan_sweep:
 # one vecdot per block for the cells below it, Python float arithmetic per
-# row.  Numpy's per-call cost swings with the shared machine's speed far
-# more than the benchmark's yardstick does: across processes (2-core Xeon,
-# one BLAS thread, N=401, r=100) a numpy dot per row took 2.1 times the
-# yardstick's change in log time, blocks of 32 take 1.4 and a plain Python
-# loop 1.1.  Blocks of 64 took 32 % more time on the spread kernel, whose
-# top rows keep per-cell deviations; blocks of 16 take twice the vecdots.
+# row.  The band chain's bits depend on it.  One implicit solve at N=401,
+# r=100 (2-core Xeon, one BLAS thread, best of 30 on march states) with
+# blocks of 16 / 32 / 64 rows: spread kernel 217 / 189 / 208 us, whose top
+# rows keep per-cell deviations that grow with the block; jump kernel
+# 170 / 125 / 101 us.
 SOLVE_BLOCK = 32
 
 # Blocks (s, e, rows, weights) of a forward sweep over band rows s .. e - 1,
@@ -417,9 +416,11 @@ def _plan_sweep(band: np.ndarray) -> SweepPlan:
 
     A forward sweep gives row j the sum of band row j's weights against the
     b cells below j, all found before row j, then one scalar step: the
-    band chain's quadratic root (`banded_equilibrium`) or the implicit
-    solve's division (`dynamics._make_implicit_solve`).  The rows go in
-    blocks of m = min(SOLVE_BLOCK, b + 1): one vecdot of the block's `rows`,
+    band chain's quadratic root (`banded_equilibrium`), or in the implicit
+    solve (`dynamics._make_implicit_solve`) one affine step in the running
+    sum of the block's cells, whose coefficients the solve takes for the
+    whole block with numpy.  The rows go in blocks of
+    m = min(SOLVE_BLOCK, b + 1): one vecdot of the block's `rows`,
     band[s:e, :b], against their windows gives every row of the block the
     weights of the cells below the block, and the block's own cells are
     added row by row in Python floats.  Row t of block s .. e - 1 weighs the

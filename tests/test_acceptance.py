@@ -189,7 +189,9 @@ def test_criterion_02_oracle_equivalence(oracle_sweep):
     worst_gap = 0.0
     for run in oracle_sweep:
         if run.masses is None:
-            failures.append((run.rho, run.n_jumps, int(run.ratio), "timeout"))
+            gap = float(np.abs(run.extras["timeout_state"] - run.extras["oracle"]).max())
+            failures.append((run.rho, run.n_jumps, int(run.ratio), "timeout",
+                             f"residual {run.residual:.1e}", f"gap {gap:.1e}"))
             continue
         gap = float(np.abs(run.masses - run.extras["oracle"]).max())
         if gap > 1e-6:

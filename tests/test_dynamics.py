@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kinetic_traffic import (
     CellMassVector,
@@ -492,7 +492,9 @@ class TestIntegrateMany:
             integrate_many(states, [tensor] * 3, 1.0, 1.0)
 
     def test_negative_component_names_its_row(self):
-        # row 0 takes 10 steps and row 1 takes 40, so row 0 marches second
+        # row 0 takes 10 steps of 0.5 and row 1 takes 40 of 0.125; the rows
+        # march together, and row 0's third step (t=1.5) is the first to
+        # leave a negative mass, so the error names row 0 and its own clock
         grid = VelocityGrid(n_cells=4, v_max=1.0)
         bad = overdriven_tensor(grid, 5.0)
         good = build_delta_tensor_integer(grid, GridRatio(Fraction(1)), 0.4)
@@ -709,11 +711,12 @@ class TestSteadyState:
         # and one for the start
         assert timeout.jac_evals == timeout.steps + timeout.rejected
         assert timeout.rhs_evals == timeout.steps + 1
+        assert timeout.polished == 0  # the polish follows a converged march only
         logged = caplog.records[-1].getMessage()
         assert logged == (
             f"steady-state solve ended: t_reached=5 steps={timeout.steps} "
             f"rejected={timeout.rejected} rhs_evals={timeout.rhs_evals} "
-            f"jac_evals={timeout.jac_evals}"
+            f"jac_evals={timeout.jac_evals} polished=0"
         )
 
     def test_endless_rejections_end_in_a_numerical_error(self, monkeypatch):
@@ -766,7 +769,22 @@ class TestSteadyState:
     # cell's steady mass leaves 0 (rho 0.4666 on T=3, r=4 and T=4, r=4;
     # 0.4782 on T=2, r=6), as it did before the step floor; draws from
     # these ranges land there about once in 3e4.
+    # The two examples end near a slow mode, where a Newton step that does
+    # not lower the rounding-level residual still moves the state 1.6e-14
+    # and 1.8e-14 towards the chain; a polish that stopped there failed.
     @settings(max_examples=40, deadline=None)
+    @example(kernel=Kernel.CHI, shape=(3, 4), rho=0.4332141128447915,
+             exponents=[-1.5, -0.125, -0.75, -2.0, -3.0, -1.0, -2.5, -5.0, 0.0,
+                        -1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+             empty=2)
+    @example(kernel=Kernel.CHI, shape=(4, 4), rho=0.35570250355308514,
+             exponents=[-8.538811438565958, -7.262256182694083, -5.398510818701954e-290,
+                        -3.204777369845292, -0.99999, -2.9909203377131632,
+                        -8.538811438565958, -8.278017387249545, -10.178857808599652,
+                        -2.015447884126784, -10.298700048039318, -1.021462146558157e-242,
+                        -5.398510818701954e-290, -7.135682400452124e-68,
+                        -5.458688944108804, -1.0711586920193206, -9.88216908671605],
+             empty=2)
     @given(
         kernel=st.sampled_from([Kernel.CHI, Kernel.DELTA]),
         shape=st.sampled_from([(3, 4), (2, 6), (4, 4)]),
@@ -912,6 +930,59 @@ class TestBadInputs:
     def test_controls_refuse_non_finite_sample_times(self, bad):
         with pytest.raises(ConfigurationError, match="sample_times must be finite"):
             IntegratorControls(sample_times=[0.5, bad, 1.0])
+
+
+class TestTrustedStates:
+    """States the package computes itself skip the constructor's checks; a
+    state built from outside keeps every refusal."""
+
+    @staticmethod
+    def _same_as_checked(state):
+        checked = CellMassVector(state.masses.copy(), state.grid)
+        assert state.masses.tobytes() == checked.masses.tobytes()
+        assert state.masses.dtype == checked.masses.dtype
+        assert not state.masses.flags.writeable
+        assert not checked.masses.flags.writeable
+
+    @pytest.mark.parametrize("kernel", [Kernel.CHI, Kernel.DELTA])
+    @pytest.mark.parametrize("rho,empty", [(0.3, 0), (0.6, 0), (0.7, 3), (0.4, 8)])
+    def test_chain_state_has_the_checked_bits_and_flags(self, kernel, rho, empty):
+        tensor = build_tensor(kernel, VelocityGrid(n_cells=9, v_max=1.0), GridRatio(4), 1.0 - rho)
+        self._same_as_checked(banded_equilibrium(tensor, rho, empty))
+
+    def test_march_states_have_the_checked_bits_and_flags(self):
+        tensor, f0 = _diagram_problem(Kernel.CHI, 2, 20, 0.45)
+        self._same_as_checked(find_steady_state(f0, tensor, 1.0, residual_tol=1e-10, t_max=1e7))
+        # a start already at rest is returned as it came, in a copy
+        rest = banded_equilibrium(tensor, 0.45)
+        again = find_steady_state(rest, tensor, 1.0)
+        self._same_as_checked(again)
+        assert not np.shares_memory(again.masses, rest.masses)
+        grid = VelocityGrid(n_cells=7, v_max=1.0)
+        with pytest.raises(SteadyStateTimeout) as exc:
+            find_steady_state(np.full(7, 0.5 / 7), build_tensor(Kernel.DELTA, grid, GridRatio(2), 0.4),
+                              1.0, residual_tol=1e-30, t_max=5.0)
+        self._same_as_checked(exc.value.state)
+
+    @pytest.mark.parametrize("bad,error", [
+        (-1e-9, NumericalError), (math.nan, ConfigurationError),
+        (math.inf, ConfigurationError), (-math.inf, ConfigurationError),
+    ])
+    def test_outside_construction_refuses_negative_or_non_finite_masses(self, bad, error):
+        grid = VelocityGrid(n_cells=5, v_max=1.0)
+        masses = np.full(5, 0.1)
+        masses[2] = bad
+        with pytest.raises(error):
+            CellMassVector(masses, grid)
+
+    def test_outside_construction_copies_and_clamps(self):
+        grid = VelocityGrid(n_cells=5, v_max=1.0)
+        masses = np.array([0.1, -1e-13, 0.2, 0.0, 0.3])
+        state = CellMassVector(masses, grid)
+        assert state.masses.tolist() == [0.1, 0.0, 0.2, 0.0, 0.3]
+        assert masses[1] == -1e-13 and masses.flags.writeable
+        with pytest.raises(ConfigurationError):
+            CellMassVector(np.full(4, 0.1), grid)
 
 
 class TestRateFitting:

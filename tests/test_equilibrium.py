@@ -334,6 +334,15 @@ class TestBandedEquilibrium:
         with pytest.raises(ConfigurationError):
             banded_equilibrium(tensor, rho)
 
+    @pytest.mark.parametrize("kernel", [Kernel.CHI, Kernel.DELTA])
+    def test_density_whose_roots_overflow_is_refused(self, kernel):
+        # the chain's squares overflow past rho ~ 1e154; its state is
+        # trusted, not re-checked, so the chain itself must refuse it
+        tensor = build_tensor(kernel, VelocityGrid(n_cells=9, v_max=1.0), GridRatio(4), 0.3)
+        assert np.isfinite(banded_equilibrium(tensor, 1e150).masses).all()
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            banded_equilibrium(tensor, 1e160)
+
     @pytest.mark.parametrize("n_jumps", [2, 3, 4, 5])
     @pytest.mark.parametrize("r", [2, 3, 4, 8])
     def test_empty_prefix_is_the_unstable_branch(self, n_jumps, r):
