@@ -8,131 +8,15 @@ resulting quadratic ODE system, evaluates the closed-form oracle, and
 reduces everything to macroscopic outputs: fundamental diagrams,
 acceleration estimates, and convergence rates.
 """
-from .dynamics import (
-    CellMassVector,
-    FitResult,
-    IntegratorControls,
-    NumericalError,
-    PiecewiseLinearCDF,
-    SteadyStateTimeout,
-    TimeSeries,
-    Trajectory,
-    collision_rhs,
-    cumulative_distribution,
-    distance_to_equilibrium,
-    find_steady_state,
-    fit_convergence_rate,
-    integrate,
-    integrate_many,
-    select_fit_window,
-    staircase_distance,
-)
-from .equilibrium import (
-    QuantizedEquilibrium,
-    SupportCluster,
-    SupportReport,
-    banded_equilibrium,
-    closed_form_equilibrium,
-    closed_form_on_grid,
-    equilibrium_on_grid,
-    reference_equilibrium,
-    verify_quantized_support,
-)
-from .macroscopics import (
-    CapacityDropReport,
-    DiagramSample,
-    FundamentalDiagram,
-    Moments,
-    TransitionBracket,
-    compare_diagrams,
-    deceleration_time,
-    detect_capacity_drop,
-    expected_speed,
-    flux_infinite_r,
-    fundamental_diagram,
-    initial_acceleration,
-    moments,
-)
-from .matrices import (
-    GridRatio,
-    InteractionTensor,
-    StochasticityReport,
-    VelocityGrid,
-    build_chi_tensor,
-    build_delta_tensor_generic,
-    build_delta_tensor_integer,
-    build_grid,
-    build_tensor,
-    verify_stochasticity,
-)
-from .params import (
-    ConfigurationError,
-    CustomLaw,
-    Kernel,
-    ModelParams,
-    PowerLaw,
-    ProbabilityLaw,
-    critical_density,
-    evaluate_probability,
-)
+from . import dynamics, equilibrium, macroscopics, matrices, params
+from .dynamics import *
+from .equilibrium import *
+from .macroscopics import *
+from .matrices import *
+from .params import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CapacityDropReport",
-    "CellMassVector",
-    "ConfigurationError",
-    "CustomLaw",
-    "DiagramSample",
-    "FitResult",
-    "FundamentalDiagram",
-    "GridRatio",
-    "IntegratorControls",
-    "InteractionTensor",
-    "Kernel",
-    "ModelParams",
-    "Moments",
-    "NumericalError",
-    "PiecewiseLinearCDF",
-    "PowerLaw",
-    "ProbabilityLaw",
-    "QuantizedEquilibrium",
-    "SteadyStateTimeout",
-    "StochasticityReport",
-    "SupportCluster",
-    "SupportReport",
-    "TimeSeries",
-    "Trajectory",
-    "TransitionBracket",
-    "VelocityGrid",
-    "banded_equilibrium",
-    "build_chi_tensor",
-    "build_delta_tensor_generic",
-    "build_delta_tensor_integer",
-    "build_grid",
-    "build_tensor",
-    "closed_form_equilibrium",
-    "closed_form_on_grid",
-    "collision_rhs",
-    "compare_diagrams",
-    "critical_density",
-    "cumulative_distribution",
-    "deceleration_time",
-    "detect_capacity_drop",
-    "distance_to_equilibrium",
-    "equilibrium_on_grid",
-    "expected_speed",
-    "find_steady_state",
-    "fit_convergence_rate",
-    "flux_infinite_r",
-    "fundamental_diagram",
-    "initial_acceleration",
-    "integrate",
-    "integrate_many",
-    "moments",
-    "reference_equilibrium",
-    "select_fit_window",
-    "staircase_distance",
-    "verify_quantized_support",
-    "verify_stochasticity",
-]
+# each public name is declared once, in the __all__ of its own module
+__all__ = sorted(dynamics.__all__ + equilibrium.__all__ + macroscopics.__all__
+                 + matrices.__all__ + params.__all__)

@@ -416,45 +416,31 @@ def _plan_sweep(band: np.ndarray) -> SweepPlan:
 
     A forward sweep gives row j the sum of band row j's weights against the
     b cells below j, all found before row j, then one scalar step: the
-    band chain's quadratic root (`banded_equilibrium`), or in the implicit
-    solve (`dynamics._make_implicit_solve`) one affine step in the running
-    sum of the block's cells, whose coefficients the solve takes for the
-    whole block with numpy.  The rows go in blocks of
-    m = min(SOLVE_BLOCK, b + 1): one vecdot of the block's `rows`,
-    band[s:e, :b], against their windows gives every row of the block the
-    weights of the cells below the block, and the block's own cells are
-    added row by row in Python floats.  Row t of block s .. e - 1 weighs the
-    block's cell u < t by band[s + t, b - t + u]; `weights` holds these per
-    row as the weight w of cell t - 1 and the deviations from w, or no
-    deviations when they are all 0: the spread kernel's and the jump
-    kernel's rows below the top weigh every cell of a block alike.  A row
-    sums w times the running sum of the block's cells plus the deviations'
-    products.  With m <= b + 1 every earlier cell of a block lies inside
-    the row's band window; a longer block would count a cell outside it as
-    w minus w, which rounding does not cancel.  A sweep scales every weight
-    by one factor, so a grid's P-free band plans the sweep at every P.
+    band chain's quadratic root (`banded_equilibrium`) or an affine step of
+    the implicit solve (`dynamics._make_implicit_solve`).  A block s .. e - 1
+    of m = min(SOLVE_BLOCK, b + 1) rows weighs the cells below it by one
+    vecdot of its `rows`, band[s:e, :b], and its own cells row by row in
+    Python floats.  Row j weighs cells s .. j - 1 by band[j, b - (j - s):b],
+    a slice that m <= b + 1 keeps inside the band; `weights` holds its last
+    entry w (0.0 on a block's first row) and its deviations from w, or ()
+    when all are 0, as on the spread and jump kernels' rows below the top.
+    A row sums w times the running sum of the block's cells plus the
+    deviations' products.  A sweep scales every weight by one factor, so a
+    grid's P-free band plans the sweep at every P.
     """
     n, width = band.shape
     b = width - 1
     m = min(SOLVE_BLOCK, width)
-    blocks = -(-n // m)
-    lower = np.zeros((blocks * m, b))  # band[:, :b], then zero rows to whole blocks
-    lower[:n] = band[:, :b]
-    t, u = np.tril_indices(m, -1)
-    tri = np.zeros((blocks, m, m))
-    tri[:, t, u] = lower[np.arange(0, blocks * m, m)[:, None] + t, b - t + u]
-    near = np.zeros((blocks, m))
-    near[:, 1:] = tri[:, np.arange(1, m), np.arange(m - 1)]
-    rest = np.zeros((blocks, m, m))
-    rest[:, t, u] = tri[:, t, u] - near[:, t]
-    kk, tt = np.nonzero(rest.any(axis=2))
-    deviations = {(k, t): tuple(row[:t])
-                  for k, t, row in zip(kk.tolist(), tt.tolist(), rest[kk, tt].tolist())}
     plan = []
-    for k, (s, near_k) in enumerate(zip(range(0, n, m), near.tolist())):
+    for s in range(0, n, m):
         e = min(s + m, n)
-        weights = tuple((w, deviations.get((k, t), ())) for t, w in enumerate(near_k[:e - s]))
-        plan.append((s, e, band[s:e, :b], weights))
+        weights = []
+        for j in range(s, e):
+            near = band[j, b - (j - s):b].tolist()  # the weights of cells s .. j - 1
+            w = near[-1] if near else 0.0
+            rest = tuple(x - w for x in near)
+            weights.append((w, rest if any(rest) else ()))
+        plan.append((s, e, band[s:e, :b], tuple(weights)))
     return tuple(plan)
 
 

@@ -405,6 +405,58 @@ class TestLandingCache:
         assert matrices._landing.cache_info().currsize == bound
 
 
+class TestSweepPlan:
+    """`_plan_sweep` against plans written out by hand.
+
+    Row j of block s .. e - 1 weighs the block's cells s .. j - 1 by
+    band[j, b - (j - s):b]: w is the last of these (0.0 on a block's first
+    row), and the deviations from w are kept only when one is nonzero.
+    """
+
+    # b = 3, so blocks of 4 rows: 0-3, 4-7 and the partial block 8-9
+    BAND = np.array([
+        [0.0, 0.0, 0.0, 1.0],
+        [0.0, 0.0, 0.5, 0.5],
+        [0.0, 0.25, 0.5, 0.25],
+        [0.125, 0.25, 0.5, 0.125],
+        [0.25, 0.25, 0.25, 0.25],
+        [0.25, 0.25, 0.25, 0.25],
+        [0.25, 0.25, 0.25, 0.25],
+        [0.5, 0.25, 0.25, 0.0],
+        [0.5, 0.25, 0.25, 0.0],
+        [0.0, 0.75, 0.25, 0.0],
+    ])
+
+    @staticmethod
+    def written(plan):
+        return [(s, e, rows.tolist(), weights) for s, e, rows, weights in plan]
+
+    def test_rows_with_and_without_deviations(self):
+        lower = self.BAND[:, :3].tolist()
+        assert self.written(matrices._plan_sweep(self.BAND)) == [
+            (0, 4, lower[0:4], ((0.0, ()), (0.5, ()), (0.5, (-0.25, 0.0)),
+                                (0.5, (-0.375, -0.25, 0.0)))),
+            (4, 8, lower[4:8], ((0.0, ()), (0.25, ()), (0.25, ()), (0.25, (0.25, 0.0, 0.0)))),
+            (8, 10, lower[8:10], ((0.0, ()), (0.25, ()))),
+        ]
+
+    def test_blocks_narrower_than_the_band(self, monkeypatch):
+        # two rows per block: each second row weighs one cell, band[j, 2]
+        monkeypatch.setattr(matrices, "SOLVE_BLOCK", 2)
+        lower = self.BAND[:, :3].tolist()
+        assert self.written(matrices._plan_sweep(self.BAND)) == [
+            (s, s + 2, lower[s:s + 2], ((0.0, ()), (w, ())))
+            for s, w in zip(range(0, 10, 2), (0.5, 0.5, 0.25, 0.25, 0.25))
+        ]
+
+    def test_one_column_band(self):
+        # b = 0: one row per block, no cell of a block below any row
+        band = np.array([[1.0], [0.5], [0.25]])
+        assert self.written(matrices._plan_sweep(band)) == [
+            (j, j + 1, [[]], ((0.0, ()),)) for j in range(3)
+        ]
+
+
 class TestBuilderRefusals:
     """Each builder names what it refuses; the message is checked exactly."""
 
