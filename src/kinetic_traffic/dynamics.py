@@ -272,17 +272,19 @@ def _check_eta(eta: float):
 
 
 def _as_array(f: Union[CellMassVector, np.ndarray], tensor: InteractionTensor) -> np.ndarray:
-    """One state of the tensor's grid as a float array of finite cell masses."""
+    """One state of the tensor's grid as a float array of finite cell masses.
+
+    A CellMassVector's masses are finite and read-only by construction, so
+    they are taken as they are; any other array is checked."""
     if isinstance(f, CellMassVector):
         if f.grid.n_cells != tensor.n_cells:
             raise ConfigurationError("state and tensor grids differ")
-        arr = np.asarray(f.masses, dtype=float)
-    else:
-        arr = np.asarray(f, dtype=float)
-        if arr.shape != (tensor.n_cells,):
-            raise ConfigurationError(
-                f"state has shape {arr.shape}, tensor expects ({tensor.n_cells},)"
-            )
+        return f.masses
+    arr = np.asarray(f, dtype=float)
+    if arr.shape != (tensor.n_cells,):
+        raise ConfigurationError(
+            f"state has shape {arr.shape}, tensor expects ({tensor.n_cells},)"
+        )
     _check_finite(arr)
     return arr
 

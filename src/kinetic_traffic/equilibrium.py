@@ -59,14 +59,7 @@ class QuantizedEquilibrium:
         m = np.asarray(self.masses, dtype=float).copy()
         if m.ndim != 1 or m.size < 2:
             raise ConfigurationError("need at least two speed classes")
-        scale = max(self.rho, 1.0)
-        if not -MASS_TOL * scale <= m.min():  # NaN too
-            raise NumericalError(f"negative class mass {m.min():.3e}")
-        m[m < 0.0] = 0.0
-        if not abs(m.sum() - self.rho) <= MASS_TOL * scale:
-            raise NumericalError(
-                f"class masses sum to {float(m.sum())!r}, expected {float(self.rho)!r}"
-            )
+        _check_class_masses(m[None], np.array([self.rho], dtype=float))
         m.setflags(write=False)
         object.__setattr__(self, "masses", m)
 
@@ -76,6 +69,27 @@ class QuantizedEquilibrium:
 
     def speeds(self, v_max: float = 1.0) -> np.ndarray:
         return np.arange(self.masses.size) * (v_max / self.n_jumps)
+
+
+def _check_class_masses(masses: np.ndarray, rho: np.ndarray):
+    """Refuse a row of class masses (B, T + 1) below the -1e-12 floor (NaN
+    too) or not summing to its density rho (B,) within 1e-12, both scaled
+    by max(rho, 1); set the masses within the floor to 0, in place.  The
+    first row refused is named."""
+    tol = MASS_TOL * np.maximum(rho, 1.0)
+    low = masses.min(axis=1)
+    masses[masses < 0.0] = 0.0
+    sums = masses.sum(axis=1)
+    ok = (low >= -tol) & (np.abs(sums - rho) <= tol)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        if not low[i] >= -tol[i]:
+            raise NumericalError(
+                f"negative class mass {low[i]:.3e} at density {float(rho[i])!r}"
+            )
+        raise NumericalError(
+            f"class masses sum to {float(sums[i])!r}, expected {float(rho[i])!r}"
+        )
 
 
 def closed_form_equilibrium(rho: float, p: float, n_jumps: int) -> QuantizedEquilibrium:
@@ -91,7 +105,8 @@ def closed_form_equilibrium(rho: float, p: float, n_jumps: int) -> QuantizedEqui
     (the other root of each quadratic is negative); the quadratic is
     evaluated via the negative root and the root product so that the tiny
     positive root survives cancellation.  The top class closes the mass
-    balance exactly.
+    balance exactly.  The one-row case of `_closed_form_masses`, which
+    runs the chain for every density of a diagram at once.
     """
     if not (math.isfinite(rho) and rho > 0.0):
         raise ConfigurationError(f"density must be finite and positive, got {rho!r}")
@@ -99,41 +114,62 @@ def closed_form_equilibrium(rho: float, p: float, n_jumps: int) -> QuantizedEqui
         raise ConfigurationError(f"probability {p} outside [0, 1]")
     if n_jumps < 1:
         raise ConfigurationError("need at least one speed jump")
-    n_classes = n_jumps + 1
-    if p >= 0.5:
-        masses = np.zeros(n_classes)
-        masses[-1] = rho
-        return QuantizedEquilibrium(masses=masses, rho=rho, p=p)
+    masses = _closed_form_masses(np.array([rho], dtype=float), np.array([p], dtype=float),
+                                 n_jumps)
+    return QuantizedEquilibrium(masses=masses[0], rho=rho, p=p)
 
-    a = 1.0 - p
-    masses = np.zeros(n_classes)
-    masses[0] = rho * (1.0 - 2.0 * p) / a
-    below = masses[0]
-    for l in range(1, n_classes - 1):
-        b = (1.0 - 2.0 * p) * rho - 2.0 * a * below
-        if b >= 0.0:
+
+def _closed_form_masses(rho: np.ndarray, p: np.ndarray, n_jumps: int) -> np.ndarray:
+    """Closed-form class masses (B, T + 1) at densities rho and acceleration
+    probabilities p, each (B,), checked as `QuantizedEquilibrium` checks them.
+
+    The chain of `closed_form_equilibrium` runs once over the rows with
+    p < 1/2, class by class, in the scalar chain's order of operations, so
+    each row gets the bits it gets alone.  A linear coefficient that is not
+    negative, or a top class below -1e-12 rho, raises NumericalError naming
+    the first density it happens at; float64 reaches both only at densities
+    whose products leave the normal range (about 1e-160 and below).
+    """
+    masses = np.zeros((rho.size, n_jumps + 1))
+    masses[:, -1] = rho  # p >= 1/2: all of it in the top class
+    free = np.flatnonzero(p < 0.5)
+    if free.size:
+        r, q = rho[free], p[free]
+        a = 1.0 - q
+        two_a, four_a, qr = 2.0 * a, 4.0 * a, q * r
+        lin = (1.0 - 2.0 * q) * r
+        m = masses[free]
+        prev = lin / a
+        m[:, 0] = prev
+        below = prev.copy()
+        for l in range(1, n_jumps):
+            b = lin - two_a * below
+            lost = b >= 0.0
+            if lost.any():
+                i = int(np.argmax(lost))
+                raise NumericalError(
+                    f"class {l + 1}: linear coefficient {b[i]:.3e} lost its sign at "
+                    f"density {float(r[i])!r}, where float64 rounds the chain's "
+                    "products to 0"
+                )
+            c = qr * prev
+            # the positive root via the negative one and the root product, so
+            # that a tiny root survives cancellation
+            root = np.sqrt(b * b + four_a * c)
+            prev = -c / (a * ((b - root) / two_a))
+            m[:, l] = prev
+            below += prev
+        top = r - below
+        short = top < -MASS_TOL * r
+        if short.any():
+            i = int(np.argmax(short))
             raise NumericalError(
-                f"class {l + 1}: linear coefficient {b:.3e} lost its sign; "
-                "probability too close to the branch point for float arithmetic"
+                f"top class mass {top[i]:.3e} went negative at density {float(r[i])!r}"
             )
-        c = p * rho * masses[l - 1]
-        masses[l] = _positive_root(a, b, c)
-        below += masses[l]
-    top = rho - below
-    if top < -MASS_TOL * rho:
-        raise NumericalError(f"top class mass {top:.3e} went negative")
-    masses[-1] = max(top, 0.0)
-    return QuantizedEquilibrium(masses=masses, rho=rho, p=p)
-
-
-def _positive_root(a: float, b: float, c: float) -> float:
-    """Nonnegative root of -a x^2 + b x + c for a > 0 and c >= 0.  For
-    b < 0 it is taken via the negative root and the root product, so that
-    a tiny root survives cancellation."""
-    root = math.sqrt(b * b + 4.0 * a * c)
-    if b < 0.0:
-        return -c / (a * ((b - root) / (2.0 * a)))
-    return (b + root) / (2.0 * a)
+        m[:, -1] = np.maximum(top, 0.0)
+        masses[free] = m
+    _check_class_masses(masses, rho)
+    return masses
 
 
 def banded_equilibrium(tensor: InteractionTensor, rho: float, empty: int = 0) -> CellMassVector:
@@ -169,12 +205,13 @@ def banded_equilibrium(tensor: InteractionTensor, rho: float, empty: int = 0) ->
         raise ConfigurationError(f"empty prefix {empty!r} outside [0, {n - 1}]")
     plan, factor = tensor._sweep
     a = 1.0 - tensor.p
+    two_a, four_a = 2.0 * a, 4.0 * a
     lin = (1.0 - 2.0 * tensor.p) * rho
     scale = rho * factor
     self_weights = tensor.band[:, b].tolist()
     f = np.zeros(b + n)  # cell j at f[b + j], after b zeros for the band window
     windows = _windows(f, b)
-    mul = operator.mul
+    mul, sqrt = operator.mul, math.sqrt
     below = 0.0
     for s, e, rows, weights in plan:
         if e <= empty:
@@ -193,9 +230,12 @@ def banded_equilibrium(tensor: InteractionTensor, rho: float, empty: int = 0) ->
                 if rest_j:
                     out_j += sum(map(mul, rest_j, xs))
                 c = scale * (out_j + w_j * inside)
-                bj = lin - 2.0 * a * below + rho * self_j
+                bj = lin - two_a * below + rho * self_j
                 if c > 0.0:  # so P < 1: at P = 1 every c_j is 0
-                    x = _positive_root(a, bj, c)
+                    root = sqrt(bj * bj + four_a * c)
+                    # for b_j < 0 via the negative root and the root product
+                    x = (-c / (a * ((bj - root) / two_a)) if bj < 0.0
+                         else (bj + root) / two_a)
                 else:
                     # roots 0 and b_j/(1-P); at P = 1 the equation is linear
                     x = max(bj / a, 0.0) if a > 0.0 else 0.0

@@ -1,11 +1,13 @@
 """Macroscopic outputs: moments, fundamental diagrams, transition detection.
 
 Everything here reduces kinetic states to road-level quantities: density,
-flux, and mean speed.  No diagram runs the ODE: jump-kernel diagrams are
-evaluated straight from the closed-form equilibrium, and spread-kernel
-diagrams from the same chain of quadratics solved cell by cell on the
-grid, with samples whose residual stays above the tolerance flagged
-rather than dropped.
+flux, and mean speed.  No diagram runs the ODE, and each pays its set-up
+once: one cached grid and one P per density.  Jump-kernel diagrams are
+evaluated straight from the closed-form equilibrium, all densities in one
+pass of its chain of quadratics, and spread-kernel diagrams from the same
+kind of chain solved cell by cell on the grid's cached P-free band, with
+samples whose residual stays above the tolerance flagged rather than
+dropped.
 """
 from __future__ import annotations
 
@@ -19,10 +21,11 @@ import numpy as np
 from .dynamics import CellMassVector, IntegratorControls, collision_rhs, integrate
 from .equilibrium import (
     QuantizedEquilibrium,
+    _closed_form_masses,
     banded_equilibrium,
     closed_form_equilibrium,
 )
-from .matrices import VelocityGrid, build_grid, build_tensor
+from .matrices import VelocityGrid, _tensor_family, build_grid, build_tensor
 from .params import (
     ConfigurationError,
     Kernel,
@@ -154,9 +157,14 @@ class FundamentalDiagram:
         return all(s.converged for s in self.samples)
 
 
-def _delta_flux(eq: QuantizedEquilibrium, grid: VelocityGrid, ratio: int) -> float:
-    idx = np.arange(eq.n_jumps + 1) * ratio
-    return float(eq.masses @ grid.centers[idx])
+def _class_speeds(params: ModelParams, grid: Optional[VelocityGrid]) -> np.ndarray:
+    """Speeds of the closed form's T + 1 classes: the centers of grid cells
+    1, r + 1, ..., 1 + T r of an integer-ratio grid, or without a grid, in
+    the limit r -> inf, the multiples of delta_v (`QuantizedEquilibrium.speeds`)."""
+    t = params.n_jumps
+    if grid is None:
+        return np.arange(t + 1) * (params.v_max / t)
+    return grid.centers[np.arange(t + 1) * ((grid.n_cells - 1) // t)]
 
 
 def fundamental_diagram(
@@ -168,18 +176,24 @@ def fundamental_diagram(
 ) -> FundamentalDiagram:
     """Equilibrium flux at each requested density.
 
-    Jump kernel: the closed-form equilibrium is evaluated directly, with
-    ratio=math.inf giving the infinitely-refined limit where class l sits
-    exactly at speed (l-1)*delta_v.  Spread kernel: each density's steady
-    state is solved cell by cell from the tensor's band
-    (`banded_equilibrium`), the state a march from a uniform start ends
-    on; a sample whose collision residual (max-norm) exceeds residual_tol
-    is kept with converged=False.
+    The grid is built once per call (`build_grid` caches it across calls)
+    and P is evaluated once per density.  Jump kernel: the closed-form
+    class masses of every density come from one pass of the chain of
+    quadratics over all densities (`equilibrium._closed_form_masses`), each
+    with the bits `closed_form_equilibrium` gives it alone, and the fluxes
+    from one vecdot against the class speeds; ratio=math.inf gives the
+    infinitely-refined limit where class l sits exactly at speed
+    (l-1)*delta_v.  A density the chain fails at raises NumericalError
+    naming it.  Spread kernel: the kernel and ratio are checked once, and
+    each density's steady state is solved cell by cell (`banded_equilibrium`)
+    on p times the grid's cached P-free band; it is the state a march from
+    a uniform start ends on.  A sample whose collision residual (max-norm)
+    exceeds residual_tol is kept with converged=False.
     """
     rhos = [float(r) for r in rho_samples]
     if not rhos:
         raise ConfigurationError("need at least one density sample")
-    if any(r <= 0 or r > params.rho_max for r in rhos):
+    if not all(0.0 < r <= params.rho_max for r in rhos):  # NaN too
         raise ConfigurationError("density samples must lie in (0, rho_max]")
     gamma = law.gamma if isinstance(law, PowerLaw) else None
     t = params.n_jumps
@@ -195,23 +209,23 @@ def fundamental_diagram(
                 "the closed-form masses sit between cells"
             )
         reported = float(ratio_obj.r)
+    ps = [evaluate_probability(law, rho, params) for rho in rhos]
 
-    samples = []
-    for rho in rhos:
-        p = evaluate_probability(law, rho, params)
-        if params.kernel is Kernel.DELTA:
-            eq = closed_form_equilibrium(rho, p, t)
-            flux = (flux_infinite_r(eq, params.v_max) if grid is None
-                    else _delta_flux(eq, grid, int(reported)))
-            samples.append(DiagramSample(rho, flux, flux / rho))
-            continue
-        tensor = build_tensor(params.kernel, grid, ratio_obj, p)
-        f_inf = banded_equilibrium(tensor, rho)
-        residual = float(np.abs(collision_rhs(f_inf, tensor, params.eta)).max())
-        if residual > residual_tol:
-            logger.warning("no steady state at rho=%g: residual %.3e", rho, residual)
-        m = moments(f_inf)
-        samples.append(DiagramSample(rho, m.flux, m.mean_speed, residual <= residual_tol))
+    if params.kernel is Kernel.DELTA:
+        masses = _closed_form_masses(np.array(rhos), np.array(ps), t)
+        fluxes = np.vecdot(masses, _class_speeds(params, grid)).tolist()
+        samples = [DiagramSample(rho, flux, flux / rho) for rho, flux in zip(rhos, fluxes)]
+    else:
+        tensor_at = _tensor_family(params.kernel, grid, ratio_obj)
+        samples = []
+        for rho, p in zip(rhos, ps):
+            tensor = tensor_at(p)
+            f_inf = banded_equilibrium(tensor, rho)
+            residual = float(np.abs(collision_rhs(f_inf, tensor, params.eta)).max())
+            if residual > residual_tol:
+                logger.warning("no steady state at rho=%g: residual %.3e", rho, residual)
+            m = moments(f_inf)
+            samples.append(DiagramSample(rho, m.flux, m.mean_speed, residual <= residual_tol))
     return FundamentalDiagram(
         samples=tuple(samples),
         kernel=params.kernel,
@@ -371,7 +385,7 @@ def deceleration_time(
         raise ConfigurationError("deceleration timing needs an integer ratio")
     p = evaluate_probability(law, rho, params)
     eq = closed_form_equilibrium(rho, p, params.n_jumps)
-    u_inf = _delta_flux(eq, grid, int(ratio_obj.r)) / rho
+    u_inf = float(eq.masses @ _class_speeds(params, grid)) / rho
     target = factor * u_inf
 
     f0 = np.zeros(grid.n_cells)

@@ -44,7 +44,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -86,7 +86,9 @@ class VelocityGrid:
 
     Cell j (1-based) spans [(j - 3/2) dv, (j - 1/2) dv] clipped to the
     range, so cells 1 and N have width dv/2 and centers dv/4 and
-    v_max - dv/4; interior centers are (j - 1) dv.
+    v_max - dv/4; interior centers are (j - 1) dv.  `centers` is built
+    once per grid and is read-only, since `build_grid` hands the same grid
+    to every caller that asks for it.
     """
 
     n_cells: int
@@ -104,12 +106,14 @@ class VelocityGrid:
     def dv(self) -> float:
         return self.v_max / (self.n_cells - 1)
 
-    @property
+    @cached_property
     def centers(self) -> np.ndarray:
+        """Cell center speeds, built on first use and read-only."""
         dv = self.dv
         c = np.arange(self.n_cells, dtype=float) * dv
         c[0] = 0.25 * dv
         c[-1] = self.v_max - 0.25 * dv
+        c.setflags(write=False)
         return c
 
     @property
@@ -126,8 +130,9 @@ class GridRatio:
     Carried as an exact Fraction so that the jump-kernel builder can put
     every cell edge and the jump on one integer scale, with no
     floating-point tie hazards at half-integer r.  Integers and
-    Fractions are taken as they are; a float must be a rational within
-    1e-9 relative of a fraction with denominator at most 10**9.
+    Fractions are taken as they are; any other real number is taken as a
+    float, which must be a rational within 1e-9 relative of a fraction with
+    denominator at most 10**9.
     """
 
     fraction: Fraction
@@ -137,7 +142,7 @@ class GridRatio:
         if isinstance(r, numbers.Rational):
             frac = Fraction(r)
         elif isinstance(r, numbers.Real) and math.isfinite(r):
-            frac = Fraction(r).limit_denominator(10**9)
+            frac = Fraction(float(r)).limit_denominator(10**9)
             if abs(float(frac) - r) > 1e-9 * max(1.0, abs(r)):
                 raise ConfigurationError(f"grid ratio {r!r} is not a usable rational")
         else:
@@ -216,12 +221,10 @@ class InteractionTensor:
                 plan: SweepPlan) -> "InteractionTensor":
         """The tensor whose read-only band is p times a P-free band from the
         landing cache, with that band's cached sweep plan at factor p.  The
-        P-free band was checked when it entered the cache and p by the
-        builder, so nothing is copied or rescanned here."""
+        P-free band was checked when it entered the cache and p by
+        `_tensor_family`, so nothing is copied or rescanned here."""
         tensor = object.__new__(cls)
-        for name, value in (("kernel", kernel), ("p", p), ("grid", grid), ("band", band)):
-            object.__setattr__(tensor, name, value)
-        object.__setattr__(tensor, "_sweep", (plan, p))
+        vars(tensor).update(kernel=kernel, p=p, grid=grid, band=band, _sweep=(plan, p))
         return tensor
 
     @property
@@ -259,15 +262,30 @@ def build_grid(params: ModelParams, r: Union[int, float, Fraction]) -> tuple[Vel
 
     T = v_max/delta_v comes from the parameters; r may be fractional as
     long as r*T is an integer (so the last cell edge lands on v_max).
+    Memoised: a ratio is made exact once per value and type of r, and the
+    grid once per (T, v_max, exact ratio), each in a cache of the 32 used
+    last, so 2, 2.0, Fraction(2) and np.int64(2) get the same grid and
+    ratio objects.  A refusal is never cached, and an r that is no real
+    number, such as an unhashable 0-d array, is refused before it becomes
+    a cache key.
     """
-    ratio = GridRatio(r)
-    t = params.n_jumps
+    ratio = _exact_ratio(r) if isinstance(r, numbers.Real) else GridRatio(r)
+    return _grid(params.n_jumps, params.v_max, ratio)
+
+
+# typed: a float and the Fraction equal to its exact value are one key
+# untyped, but GridRatio rounds the float to a nearby small fraction
+_exact_ratio = lru_cache(maxsize=32, typed=True)(GridRatio)
+
+
+@lru_cache(maxsize=32, typed=True)
+def _grid(t: int, v_max: float, ratio: GridRatio) -> tuple[VelocityGrid, GridRatio]:
     n_minus_1 = ratio.fraction * t
     if n_minus_1.denominator != 1:
         raise ConfigurationError(
             f"r*T = {ratio.fraction} * {t} is not an integer; no such grid"
         )
-    return VelocityGrid(n_cells=int(n_minus_1) + 1, v_max=params.v_max), ratio
+    return VelocityGrid(n_cells=int(n_minus_1) + 1, v_max=v_max), ratio
 
 
 def _check_probability(p: float):
@@ -316,7 +334,10 @@ def build_delta_tensor_generic(grid: VelocityGrid, ratio: GridRatio, p: float) -
     cases at half-integer r).  For whole r all of it goes to h + r.  The bandwidth
     is ceil(r); every candidate lands at once, in O(N) work, once per grid.
     """
-    _check_probability(p)
+    return _tensor_family(Kernel.DELTA, grid, ratio)(p)
+
+
+def _check_jump_ratio(grid: VelocityGrid, ratio: GridRatio):
     rf = ratio.fraction
     if rf < 1:
         raise ConfigurationError(
@@ -329,7 +350,6 @@ def build_delta_tensor_generic(grid: VelocityGrid, ratio: GridRatio, p: float) -
         raise ConfigurationError(
             f"grid ratio {rf} fits no {n}-cell grid: its denominator exceeds {n - 1}"
         )
-    return _assemble(Kernel.DELTA, grid, rf, p)
 
 
 def _jump_landing(n: int, rf: Fraction) -> tuple[np.ndarray, np.ndarray]:
@@ -365,14 +385,16 @@ def build_chi_tensor(grid: VelocityGrid, ratio: GridRatio, p: float) -> Interact
     Valid for every integer r >= 1 and any N >= r + 1.  Every candidate
     lands at once, in O(N * r) work, once per grid.
     """
-    _check_probability(p)
+    return _tensor_family(Kernel.CHI, grid, ratio)(p)
+
+
+def _check_spread_ratio(grid: VelocityGrid, ratio: GridRatio):
     if not ratio.is_integer:
         raise ConfigurationError("spread-kernel tensor requires integer r")
     n = grid.n_cells
     r = int(ratio.fraction)
     if not 1 <= r <= n - 1:
         raise ConfigurationError(f"jump of {r} cells incompatible with {n}-cell grid")
-    return _assemble(Kernel.CHI, grid, ratio.fraction, p)
 
 
 def _spread_landing(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -472,13 +494,24 @@ def _landing(kernel: Kernel, n: int, rf: Fraction) -> tuple[np.ndarray, SweepPla
     return band, _plan_sweep(band)
 
 
-def _assemble(kernel: Kernel, grid: VelocityGrid, rf: Fraction, p: float) -> InteractionTensor:
-    """Band of bandwidth ceil(r) at braking level p: p times the cached
-    P-free band of this kernel, grid and ratio, with its cached sweep plan."""
-    free, plan = _landing(kernel, grid.n_cells, rf)
-    band = p * free
-    band.setflags(write=False)
-    return InteractionTensor._scaled(kernel, p, grid, band, plan)
+def _tensor_family(kernel: Kernel, grid: VelocityGrid,
+                   ratio: GridRatio) -> Callable[[float], InteractionTensor]:
+    """The map from P to this kernel's tensor on this grid and ratio.
+
+    The kernel's refusals of the grid and ratio run once, here, and the
+    P-free band and its sweep plan are looked up once; each call checks its
+    P and takes its band as P times the P-free band, with the cached plan.
+    """
+    (_check_spread_ratio if kernel is Kernel.CHI else _check_jump_ratio)(grid, ratio)
+    free, plan = _landing(kernel, grid.n_cells, ratio.fraction)
+
+    def at(p: float) -> InteractionTensor:
+        _check_probability(p)
+        band = p * free
+        band.setflags(write=False)
+        return InteractionTensor._scaled(kernel, p, grid, band, plan)
+
+    return at
 
 
 def build_tensor(kernel: Kernel, grid: VelocityGrid, ratio: GridRatio, p: float) -> InteractionTensor:

@@ -9,10 +9,11 @@ it for the collision right-hand side, and an eigenvalue computation for
 decay rates.  Agreement is then evidence, not circularity.  The shifted
 (unstable) jump-kernel equilibrium is laid out from the closed form class
 by class, a route apart from the band chain that gives it in the package.
-Four routines are references rather than oracles, earlier implementations
+Five routines are references rather than oracles, earlier implementations
 of the package: the original cell-by-cell jump-kernel builder, the
-original pairwise spread builder and the scalar RK4 loop that marched one
-state at a time, which the package must match bit for bit, and the
+original pairwise spread builder, the scalar closed-form chain that took
+one density at a time and the scalar RK4 loop that marched one state at a
+time, which the package must match bit for bit, and the
 steady-state search that stepped LSODA through scipy's solve_ivp with a
 Jacobian summed from a diagonal and two triangles, which the package's
 implicit march must match within a tolerance.  `_make_rhs`, the one-state
@@ -264,6 +265,31 @@ def equilibrium_mp(rho: float, p: float, n_jumps: int, dps: int = 60) -> list[fl
             masses.append((b + mpmath.sqrt(b * b + 4 * a * c)) / (2 * a))
         masses.append(rho_mp - mpmath.fsum(masses))
         return [float(x) for x in masses]
+
+
+def closed_form_reference(rho: float, p: float, n_jumps: int) -> list[float]:
+    """Class masses by the package's former scalar closed-form chain.
+
+    Python floats, one class at a time, the positive root taken via the
+    negative one and the root product, the top class closing the balance
+    and clipped at 0 within the -1e-12 floor.  The one-pass chain over a
+    stack of densities must give every density these bits.
+    """
+    if p >= 0.5:
+        return [0.0] * n_jumps + [rho]
+    a = 1.0 - p
+    masses = [rho * (1.0 - 2.0 * p) / a]
+    below = masses[0]
+    for _ in range(1, n_jumps):
+        b = (1.0 - 2.0 * p) * rho - 2.0 * a * below
+        assert b < 0.0
+        c = p * rho * masses[-1]
+        root = math.sqrt(b * b + 4.0 * a * c)
+        masses.append(-c / (a * ((b - root) / (2.0 * a))))
+        below += masses[-1]
+    top = rho - below
+    assert top >= -1e-12 * rho
+    return masses + [max(top, 0.0)]
 
 
 def banded_equilibrium_mp(tensor, rho: float, dps: int = 50) -> np.ndarray:

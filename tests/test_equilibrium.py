@@ -41,8 +41,14 @@ from kinetic_traffic import (
     verify_quantized_support,
 )
 from kinetic_traffic.dynamics import NEGATIVITY_TOL
+from kinetic_traffic.equilibrium import _closed_form_masses
 
-from _oracles import banded_equilibrium_mp, equilibrium_mp, unstable_equilibrium
+from _oracles import (
+    banded_equilibrium_mp,
+    closed_form_reference,
+    equilibrium_mp,
+    unstable_equilibrium,
+)
 
 
 class TestClosedForm:
@@ -127,6 +133,44 @@ class TestClosedForm:
         masses = np.asarray(eq.masses, float)
         assert masses.min() >= 0.0
         assert abs(masses.sum() - rho) <= 1e-12 * max(rho, 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rho=st.floats(1e-6, 1.0),
+        p=st.one_of(st.floats(0.0, 1.0), st.floats(0.49, 0.5)),
+        n_jumps=st.integers(1, 12),
+    )
+    def test_bits_of_the_scalar_chain(self, rho, p, n_jumps):
+        # the one-row case of the stacked chain keeps the former scalar
+        # chain's operations, so every class mass keeps its bits
+        got = closed_form_equilibrium(rho, p, n_jumps).masses.tolist()
+        assert [x.hex() for x in got] == [
+            x.hex() for x in closed_form_reference(rho, p, n_jumps)
+        ]
+
+    def test_stacked_rows_keep_the_bits_they_get_alone(self):
+        rhos = np.array([0.05, 0.3, 0.499, 0.5, 0.51, 0.9, 1.0])
+        ps = np.array([0.95, 0.7, 0.501, 0.5, 0.49, 0.1, 0.0])
+        for n_jumps in (1, 3, 4, 10):
+            stacked = _closed_form_masses(rhos, ps, n_jumps)
+            for row, rho, p in zip(stacked, rhos, ps):
+                alone = closed_form_equilibrium(float(rho), float(p), n_jumps).masses
+                assert row.tobytes() == alone.tobytes()
+
+    # float64 reaches both chain failures only where the chain's products
+    # leave the normal range: a subnormal density rounds (1 - 2p) rho and
+    # the first class to 0, so b_2 = 0, and near 1e-161 the square of b
+    # falls to a subnormal and its root loses the digits that keep the
+    # classes below rho
+    def test_linear_coefficient_that_loses_its_sign_is_refused(self):
+        with pytest.raises(NumericalError, match=r"class 2: linear coefficient 0\.000e\+00 "
+                           r"lost its sign at density 5e-324"):
+            closed_form_equilibrium(5e-324, 0.25, 3)
+
+    def test_top_class_below_the_floor_is_refused(self):
+        with pytest.raises(NumericalError,
+                           match=r"top class mass -4\.461e-163 went negative at density 1e-161"):
+            closed_form_equilibrium(1e-161, 0.4, 5)
 
 
 class TestOnGrid:

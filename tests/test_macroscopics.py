@@ -16,8 +16,10 @@ from hypothesis import given, settings, strategies as st
 from kinetic_traffic import (
     CellMassVector,
     ConfigurationError,
+    CustomLaw,
     Kernel,
     ModelParams,
+    NumericalError,
     PowerLaw,
     VelocityGrid,
     banded_equilibrium,
@@ -27,6 +29,7 @@ from kinetic_traffic import (
     compare_diagrams,
     deceleration_time,
     detect_capacity_drop,
+    evaluate_probability,
     expected_speed,
     flux_infinite_r,
     fundamental_diagram,
@@ -34,6 +37,8 @@ from kinetic_traffic import (
     moments,
 )
 from kinetic_traffic import macroscopics
+
+from _oracles import closed_form_reference
 
 LAW = PowerLaw(1.0)
 
@@ -172,10 +177,60 @@ class TestFundamentalDiagram:
         ([], "at least one density"),
         ([0.3, 0.0], r"must lie in \(0, rho_max\]"),
         ([1.0 + 1e-9], r"must lie in \(0, rho_max\]"),
+        ([0.3, math.nan], r"must lie in \(0, rho_max\]"),
     ])
     def test_density_samples_outside_the_range_are_refused(self, rhos, message):
         with pytest.raises(ConfigurationError, match=message):
             fundamental_diagram(ModelParams(delta_v=0.25), LAW, 1, rhos)
+
+    # gamma=2 is past PowerLaw's range, so the convex law is a table of
+    # 1 - rho^2 fine enough to cross P = 1/2 between samples
+    LAWS = {0.5: PowerLaw(0.5), 1.0: PowerLaw(1.0),
+            2.0: CustomLaw([(k / 400, 1.0 - (k / 400) ** 2) for k in range(401)])}
+    # both sides of rho_c (0.25, 0.5 and 0.7071 for the three laws), the
+    # P >= 1/2 rows among them, and rho = rho_max
+    RHOS = sorted({0.01 + 0.02 * k for k in range(50)}
+                  | {0.25 - 1e-9, 0.25 + 1e-9, 0.5 - 1e-6, 0.5 + 1e-6, 0.7071, 0.7072, 1.0})
+
+    @pytest.mark.parametrize("gamma", sorted(LAWS))
+    @pytest.mark.parametrize("n_jumps", [1, 3, 4])
+    @pytest.mark.parametrize("r", [1, 4, 20, math.inf])
+    def test_jump_samples_keep_their_scalar_bits(self, r, n_jumps, gamma):
+        params = ModelParams(delta_v=1.0 / n_jumps)
+        law = self.LAWS[gamma]
+        d = fundamental_diagram(params, law, r, self.RHOS)
+        if r == math.inf:
+            speeds = np.arange(n_jumps + 1) * (1.0 / n_jumps)
+        else:
+            grid, _ = build_grid(params, r)
+            speeds = grid.centers[np.arange(n_jumps + 1) * r]
+        assert any(evaluate_probability(law, x, params) >= 0.5 for x in self.RHOS)
+        assert any(evaluate_probability(law, x, params) < 0.5 for x in self.RHOS)
+        for s in d.samples:
+            masses = closed_form_reference(s.rho, evaluate_probability(law, s.rho, params),
+                                           n_jumps)
+            flux = float(np.array(masses) @ speeds)
+            assert (s.flux.hex(), s.mean_speed.hex()) == (flux.hex(), (flux / s.rho).hex())
+
+    @pytest.mark.parametrize("r", [1, 4, 20])
+    def test_spread_samples_equal_their_one_density_calls(self, r):
+        params = ModelParams(delta_v=0.5, kernel=Kernel.CHI)
+        rhos = [0.01 + 0.02 * k for k in range(50)]
+        together = fundamental_diagram(params, LAW, r, rhos).samples
+        alone = [fundamental_diagram(params, LAW, r, [rho]).samples[0] for rho in rhos]
+        assert [tuple(map(repr, s)) for s in together] == [tuple(map(repr, s)) for s in alone]
+
+    @pytest.mark.parametrize("r", [1, math.inf])
+    @pytest.mark.parametrize("delta_v,p,bad,message", [
+        (1 / 3, 0.25, 5e-324, r"class 2: linear coefficient .* lost its sign at density 5e-324"),
+        (0.2, 0.4, 1e-161, r"top class mass .* went negative at density 1e-161"),
+    ])
+    def test_chain_failure_names_its_density(self, r, delta_v, p, bad, message):
+        # a flat law puts P < 1/2 at a density whose chain leaves the
+        # normal range (see TestClosedForm in test_equilibrium.py)
+        law = CustomLaw([(0.0, p), (1.0, p)])
+        with pytest.raises(NumericalError, match=message):
+            fundamental_diagram(ModelParams(delta_v=delta_v), law, r, [0.3, bad, 0.6])
 
     def test_sample_flux_must_be_rho_times_speed(self):
         d = fundamental_diagram(ModelParams(delta_v=0.25), LAW, 1, [0.3])

@@ -122,6 +122,41 @@ class TestVelocityGrid:
     def test_numpy_cell_count_is_accepted(self):
         assert VelocityGrid(n_cells=np.int64(5), v_max=1.0).centers.shape == (5,)
 
+    def test_equal_ratios_share_one_grid(self):
+        first = build_grid(ModelParams(delta_v=0.25), 2)
+        for r in (2, 2.0, Fraction(2), np.int64(2), np.float64(2.0), np.float32(2.0)):
+            grid, ratio = build_grid(ModelParams(delta_v=0.25), r)
+            assert grid is first[0] and ratio is first[1]
+
+    def test_centers_are_built_once_and_refuse_writes(self):
+        grid, _ = build_grid(ModelParams(delta_v=0.25), 2)
+        assert grid.centers is grid.centers
+        with pytest.raises(ValueError, match="read-only"):
+            grid.centers[0] = 0.0
+
+    @pytest.mark.parametrize("r,message", [
+        (np.array(2), "not a finite real number"),  # 0-d arrays are unhashable
+        (np.array(2.0), "not a finite real number"),
+        (math.nan, "not a finite real number"),
+        (math.inf, "not a finite real number"),
+        (-math.inf, "not a finite real number"),
+        (0, "must be positive"),
+        (0.0, "must be positive"),
+        (-2, "must be positive"),
+        (-2.0, "must be positive"),
+        # a float below the 1e-9 resolution of the usable rationals
+        (1e-10, "must be positive"),
+        (Fraction(7, 2), r"r\*T = 7/2 \* 3 is not an integer"),
+        (0.3, r"r\*T = 3/10 \* 3 is not an integer"),
+    ])
+    def test_cached_builder_keeps_every_refusal(self, r, message):
+        params = ModelParams(delta_v=1.0 / 3.0)
+        hits = matrices._grid.cache_info().hits
+        for _ in range(2):  # so a refusal is not cached
+            with pytest.raises(ConfigurationError, match=message):
+                build_grid(params, r)
+        assert matrices._grid.cache_info().hits == hits
+
 
 class TestGridRatio:
     def test_half_offsets(self):
