@@ -68,7 +68,13 @@ class QuantizedEquilibrium:
         return self.masses.size - 1
 
     def speeds(self, v_max: float = 1.0) -> np.ndarray:
-        return np.arange(self.masses.size) * (v_max / self.n_jumps)
+        return _limit_speeds(self.n_jumps, v_max)
+
+
+def _limit_speeds(n_jumps: int, v_max: float) -> np.ndarray:
+    """Speeds (l-1)*v_max/T of the classes l = 1..T+1, where the classes
+    sit in the limit r -> inf."""
+    return np.arange(n_jumps + 1) * (v_max / n_jumps)
 
 
 def _check_class_masses(masses: np.ndarray, rho: np.ndarray):
@@ -121,14 +127,18 @@ def closed_form_equilibrium(rho: float, p: float, n_jumps: int) -> QuantizedEqui
 
 def _closed_form_masses(rho: np.ndarray, p: np.ndarray, n_jumps: int) -> np.ndarray:
     """Closed-form class masses (B, T + 1) at densities rho and acceleration
-    probabilities p, each (B,), checked as `QuantizedEquilibrium` checks them.
+    probabilities p, each (B,).
 
     The chain of `closed_form_equilibrium` runs once over the rows with
     p < 1/2, class by class, in the scalar chain's order of operations, so
     each row gets the bits it gets alone.  A linear coefficient that is not
-    negative, or a top class below -1e-12 rho, raises NumericalError naming
-    the first density it happens at; float64 reaches both only at densities
-    whose products leave the normal range (about 1e-160 and below).
+    negative, or a top class below -1e-12 rho, is a fault of its row; the
+    chain runs to its end and raises NumericalError for the first density
+    in input order with a fault, naming it.  float64 reaches both faults
+    only at densities whose products leave the normal range (about 1e-160
+    and below).  The masses are not checked as `QuantizedEquilibrium`
+    checks them: each caller runs that check once, through the class or
+    `_check_class_masses`.
     """
     masses = np.zeros((rho.size, n_jumps + 1))
     masses[:, -1] = rho  # p >= 1/2: all of it in the top class
@@ -142,16 +152,18 @@ def _closed_form_masses(rho: np.ndarray, p: np.ndarray, n_jumps: int) -> np.ndar
         prev = lin / a
         m[:, 0] = prev
         below = prev.copy()
+        faults = {}  # row of r -> its first fault
         for l in range(1, n_jumps):
             b = lin - two_a * below
             lost = b >= 0.0
             if lost.any():
-                i = int(np.argmax(lost))
-                raise NumericalError(
-                    f"class {l + 1}: linear coefficient {b[i]:.3e} lost its sign at "
-                    f"density {float(r[i])!r}, where float64 rounds the chain's "
-                    "products to 0"
-                )
+                for i in np.flatnonzero(lost).tolist():
+                    faults.setdefault(i, (
+                        f"class {l + 1}: linear coefficient {b[i]:.3e} lost its sign at "
+                        f"density {float(r[i])!r}, where float64 rounds the chain's "
+                        "products to 0"
+                    ))
+                b[lost] = -1.0  # so a faulted row runs on without 0/0
             c = qr * prev
             # the positive root via the negative one and the root product, so
             # that a tiny root survives cancellation
@@ -160,15 +172,14 @@ def _closed_form_masses(rho: np.ndarray, p: np.ndarray, n_jumps: int) -> np.ndar
             m[:, l] = prev
             below += prev
         top = r - below
-        short = top < -MASS_TOL * r
-        if short.any():
-            i = int(np.argmax(short))
-            raise NumericalError(
-                f"top class mass {top[i]:.3e} went negative at density {float(r[i])!r}"
+        for i in np.flatnonzero(top < -MASS_TOL * r).tolist():
+            faults.setdefault(
+                i, f"top class mass {top[i]:.3e} went negative at density {float(r[i])!r}"
             )
+        if faults:
+            raise NumericalError(faults[min(faults)])
         m[:, -1] = np.maximum(top, 0.0)
         masses[free] = m
-    _check_class_masses(masses, rho)
     return masses
 
 

@@ -21,11 +21,13 @@ import numpy as np
 from .dynamics import CellMassVector, IntegratorControls, collision_rhs, integrate
 from .equilibrium import (
     QuantizedEquilibrium,
+    _check_class_masses,
     _closed_form_masses,
+    _limit_speeds,
     banded_equilibrium,
     closed_form_equilibrium,
 )
-from .matrices import VelocityGrid, _tensor_family, build_grid, build_tensor
+from .matrices import VelocityGrid, build_grid, build_tensor
 from .params import (
     ConfigurationError,
     Kernel,
@@ -160,10 +162,10 @@ class FundamentalDiagram:
 def _class_speeds(params: ModelParams, grid: Optional[VelocityGrid]) -> np.ndarray:
     """Speeds of the closed form's T + 1 classes: the centers of grid cells
     1, r + 1, ..., 1 + T r of an integer-ratio grid, or without a grid, in
-    the limit r -> inf, the multiples of delta_v (`QuantizedEquilibrium.speeds`)."""
+    the limit r -> inf, the multiples of delta_v."""
     t = params.n_jumps
     if grid is None:
-        return np.arange(t + 1) * (params.v_max / t)
+        return _limit_speeds(t, params.v_max)
     return grid.centers[np.arange(t + 1) * ((grid.n_cells - 1) // t)]
 
 
@@ -183,12 +185,15 @@ def fundamental_diagram(
     with the bits `closed_form_equilibrium` gives it alone, and the fluxes
     from one vecdot against the class speeds; ratio=math.inf gives the
     infinitely-refined limit where class l sits exactly at speed
-    (l-1)*delta_v.  A density the chain fails at raises NumericalError
-    naming it.  Spread kernel: the kernel and ratio are checked once, and
-    each density's steady state is solved cell by cell (`banded_equilibrium`)
-    on p times the grid's cached P-free band; it is the state a march from
-    a uniform start ends on.  A sample whose collision residual (max-norm)
-    exceeds residual_tol is kept with converged=False.
+    (l-1)*delta_v.  A fault of the chain raises NumericalError naming the
+    first density in input order it happens at; the masses of a chain with
+    no fault are then checked as `QuantizedEquilibrium` checks them, again
+    naming the first density refused.  Spread kernel: each density's
+    tensor is p times the grid's cached P-free band (`build_tensor`), and
+    its steady state is solved cell by cell (`banded_equilibrium`); it is
+    the state a march from a uniform start ends on.  A sample whose
+    collision residual (max-norm) exceeds residual_tol is kept with
+    converged=False.
     """
     rhos = [float(r) for r in rho_samples]
     if not rhos:
@@ -212,14 +217,15 @@ def fundamental_diagram(
     ps = [evaluate_probability(law, rho, params) for rho in rhos]
 
     if params.kernel is Kernel.DELTA:
-        masses = _closed_form_masses(np.array(rhos), np.array(ps), t)
+        rho_arr = np.array(rhos)
+        masses = _closed_form_masses(rho_arr, np.array(ps), t)
+        _check_class_masses(masses, rho_arr)
         fluxes = np.vecdot(masses, _class_speeds(params, grid)).tolist()
         samples = [DiagramSample(rho, flux, flux / rho) for rho, flux in zip(rhos, fluxes)]
     else:
-        tensor_at = _tensor_family(params.kernel, grid, ratio_obj)
         samples = []
         for rho, p in zip(rhos, ps):
-            tensor = tensor_at(p)
+            tensor = build_tensor(params.kernel, grid, ratio_obj, p)
             f_inf = banded_equilibrium(tensor, rho)
             residual = float(np.abs(collision_rhs(f_inf, tensor, params.eta)).max())
             if residual > residual_tol:

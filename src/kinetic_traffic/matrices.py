@@ -44,7 +44,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -130,9 +130,8 @@ class GridRatio:
     Carried as an exact Fraction so that the jump-kernel builder can put
     every cell edge and the jump on one integer scale, with no
     floating-point tie hazards at half-integer r.  Integers and
-    Fractions are taken as they are; any other real number is taken as a
-    float, which must be a rational within 1e-9 relative of a fraction with
-    denominator at most 10**9.
+    Fractions are taken as they are; a float must be a rational within
+    1e-9 relative of a fraction with denominator at most 10**9.
     """
 
     fraction: Fraction
@@ -142,7 +141,7 @@ class GridRatio:
         if isinstance(r, numbers.Rational):
             frac = Fraction(r)
         elif isinstance(r, numbers.Real) and math.isfinite(r):
-            frac = Fraction(float(r)).limit_denominator(10**9)
+            frac = Fraction(r).limit_denominator(10**9)
             if abs(float(frac) - r) > 1e-9 * max(1.0, abs(r)):
                 raise ConfigurationError(f"grid ratio {r!r} is not a usable rational")
         else:
@@ -221,10 +220,12 @@ class InteractionTensor:
                 plan: SweepPlan) -> "InteractionTensor":
         """The tensor whose read-only band is p times a P-free band from the
         landing cache, with that band's cached sweep plan at factor p.  The
-        P-free band was checked when it entered the cache and p by
-        `_tensor_family`, so nothing is copied or rescanned here."""
+        P-free band was checked when it entered the cache and p by the
+        builder, so nothing is copied or rescanned here."""
         tensor = object.__new__(cls)
-        vars(tensor).update(kernel=kernel, p=p, grid=grid, band=band, _sweep=(plan, p))
+        for name, value in (("kernel", kernel), ("p", p), ("grid", grid), ("band", band)):
+            object.__setattr__(tensor, name, value)
+        object.__setattr__(tensor, "_sweep", (plan, p))
         return tensor
 
     @property
@@ -334,10 +335,7 @@ def build_delta_tensor_generic(grid: VelocityGrid, ratio: GridRatio, p: float) -
     cases at half-integer r).  For whole r all of it goes to h + r.  The bandwidth
     is ceil(r); every candidate lands at once, in O(N) work, once per grid.
     """
-    return _tensor_family(Kernel.DELTA, grid, ratio)(p)
-
-
-def _check_jump_ratio(grid: VelocityGrid, ratio: GridRatio):
+    _check_probability(p)
     rf = ratio.fraction
     if rf < 1:
         raise ConfigurationError(
@@ -350,6 +348,7 @@ def _check_jump_ratio(grid: VelocityGrid, ratio: GridRatio):
         raise ConfigurationError(
             f"grid ratio {rf} fits no {n}-cell grid: its denominator exceeds {n - 1}"
         )
+    return _assemble(Kernel.DELTA, grid, rf, p)
 
 
 def _jump_landing(n: int, rf: Fraction) -> tuple[np.ndarray, np.ndarray]:
@@ -385,16 +384,14 @@ def build_chi_tensor(grid: VelocityGrid, ratio: GridRatio, p: float) -> Interact
     Valid for every integer r >= 1 and any N >= r + 1.  Every candidate
     lands at once, in O(N * r) work, once per grid.
     """
-    return _tensor_family(Kernel.CHI, grid, ratio)(p)
-
-
-def _check_spread_ratio(grid: VelocityGrid, ratio: GridRatio):
+    _check_probability(p)
     if not ratio.is_integer:
         raise ConfigurationError("spread-kernel tensor requires integer r")
     n = grid.n_cells
     r = int(ratio.fraction)
     if not 1 <= r <= n - 1:
         raise ConfigurationError(f"jump of {r} cells incompatible with {n}-cell grid")
+    return _assemble(Kernel.CHI, grid, ratio.fraction, p)
 
 
 def _spread_landing(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -494,24 +491,13 @@ def _landing(kernel: Kernel, n: int, rf: Fraction) -> tuple[np.ndarray, SweepPla
     return band, _plan_sweep(band)
 
 
-def _tensor_family(kernel: Kernel, grid: VelocityGrid,
-                   ratio: GridRatio) -> Callable[[float], InteractionTensor]:
-    """The map from P to this kernel's tensor on this grid and ratio.
-
-    The kernel's refusals of the grid and ratio run once, here, and the
-    P-free band and its sweep plan are looked up once; each call checks its
-    P and takes its band as P times the P-free band, with the cached plan.
-    """
-    (_check_spread_ratio if kernel is Kernel.CHI else _check_jump_ratio)(grid, ratio)
-    free, plan = _landing(kernel, grid.n_cells, ratio.fraction)
-
-    def at(p: float) -> InteractionTensor:
-        _check_probability(p)
-        band = p * free
-        band.setflags(write=False)
-        return InteractionTensor._scaled(kernel, p, grid, band, plan)
-
-    return at
+def _assemble(kernel: Kernel, grid: VelocityGrid, rf: Fraction, p: float) -> InteractionTensor:
+    """Band of bandwidth ceil(r) at braking level p: p times the cached
+    P-free band of this kernel, grid and ratio, with its cached sweep plan."""
+    free, plan = _landing(kernel, grid.n_cells, rf)
+    band = p * free
+    band.setflags(write=False)
+    return InteractionTensor._scaled(kernel, p, grid, band, plan)
 
 
 def build_tensor(kernel: Kernel, grid: VelocityGrid, ratio: GridRatio, p: float) -> InteractionTensor:

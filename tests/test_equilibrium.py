@@ -172,6 +172,17 @@ class TestClosedForm:
                            match=r"top class mass -4\.461e-163 went negative at density 1e-161"):
             closed_form_equilibrium(1e-161, 0.4, 5)
 
+    @pytest.mark.parametrize("rhos,message", [
+        # the top class fails after the lost sign in the chain's class
+        # order, yet the earlier density is the one named
+        ([0.3, 1e-161, 5e-324], r"top class mass .* went negative at density 1e-161"),
+        ([0.3, 5e-324, 1e-161], r"class 2: linear coefficient .* lost its sign at "
+                                r"density 5e-324"),
+    ])
+    def test_stacked_chain_names_the_first_density_with_a_fault(self, rhos, message):
+        with pytest.raises(NumericalError, match=message):
+            _closed_form_masses(np.array(rhos), np.full(len(rhos), 0.4), 5)
+
 
 class TestOnGrid:
     @pytest.mark.parametrize("rho", [0.3, 0.6, 0.9])

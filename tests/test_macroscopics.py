@@ -232,6 +232,17 @@ class TestFundamentalDiagram:
         with pytest.raises(NumericalError, match=message):
             fundamental_diagram(ModelParams(delta_v=delta_v), law, r, [0.3, bad, 0.6])
 
+    @pytest.mark.parametrize("rhos,message", [
+        ([0.3, 1e-161, 5e-324], r"top class mass .* went negative at density 1e-161"),
+        ([0.3, 5e-324, 1e-161], r"lost its sign at density 5e-324"),
+    ])
+    def test_chain_failure_names_the_first_bad_density(self, rhos, message):
+        # at T = 5 and P = 0.4, 5e-324 loses its sign at class 2 and 1e-161
+        # fails only at the top class; the density named is the first
+        law = CustomLaw([(0.0, 0.4), (1.0, 0.4)])
+        with pytest.raises(NumericalError, match=message):
+            fundamental_diagram(ModelParams(delta_v=0.2), law, 4, rhos)
+
     def test_sample_flux_must_be_rho_times_speed(self):
         d = fundamental_diagram(ModelParams(delta_v=0.25), LAW, 1, [0.3])
         bad = d.samples[0]._replace(flux=d.samples[0].flux * (1 + 1e-9))

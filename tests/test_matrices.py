@@ -124,7 +124,7 @@ class TestVelocityGrid:
 
     def test_equal_ratios_share_one_grid(self):
         first = build_grid(ModelParams(delta_v=0.25), 2)
-        for r in (2, 2.0, Fraction(2), np.int64(2), np.float64(2.0), np.float32(2.0)):
+        for r in (2, 2.0, Fraction(2), np.int64(2), np.float64(2.0)):
             grid, ratio = build_grid(ModelParams(delta_v=0.25), r)
             assert grid is first[0] and ratio is first[1]
 
