@@ -49,7 +49,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .matrices import InteractionTensor, VelocityGrid, _windows
-from .params import ConfigurationError
+from .params import ConfigurationError, _check_eta
 
 __all__ = [
     "CellMassVector",
@@ -265,14 +265,14 @@ def _check_finite(f: np.ndarray):
         raise ConfigurationError("state has non-finite cell masses")
 
 
-def _check_eta(eta: float):
-    # ModelParams' rule, repeated for callers that pass eta directly
-    if not (math.isfinite(eta) and eta > 0):
-        raise ConfigurationError(f"interaction rate eta must be finite and positive; got {eta!r}")
+def _check_positive(name: str, value: float):
+    if not value > 0:  # NaN too
+        raise ConfigurationError(f"{name} must be positive; got {value!r}")
 
 
 def _as_array(f: Union[CellMassVector, np.ndarray], tensor: InteractionTensor) -> np.ndarray:
-    """One state of the tensor's grid as a float array of finite cell masses.
+    """One state, or a (B, N) stack of states, of the tensor's grid as a
+    float array of finite cell masses.
 
     A CellMassVector's masses are finite and read-only by construction, so
     they are taken as they are; any other array is checked."""
@@ -281,9 +281,10 @@ def _as_array(f: Union[CellMassVector, np.ndarray], tensor: InteractionTensor) -
             raise ConfigurationError("state and tensor grids differ")
         return f.masses
     arr = np.asarray(f, dtype=float)
-    if arr.shape != (tensor.n_cells,):
+    if arr.ndim not in (1, 2) or arr.shape[-1] != tensor.n_cells:
         raise ConfigurationError(
-            f"state has shape {arr.shape}, tensor expects ({tensor.n_cells},)"
+            f"state has shape {arr.shape}, tensor expects ({tensor.n_cells},) or "
+            f"(B, {tensor.n_cells})"
         )
     _check_finite(arr)
     return arr
@@ -401,39 +402,22 @@ def collision_rhs(
 ) -> np.ndarray:
     """Rate of change of each cell mass; sums to zero up to rounding.
 
-    f is one state or a (B, N) stack of states; a stack gets the rates of
-    every row from one batched evaluation (`_make_batch_rhs`).  One state
-    takes W @ f as one vecdot of the band against the windows of one
-    zero-padded copy of f, with no plan, and then the same `_rates` as a
-    row of a stack, so it gets that row's bits.  A non-finite cell mass, or
+    f is one state or a (B, N) stack of states, checked alike; a stack gets
+    the rates of every row from one batched evaluation (`_make_batch_rhs`).
+    One state takes W @ f as one vecdot of the band against the windows of
+    one zero-padded copy of f, with no plan, and then the same `_rates` as
+    a row of a stack, so it gets that row's bits.  A non-finite cell mass, or
     an eta that is not finite and positive, raises ConfigurationError.
     """
     _check_eta(eta)
-    # np.ndim of a CellMassVector goes through an object array: 1.4 us
-    if not isinstance(f, CellMassVector) and np.ndim(f) == 2:
-        arr = np.asarray(f, dtype=float)
-        if arr.shape[1] != tensor.n_cells:
-            raise ConfigurationError(
-                f"states have {arr.shape[1]} cells, tensor expects {tensor.n_cells}"
-            )
-        _check_finite(arr)
-        return _make_batch_rhs([tensor], eta, len(arr))(arr)
     f = _as_array(f, tensor)
+    if f.ndim == 2:
+        return _make_batch_rhs([tensor], eta, len(f))(f)
     n, width = tensor.band.shape
     padded = np.zeros(n + width - 1)
     padded[width - 1:] = f
     wf = np.vecdot(tensor.band, _windows(padded, width))
     return _rates(f, wf, f.sum(), tensor.p, 1.0 - 2.0 * tensor.p, eta)
-
-
-def _clamp_negativity(f: np.ndarray, context: str) -> None:
-    low = f.min(initial=0.0)
-    if low < NEGATIVITY_TOL:
-        raise NumericalError(
-            f"{context}: component {low:.3e} below tolerance {NEGATIVITY_TOL:.0e}; "
-            "this indicates an integration bug, not a model property"
-        )
-    f[f < 0.0] = 0.0
 
 
 def _row_label(i: int, rho: float) -> str:
@@ -454,8 +438,7 @@ def _start(
     whole steps end on t_end.  A row that would need more than MAX_STEPS
     steps is refused with ConfigurationError.
     """
-    f = _as_array(f0, tensor).copy()
-    _clamp_negativity(f, "initial state")
+    f = CellMassVector(getattr(f0, "masses", f0), tensor.grid).masses
     # in Python floats, where a quotient past the float range is inf
     # without a RuntimeWarning
     t_end = float(t_end)
@@ -521,20 +504,20 @@ def integrate_many(
     Trajectory's grid are its own.  Rows on one grid, next to each other,
     share the band product's and the row sum's numpy calls.
 
-    Each row is checked on its own.  A start's negatives above -1e-12 are
-    set to 0 and deeper ones refused.  A row that would take more than
-    MAX_STEPS steps is refused with ConfigurationError before the first
-    step of any row.  RK4 clamps nothing: a step that leaves any component
-    below 0 aborts the run with NumericalError, naming the step and its
-    time, and so does mass drift beyond 1e-10 at the end.  With more than
-    one row, every such error names the row's index and density.
+    Each row is checked on its own.  A start is checked as a
+    `CellMassVector` is: negatives above -1e-12 are set to 0 and deeper
+    ones refused.  A row that would take more than MAX_STEPS steps is
+    refused with ConfigurationError before the first step of any row.  RK4
+    clamps nothing: a step that leaves any component below 0 aborts the
+    run with NumericalError, naming the step and its time, and so does mass
+    drift beyond 1e-10 at the end.  With more than one row, every such
+    error names the row's index and density.
     """
     if len(states) != len(tensors) or not tensors:
         raise ConfigurationError(
             f"{len(states)} states for {len(tensors)} tensors; need one per row"
         )
-    if not t_end > 0:  # NaN too
-        raise ConfigurationError(f"t_end must be positive; got {t_end!r}")
+    _check_positive("t_end", t_end)
     _check_eta(eta)
     controls = controls or IntegratorControls()
     batch = len(tensors) > 1
@@ -741,10 +724,10 @@ def find_steady_state(
 ) -> CellMassVector:
     """March the system until the right-hand side is numerically zero.
 
-    Stops when BOTH the residual max-norm and the state change per unit
-    time (relative to the total mass) are at or below residual_tol: the
-    residual alone can dip early while the state still drifts along a slow
-    manifold.
+    The start is checked as a `CellMassVector` is.  Stops when BOTH the
+    residual max-norm and the state change per unit time (relative to the
+    total mass) are at or below residual_tol: the residual alone can dip
+    early while the state still drifts along a slow manifold.
 
     Pseudo-transient continuation (Kelley & Keyes, SIAM J. Numer. Anal.
     35, 1998): a step of length dt solves (I - dt J) d = dt F(f) by one
@@ -785,13 +768,10 @@ def find_steady_state(
     its diagonal check, so they stay exactly 0, a timeout's state too, and
     the march ends on the shifted branch above them.
     """
-    if not residual_tol > 0:  # NaN too
-        raise ConfigurationError(f"residual_tol must be positive; got {residual_tol!r}")
-    if not t_max > 0:
-        raise ConfigurationError(f"t_max must be positive; got {t_max!r}")
+    _check_positive("residual_tol", residual_tol)
+    _check_positive("t_max", t_max)
     _check_eta(eta)
-    f = _as_array(f0, tensor).copy()
-    _clamp_negativity(f, "initial state")
+    f = CellMassVector(getattr(f0, "masses", f0), tensor.grid).masses
     rho0 = f.sum()
     batch_rhs = _make_batch_rhs([tensor], eta, 1)
     implicit_solve = _make_implicit_solve(tensor, eta)
@@ -1008,7 +988,7 @@ def staircase_distance(
     speeds = np.asarray(jump_speeds, float)
     masses = np.asarray(jump_masses, float)
     if speeds.size == 0:
-        raise ValueError("staircase needs at least one jump")
+        raise ConfigurationError("staircase needs at least one jump")
     order = np.argsort(speeds)
     speeds, masses = speeds[order], masses[order]
     cum = np.cumsum(masses)

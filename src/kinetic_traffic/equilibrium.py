@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import NEGATIVITY_TOL, CellMassVector, NumericalError
-from .matrices import InteractionTensor, VelocityGrid, _windows
+from .matrices import InteractionTensor, VelocityGrid, _check_probability, _windows
 from .params import (
     ConfigurationError,
     Kernel,
@@ -98,6 +98,11 @@ def _check_class_masses(masses: np.ndarray, rho: np.ndarray):
         )
 
 
+def _check_density(rho: float):
+    if not (math.isfinite(rho) and rho > 0.0):
+        raise ConfigurationError(f"density must be finite and positive, got {rho!r}")
+
+
 def closed_form_equilibrium(rho: float, p: float, n_jumps: int) -> QuantizedEquilibrium:
     """Stable long-time class masses for given density and probability.
 
@@ -114,10 +119,8 @@ def closed_form_equilibrium(rho: float, p: float, n_jumps: int) -> QuantizedEqui
     balance exactly.  The one-row case of `_closed_form_masses`, which
     runs the chain for every density of a diagram at once.
     """
-    if not (math.isfinite(rho) and rho > 0.0):
-        raise ConfigurationError(f"density must be finite and positive, got {rho!r}")
-    if not (0.0 <= p <= 1.0):
-        raise ConfigurationError(f"probability {p} outside [0, 1]")
+    _check_density(rho)
+    _check_probability(p)
     if n_jumps < 1:
         raise ConfigurationError("need at least one speed jump")
     masses = _closed_form_masses(np.array([rho], dtype=float), np.array([p], dtype=float),
@@ -209,8 +212,7 @@ def banded_equilibrium(tensor: InteractionTensor, rho: float, empty: int = 0) ->
     top one empty.  Raises NumericalError if the top cell's closing mass
     falls below the -1e-12 negativity floor.
     """
-    if not (math.isfinite(rho) and rho > 0.0):
-        raise ConfigurationError(f"density must be finite and positive, got {rho!r}")
+    _check_density(rho)
     n, b = tensor.n_cells, tensor.bandwidth
     if not 0 <= empty < n:
         raise ConfigurationError(f"empty prefix {empty!r} outside [0, {n - 1}]")

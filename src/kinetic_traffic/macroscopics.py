@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .dynamics import CellMassVector, IntegratorControls, collision_rhs, integrate
+from .dynamics import CellMassVector, IntegratorControls, _check_positive, collision_rhs, integrate
 from .equilibrium import (
     QuantizedEquilibrium,
     _check_class_masses,
@@ -193,8 +193,10 @@ def fundamental_diagram(
     its steady state is solved cell by cell (`banded_equilibrium`); it is
     the state a march from a uniform start ends on.  A sample whose
     collision residual (max-norm) exceeds residual_tol is kept with
-    converged=False.
+    converged=False; a residual_tol that is not positive is refused on
+    either kernel.
     """
+    _check_positive("residual_tol", residual_tol)
     rhos = [float(r) for r in rho_samples]
     if not rhos:
         raise ConfigurationError("need at least one density sample")

@@ -130,8 +130,11 @@ class GridRatio:
     Carried as an exact Fraction so that the jump-kernel builder can put
     every cell edge and the jump on one integer scale, with no
     floating-point tie hazards at half-integer r.  Integers and
-    Fractions are taken as they are; a float must be a rational within
-    1e-9 relative of a fraction with denominator at most 10**9.
+    Fractions are taken as they are.  Any other finite real, a numpy float
+    too, is taken as a float and rounded to the nearest fraction with
+    denominator at most 10**9, which lies within 1e-9 max(1, |r|) of it
+    (Dirichlet's approximation bound); below 5e-10 that fraction is 0,
+    which is refused as not positive.
     """
 
     fraction: Fraction
@@ -141,9 +144,7 @@ class GridRatio:
         if isinstance(r, numbers.Rational):
             frac = Fraction(r)
         elif isinstance(r, numbers.Real) and math.isfinite(r):
-            frac = Fraction(r).limit_denominator(10**9)
-            if abs(float(frac) - r) > 1e-9 * max(1.0, abs(r)):
-                raise ConfigurationError(f"grid ratio {r!r} is not a usable rational")
+            frac = Fraction(float(r)).limit_denominator(10**9)
         else:
             raise ConfigurationError(f"grid ratio {r!r} is not a finite real number")
         if frac <= 0:

@@ -61,8 +61,7 @@ class ModelParams:
     def __post_init__(self):
         if not all(math.isfinite(x) and x > 0 for x in (self.v_max, self.rho_max)):
             raise ConfigurationError("v_max and rho_max must be finite and positive")
-        if not (math.isfinite(self.eta) and self.eta > 0):
-            raise ConfigurationError("interaction rate eta must be finite and positive")
+        _check_eta(self.eta)
         if not 0 < self.delta_v <= self.v_max:
             raise ConfigurationError(
                 f"delta_v must lie in (0, v_max]; got {self.delta_v}"
@@ -78,6 +77,13 @@ class ModelParams:
     def n_jumps(self) -> int:
         """T = v_max / delta_v, the number of speed classes minus one."""
         return round(self.v_max / self.delta_v)
+
+
+def _check_eta(eta: float):
+    """The interaction-rate rule, for ModelParams and every caller that
+    takes eta directly."""
+    if not (math.isfinite(eta) and eta > 0):
+        raise ConfigurationError(f"interaction rate eta must be finite and positive; got {eta!r}")
 
 
 class ProbabilityLaw:

@@ -40,12 +40,9 @@ from kinetic_traffic.dynamics import (
     NumericalError,
     SteadyStateTimeout,
     Trajectory,
-    _as_array,
-    _check_eta,
-    _check_finite,
-    _clamp_negativity,
 )
 from kinetic_traffic.matrices import InteractionTensor, VelocityGrid
+from kinetic_traffic.params import _check_eta
 
 
 def _make_rhs(
@@ -421,6 +418,18 @@ def triangle_jacobian(tensor, eta: float):
     return jac
 
 
+def _clamp_negativity(f: np.ndarray, context: str) -> None:
+    """The original search's clamp of a chunk's end state: components above
+    -1e-12 set to 0, deeper ones refused."""
+    low = f.min(initial=0.0)
+    if low < -1e-12:
+        raise NumericalError(
+            f"{context}: component {low:.3e} below tolerance -1e-12; "
+            "this indicates an integration bug, not a model property"
+        )
+    f[f < 0.0] = 0.0
+
+
 def solve_ivp_steady_state(
     f0,
     tensor,
@@ -433,17 +442,17 @@ def solve_ivp_steady_state(
 
     Chunks ending at 10/(eta*rho) and then five times further each, the
     triangle-sum Jacobian, a clamp of components above -1e-12 and a mass
-    re-projection after every chunk.  An independent march to the same
-    stopping rule, so `find_steady_state` must end within a tolerance of
-    it, not on its bits; it still dips below the negativity floor on the
-    spread kernel at T=2, r=20, rho=0.49.
+    re-projection after every chunk; the start is checked as a
+    `CellMassVector` is, as in `find_steady_state`.  An independent march
+    to the same stopping rule, so `find_steady_state` must end within a
+    tolerance of it, not on its bits; it still dips below the negativity
+    floor on the spread kernel at T=2, r=20, rho=0.49.
     """
     if residual_tol <= 0:
         raise ConfigurationError("residual_tol must be positive")
     if rel_change_tol is None:
         rel_change_tol = residual_tol
-    f = _as_array(f0, tensor).copy()
-    _clamp_negativity(f, "initial state")
+    f = CellMassVector(getattr(f0, "masses", f0), tensor.grid).masses
     rho0 = f.sum()
     w = tensor.accel
     rhs = _make_rhs(tensor, eta, lambda y: w @ y)
@@ -523,8 +532,9 @@ def rk4_reference(
     controls: Optional[IntegratorControls] = None,
 ) -> Trajectory:
     """The original scalar RK4 loop of `integrate`, kept verbatim but for
-    its negativity rule, which follows `integrate`'s: a step that leaves a
-    component below 0 raises instead of being clamped.
+    its negativity rules, which follow `integrate`'s: the start is checked
+    as a `CellMassVector` is, and a step that leaves a component below 0
+    raises instead of being clamped.
 
     One state, one fixed step, one Python iteration per step; the batched
     march must reproduce its times and states bit for bit, row by row.
@@ -533,9 +543,7 @@ def rk4_reference(
         raise ConfigurationError("t_end must be positive")
     _check_eta(eta)
     controls = controls or IntegratorControls()
-    f = _as_array(f0, tensor).copy()
-    _check_finite(f)
-    _clamp_negativity(f, "initial state")
+    f = CellMassVector(getattr(f0, "masses", f0), tensor.grid).masses
     rho0 = f.sum()
     rhs = _make_rhs(tensor, eta, _accel_operator(tensor))
 

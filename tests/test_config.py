@@ -331,6 +331,18 @@ class TestYamlRoundTrip:
         with pytest.raises(ConfigurationError):
             load_config(overrides={"T": 3, **overrides})
 
+    def test_a_list_key_given_a_string_is_refused(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text("T: 3\ndiagram:\n  ratios: \"1, 2\"\n")
+        with pytest.raises(ConfigurationError,
+                           match=r"^diagram\.ratios: expected a list, got '1, 2'$"):
+            load_config(path)
+
+    @pytest.mark.parametrize("law", [{"points": []}, {"points": None}, []])
+    def test_an_empty_law_table_is_refused(self, law):
+        with pytest.raises(ConfigurationError, match="custom law needs a points table"):
+            load_config(overrides={"T": 3, "law": law})
+
     def test_shipped_example_parses(self):
         cfg = load_config("configs/equilibrium_refined.yaml")
         assert cfg.rho == 0.6

@@ -26,6 +26,7 @@ from kinetic_traffic import (
     PowerLaw,
     SteadyStateTimeout,
     TimeSeries,
+    Trajectory,
     VelocityGrid,
     banded_equilibrium,
     build_chi_tensor,
@@ -932,6 +933,89 @@ class TestBadInputs:
             IntegratorControls(sample_times=[0.5, bad, 1.0])
 
 
+START_MARCHES = {  # each gives the masses it computed
+    "integrate": lambda f0, tensor: integrate(f0, tensor, 1.0, 1.0).states,
+    "integrate_many": lambda f0, tensor: integrate_many(
+        [np.full(tensor.n_cells, 0.1), f0], [tensor] * 2, 1.0, 1.0)[1].states,
+    "find_steady_state": lambda f0, tensor: find_steady_state(f0, tensor, 1.0).masses,
+}
+
+
+class TestStartChecks:
+    """Every march checks its start as the CellMassVector constructor does,
+    with the constructor's own message; a batch names the row."""
+
+    @pytest.mark.parametrize("march", START_MARCHES)
+    @pytest.mark.parametrize("start,error", [
+        (np.array([0.1, -0.05, 0.1, 0.1, 0.1, 0.1, 0.1]), NumericalError),
+        (np.full(5, 0.1), ConfigurationError),
+        (np.array([0.1, 0.1, math.nan, 0.1, 0.1, 0.1, 0.1]), ConfigurationError),
+        (np.array([0.1, 0.1, 0.1, math.inf, 0.1, 0.1, 0.1]), ConfigurationError),
+        (CellMassVector(np.full(5, 0.1), VelocityGrid(n_cells=5, v_max=1.0)),
+         ConfigurationError),
+    ], ids=["below-floor", "short", "nan", "inf", "other-grid"])
+    def test_start_gets_the_constructor_refusal(self, march, start, error):
+        grid = VelocityGrid(n_cells=7, v_max=1.0)
+        tensor = build_tensor(Kernel.DELTA, grid, GridRatio(2), 0.4)
+        with pytest.raises(error) as want:
+            CellMassVector(getattr(start, "masses", start), grid)
+        with pytest.raises(error) as got:
+            START_MARCHES[march](start, tensor)
+        prefix = ""
+        if march == "integrate_many":
+            prefix = f"row 1 (rho={float(np.sum(getattr(start, 'masses', start))):.6g}): "
+        assert str(got.value) == prefix + str(want.value)
+
+    @pytest.mark.parametrize("march", START_MARCHES)
+    def test_rounding_negatives_in_a_start_are_set_to_zero(self, march):
+        grid = VelocityGrid(n_cells=7, v_max=1.0)
+        tensor = build_tensor(Kernel.DELTA, grid, GridRatio(2), 0.4)
+        f0 = np.full(7, 0.1)
+        f0[2] = -1e-13
+        clean = f0.copy()
+        clean[2] = 0.0
+        assert np.array_equal(START_MARCHES[march](f0, tensor), START_MARCHES[march](clean, tensor))
+        assert f0[2] == -1e-13  # the caller's array is left as it was
+
+
+class TestRefusals:
+    """Refusals of the dynamics module, each from an input that reaches it."""
+
+    def test_trajectory_times_must_increase(self):
+        grid = VelocityGrid(n_cells=5, v_max=1.0)
+        for times in ([0.0, 1.0, 1.0], [0.0, 2.0, 1.0]):
+            with pytest.raises(ConfigurationError, match="strictly increasing"):
+                Trajectory(times=np.array(times), states=np.zeros((3, 5)), grid=grid,
+                           terminal_residual=0.0)
+
+    def test_rhs_refuses_a_state_of_another_grid(self):
+        grid = VelocityGrid(n_cells=7, v_max=1.0)
+        tensor = build_tensor(Kernel.DELTA, grid, GridRatio(2), 0.4)
+        state = CellMassVector(np.full(5, 0.1), VelocityGrid(n_cells=5, v_max=1.0))
+        with pytest.raises(ConfigurationError, match="state and tensor grids differ"):
+            collision_rhs(state, tensor, 1.0)
+
+    @pytest.mark.parametrize("bad", [[-0.1, 0.5], [0.5, 1.5]])
+    def test_sample_times_outside_the_run_are_refused(self, bad):
+        grid = VelocityGrid(n_cells=7, v_max=1.0)
+        tensor = build_tensor(Kernel.DELTA, grid, GridRatio(2), 0.4)
+        with pytest.raises(ConfigurationError, match=r"sample_times outside \[0, t_end\]"):
+            integrate(np.full(7, 0.1), tensor, 1.0, 1.0, IntegratorControls(sample_times=bad))
+
+    def test_distance_reference_of_the_wrong_size_is_refused(self):
+        grid = VelocityGrid(n_cells=7, v_max=1.0)
+        tensor = build_tensor(Kernel.DELTA, grid, GridRatio(2), 0.4)
+        traj = integrate(np.full(7, 0.1), tensor, 1.0, 1.0)
+        with pytest.raises(ConfigurationError, match="wrong dimension"):
+            distance_to_equilibrium(traj, np.zeros(6))
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3])
+    def test_fit_window_with_a_non_positive_distance_is_refused(self, bad):
+        series = TimeSeries(times=np.arange(4.0), values=np.array([1.0, 0.5, bad, 0.1]))
+        with pytest.raises(NumericalError, match="zero or negative distances"):
+            fit_convergence_rate(series)
+
+
 class TestTrustedStates:
     """States the package computes itself skip the constructor's checks; a
     state built from outside keeps every refusal."""
@@ -1079,5 +1163,5 @@ class TestDistributionDistances:
         uniform = PiecewiseLinearCDF(
             edges=np.array([0.0, 1.0]), values=np.array([0.0, 1.0])
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="at least one jump"):
             staircase_distance(uniform, [], [])

@@ -106,6 +106,28 @@ class TestClosedForm:
         with pytest.raises(ConfigurationError):
             closed_form_equilibrium(0.6, 0.4, 0)
 
+    @pytest.mark.parametrize("masses", [[1.0], [], [[0.5, 0.5]]])
+    def test_needs_two_speed_classes(self, masses):
+        with pytest.raises(ConfigurationError, match="at least two speed classes"):
+            QuantizedEquilibrium(masses=masses, rho=1.0, p=0.3)
+
+    @pytest.mark.parametrize("rho", [0.0, -0.1, math.inf, math.nan])
+    def test_density_rule_is_the_chains(self, rho):
+        tensor = build_tensor(Kernel.DELTA, VelocityGrid(n_cells=7, v_max=1.0), GridRatio(2), 0.4)
+        with pytest.raises(ConfigurationError) as closed:
+            closed_form_equilibrium(rho, 0.4, 3)
+        with pytest.raises(ConfigurationError) as chain:
+            banded_equilibrium(tensor, rho)
+        assert str(closed.value) == str(chain.value)
+
+    @pytest.mark.parametrize("p", [-0.1, 1.2, math.nan])
+    def test_probability_rule_is_the_tensors(self, p):
+        with pytest.raises(ConfigurationError) as closed:
+            closed_form_equilibrium(0.6, p, 3)
+        with pytest.raises(ConfigurationError) as tensor:
+            build_tensor(Kernel.DELTA, VelocityGrid(n_cells=7, v_max=1.0), GridRatio(2), p)
+        assert str(closed.value) == str(tensor.value)
+
     @pytest.mark.parametrize("p", [0.6, 0.3])
     def test_infinite_density_rejected(self, p):
         # once gave masses [0, 0, 0, inf] (p >= 1/2) and [inf, nan, nan, nan]
@@ -246,6 +268,15 @@ class TestOnGrid:
             f_inf, 1 / 3, tol_mass=1e-8 * rho, tol_loc=2 * grid.dv
         )
         assert not report.passed
+
+    @pytest.mark.parametrize("delta_v,tol_mass,tol_loc", [
+        (0.0, 1e-10, 0.1), (-1 / 3, 1e-10, 0.1), (1 / 3, -1e-10, 0.1), (1 / 3, 1e-10, -0.1),
+    ])
+    def test_support_check_refuses_bad_tolerances(self, delta_v, tol_mass, tol_loc):
+        eq = closed_form_equilibrium(0.6, 0.4, 3)
+        f = equilibrium_on_grid(eq, 4, VelocityGrid(n_cells=13, v_max=1.0))
+        with pytest.raises(ConfigurationError, match="tolerances non-negative"):
+            verify_quantized_support(f, delta_v, tol_mass=tol_mass, tol_loc=tol_loc)
 
     def test_support_check_on_unaligned_grid(self):
         # 60 cells never line up with thirds; nearest-cell placement must pass

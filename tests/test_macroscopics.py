@@ -82,6 +82,13 @@ class TestExpectedSpeed:
         c = expected_speed(Kernel.CHI, v_star, v_field, p, delta_v, 1.0)
         assert c == pytest.approx(d, abs=1e-12)
 
+    @pytest.mark.parametrize("v_star,v_field", [(-0.1, 0.5), (1.1, 0.5), (0.5, -0.1),
+                                                (0.5, 1.5), ([0.2, 1.2], 0.5)])
+    def test_speeds_outside_the_range_are_refused(self, v_star, v_field):
+        for kernel in (Kernel.DELTA, Kernel.CHI):
+            with pytest.raises(ConfigurationError, match=r"speeds must lie in \[0, v_max\]"):
+                expected_speed(kernel, v_star, v_field, 0.5, 0.25, 1.0)
+
     def test_saturation_splits_the_kernels(self):
         # at the cap the jump stalls while the spread still averages upward
         top_d = expected_speed(Kernel.DELTA, 1.0, 1.0, 1.0, 0.25, 1.0)
@@ -243,6 +250,16 @@ class TestFundamentalDiagram:
         with pytest.raises(NumericalError, match=message):
             fundamental_diagram(ModelParams(delta_v=0.2), law, 4, rhos)
 
+    @pytest.mark.parametrize("kernel", [Kernel.DELTA, Kernel.CHI])
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0])
+    def test_residual_tolerance_must_be_positive(self, kernel, tol):
+        # NaN once flagged every spread sample, -1 logged every one as
+        # unsolved, and a jump diagram ignored the value
+        params = ModelParams(delta_v=0.5, kernel=kernel)
+        with pytest.raises(ConfigurationError,
+                           match=rf"^residual_tol must be positive; got {tol!r}$"):
+            fundamental_diagram(params, LAW, 4, [0.3, 0.6], residual_tol=tol)
+
     def test_sample_flux_must_be_rho_times_speed(self):
         d = fundamental_diagram(ModelParams(delta_v=0.25), LAW, 1, [0.3])
         bad = d.samples[0]._replace(flux=d.samples[0].flux * (1 + 1e-9))
@@ -366,3 +383,15 @@ class TestDecelerationTime:
         # T=3 and r=5/3 give a 6-cell grid, whose ratio is not whole
         with pytest.raises(ConfigurationError, match="needs an integer ratio"):
             deceleration_time(params, LAW, Fraction(5, 3), 0.9)
+
+    def test_start_already_below_the_target(self):
+        # at rho=0.3 P=0.7 >= 1/2, so the terminal speed is the top cell's,
+        # which a start with a seed at rest is already below
+        params = ModelParams(delta_v=0.25)
+        with pytest.raises(ConfigurationError, match="already below target"):
+            deceleration_time(params, LAW, 2, 0.3)
+
+    def test_target_never_reached_within_t_max(self):
+        params = ModelParams(delta_v=0.25)
+        with pytest.raises(ConfigurationError, match=r"never reached .* within t_max=0\.5"):
+            deceleration_time(params, LAW, 2, 0.8, t_max=0.5)

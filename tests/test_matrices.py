@@ -144,7 +144,7 @@ class TestVelocityGrid:
         (0.0, "must be positive"),
         (-2, "must be positive"),
         (-2.0, "must be positive"),
-        # a float below the 1e-9 resolution of the usable rationals
+        # a float below 5e-10 rounds to the fraction 0
         (1e-10, "must be positive"),
         (Fraction(7, 2), r"r\*T = 7/2 \* 3 is not an integer"),
         (0.3, r"r\*T = 3/10 \* 3 is not an integer"),
@@ -176,6 +176,22 @@ class TestGridRatio:
         for bad in ("2", None, float("nan"), float("inf"), 1j):
             with pytest.raises(ConfigurationError):
                 GridRatio(bad)
+
+
+class TestGridRatioRounding:
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(min_value=1e-9, allow_nan=False, allow_infinity=False))
+    def test_every_float_from_1e_9_up_is_accepted_within_the_bound(self, r):
+        # the nearest fraction of denominator at most 10**9 lies within
+        # 1e-9 max(1, r) of r (Dirichlet), so no such float is refused
+        assert abs(GridRatio(r).r - r) <= 1e-9 * max(1.0, r)
+
+    def test_a_numpy_float32_is_taken_as_a_float(self):
+        params = ModelParams(delta_v=0.25)
+        grid, ratio = build_grid(params, np.float32(2.0))
+        assert (grid, ratio) == build_grid(params, 2)
+        assert GridRatio(np.float32(2.5)).fraction == Fraction(5, 2)
+        assert GridRatio(np.float16(0.5)).fraction == Fraction(1, 2)
 
 
 class TestJumpTensorAgainstGeometry:

@@ -8,9 +8,13 @@ from hypothesis import given, strategies as st
 from kinetic_traffic import (
     ConfigurationError,
     CustomLaw,
+    GridRatio,
     Kernel,
     ModelParams,
     PowerLaw,
+    VelocityGrid,
+    build_tensor,
+    collision_rhs,
     critical_density,
     evaluate_probability,
 )
@@ -47,6 +51,16 @@ class TestModelParams:
     def test_increment_above_top_speed_rejected(self):
         with pytest.raises(ConfigurationError):
             ModelParams(delta_v=2.0)
+
+    @pytest.mark.parametrize("eta", [-1.0, 0.0, math.inf, math.nan])
+    def test_eta_rule_is_the_one_the_dynamics_apply(self, eta):
+        tensor = build_tensor(Kernel.DELTA, VelocityGrid(n_cells=5, v_max=1.0), GridRatio(2), 0.4)
+        with pytest.raises(ConfigurationError) as params:
+            ModelParams(eta=eta)
+        with pytest.raises(ConfigurationError) as rhs:
+            collision_rhs(np.full(5, 0.1), tensor, eta)
+        assert str(params.value) == str(rhs.value)
+        assert str(params.value) == f"interaction rate eta must be finite and positive; got {eta!r}"
 
 
 class TestPowerLaw:
@@ -153,6 +167,11 @@ class TestCustomLaw:
     def test_interpolates_between_points(self):
         law = CustomLaw([(0.0, 1.0), (0.5, 0.6), (1.0, 0.0)])
         assert evaluate_probability(law, 0.25, PARAMS) == pytest.approx(0.8)
+
+    @pytest.mark.parametrize("points", [[], [(0.0, 1.0)]])
+    def test_needs_two_points(self, points):
+        with pytest.raises(ConfigurationError, match="at least two"):
+            CustomLaw(points)
 
     def test_rejects_increasing_probabilities(self):
         with pytest.raises(ConfigurationError):
