@@ -147,6 +147,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
             "terminal_residual": traj.terminal_residual,
             "mass_drift": traj.mass_drift,
             "stored_states": len(traj.times),
+            "steps": traj.steps,
         },
     )
     return EXIT_OK
@@ -249,11 +250,13 @@ def _cmd_diagram(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _convergence_rows(cfg: RunConfig) -> list[tuple]:
-    """Decay-rate rows of every density on every grid, from one batched march.
+def _convergence_rows(cfg: RunConfig) -> tuple[list[tuple], list[int]]:
+    """Decay-rate rows of every density on every grid, from one batched
+    march, and each row's RK4 step count.
 
     The march takes the rows ratio by ratio, so each grid's rows sit
-    together; the rows come back density-major, ratio-minor.
+    together; the rows come back density-major, ratio-minor, and the step
+    counts in the march's order.
     """
     params = cfg.params
     t_end = cfg.convergence.t_end
@@ -284,14 +287,14 @@ def _convergence_rows(cfg: RunConfig) -> list[tuple]:
             rows.append((rho, r, params.delta_v, math.nan,
                          math.nan, math.nan, math.nan, f"failed: {exc}"))
     n_rho = len(cfg.convergence.rho_set)
-    return [row for i in range(n_rho) for row in rows[i::n_rho]]
+    return [row for i in range(n_rho) for row in rows[i::n_rho]], [t.steps for t in trajs]
 
 
 def _cmd_convergence(cfg: RunConfig) -> int:
     if not (cfg.convergence.rho_set and cfg.convergence.ratios):
         raise ConfigurationError("convergence needs a non-empty density set and ratio list")
     t0 = time.perf_counter()
-    rows = _convergence_rows(cfg)
+    rows, steps = _convergence_rows(cfg)
     csv_path, manifest_path = _out_paths(cfg, "convergence.csv", "manifest.json")
     _write_csv(csv_path, [
         "rho", "r", "delta_v", "rate", "window_lo", "window_hi", "fit_residual", "status",
@@ -299,7 +302,11 @@ def _cmd_convergence(cfg: RunConfig) -> int:
     n_failed = sum(1 for row in rows if row[-1] != "ok")
     _write_manifest(
         manifest_path, "convergence", cfg, [csv_path],
-        time.perf_counter() - t0, extra={"failed_rows": n_failed},
+        time.perf_counter() - t0,
+        # the steps the rows need, and the row-steps the stack takes,
+        # since every row steps until the longest is done
+        extra={"failed_rows": n_failed, "row_steps": sum(steps),
+               "stack_row_steps": len(steps) * max(steps)},
     )
     return EXIT_OK
 

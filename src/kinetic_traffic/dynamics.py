@@ -32,10 +32,14 @@ column, and stands still once its steps are done; a row on a smaller
 grid fills the top of its stack row above cells held at exactly 0.
 Every row gets the arithmetic of a lone run on its own grid, so a
 trajectory does not depend on the batch it was marched in; `integrate`
-is the one-row case.  Steady states come from a linearly implicit march
-on the whole grid whose every step is one forward substitution on the
-band; a start's empty bottom cells stay exactly 0, see
-`find_steady_state`.
+is the one-row case.  The march evaluates into buffers of the stack's
+full shape, allocated once: its stages, the rates, and P, 1 - 2P, the
+row totals and the step factors at every cell, so that no operation
+broadcasts a column and none allocates per step.  A rate evaluation
+called without an output buffer returns a fresh array.  Steady states
+come from a linearly implicit march on the whole grid whose every step
+is one forward substitution on the band; a start's empty bottom cells
+stay exactly 0, see `find_steady_state`.
 """
 from __future__ import annotations
 
@@ -199,12 +203,14 @@ class CellMassVector:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Stored states of one integration run."""
+    """Stored states of one integration run, and its own RK4 step count
+    (`steps`; 0 for a trajectory built by hand)."""
 
     times: np.ndarray
     states: np.ndarray  # (n_times, N)
     grid: VelocityGrid
     terminal_residual: float
+    steps: int = 0
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
@@ -275,9 +281,10 @@ def _as_array(f: Union[CellMassVector, np.ndarray], tensor: InteractionTensor) -
     float array of finite cell masses.
 
     A CellMassVector's masses are finite and read-only by construction, so
-    they are taken as they are; any other array is checked."""
+    they are taken as they are if its grid is the tensor's; any other
+    array is checked."""
     if isinstance(f, CellMassVector):
-        if f.grid.n_cells != tensor.n_cells:
+        if f.grid != tensor.grid:
             raise ConfigurationError("state and tensor grids differ")
         return f.masses
     arr = np.asarray(f, dtype=float)
@@ -288,6 +295,16 @@ def _as_array(f: Union[CellMassVector, np.ndarray], tensor: InteractionTensor) -
         )
     _check_finite(arr)
     return arr
+
+
+def _start_masses(f0: Union[CellMassVector, np.ndarray], tensor: InteractionTensor) -> np.ndarray:
+    """A start's masses, checked as the CellMassVector constructor checks
+    them on the tensor's grid; then a CellMassVector on another grid, of
+    the same cell count but another v_max, is refused too."""
+    f = CellMassVector(getattr(f0, "masses", f0), tensor.grid).masses
+    if isinstance(f0, CellMassVector) and f0.grid != tensor.grid:
+        raise ConfigurationError("state and tensor grids differ")
+    return f
 
 
 def _diagonal_plan(band: np.ndarray) -> tuple[int, list[tuple[int, np.ndarray]]]:
@@ -328,6 +345,7 @@ def _make_band_product(band: np.ndarray, out: np.ndarray) -> Callable[[np.ndarra
     windows = _windows(padded, width)
     m, diagonals = _diagonal_plan(band)
     acc, top = out[:, :m], out[:, m:]
+    term = np.empty_like(acc)
     band_top, windows_top = band[:, m:], windows[:, m:]
 
     def product(f: np.ndarray) -> None:
@@ -338,20 +356,39 @@ def _make_band_product(band: np.ndarray, out: np.ndarray) -> Callable[[np.ndarra
             # from +0, so a row of products -0 and +0 sums to +0, as in vecdot
             acc[...] = 0.0
             for k, weights in diagonals:
-                acc[...] += weights * padded[:, k:k + m]
+                np.multiply(weights, padded[:, k:k + m], term)
+                np.add(acc, term, acc)
         np.vecdot(band_top, windows_top, out=top)
 
     return product
 
 
-def _rates(f: np.ndarray, wf: np.ndarray, total, p, q, eta: float) -> np.ndarray:
+def _rates(f: np.ndarray, wf: np.ndarray, total, p, q, eta: float,
+           out: Optional[np.ndarray] = None,
+           work: Optional[tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
     """The rearranged right-hand side along f's last axis, from wf = W @ f,
-    the total mass (a column for a stack), p and q = 1 - 2p: the one formula
-    every rate evaluation runs, so a lone state gets its row's bits."""
-    csum = f.cumsum(axis=-1)
-    below = csum - f
-    above = total - csum
-    return eta * (f * (-below - p * f + q * above) + wf * total)
+    the total mass, p and q = 1 - 2p: the one formula every rate
+    evaluation runs, so a lone state gets its row's bits.
+
+    total, p and q are scalars for a lone state and arrays of f's shape for
+    a stack, so that no operation broadcasts.  The result goes into `out`,
+    with `work`, two more arrays of f's shape, holding the intermediates;
+    the ufuncs allocate whichever is left out, so a call without `out`
+    returns a fresh array.
+    """
+    a, b = work if work is not None else (None, None)
+    a = np.add.accumulate(f, -1, None, a)  # the cumsum: a = C + f
+    b = np.subtract(total, a, b)  # b = U, the mass above
+    np.subtract(a, f, a)  # a = C, the mass below
+    np.negative(a, a)
+    out = np.multiply(p, f, out)
+    np.subtract(a, out, a)  # -C - P f
+    np.multiply(q, b, b)
+    np.add(a, b, a)  # -C - P f + (1 - 2P) U
+    np.multiply(f, a, a)
+    np.multiply(wf, total, b)
+    np.add(a, b, a)
+    return np.multiply(eta, a, out)
 
 
 def _make_batch_rhs(tensors: Sequence[InteractionTensor], eta: float, rows: int):
@@ -372,12 +409,22 @@ def _make_batch_rhs(tensors: Sequence[InteractionTensor], eta: float, rows: int)
     cell's rate is then exactly +0, and every row gets `_rates` on its own
     grid, the operations `collision_rhs` gives it alone, bit for bit, so its
     rate depends on neither the batch nor the path the product takes.
+
+    The closure is rhs(f, out=None).  P and 1 - 2P are held at the stack's
+    full shape, and each call copies the row sums into one full-shape
+    total that both of its uses read, so `_rates` broadcasts nothing; its
+    intermediates go to two work buffers of the closure.  The rates go to
+    `out` when given, else to a fresh array, which callers may keep.
     """
     n_max = max(t.n_cells for t in tensors)
-    p = np.array([[t.p] for t in tensors])
+    shape = (rows, n_max)
+    p = np.empty(shape)
+    p[...] = [[t.p] for t in tensors]
     q = 1.0 - 2.0 * p
-    total = np.empty((rows, 1))
-    wf = np.zeros((rows, n_max))
+    sums = np.empty((rows, 1))
+    total = np.empty(shape)
+    wf = np.zeros(shape)
+    work = (np.empty(shape), np.empty(shape))
     firsts = [i for i, t in enumerate(tensors)
               if i == 0 or t.band.shape != tensors[i - 1].band.shape]
     runs = []
@@ -385,14 +432,15 @@ def _make_batch_rhs(tensors: Sequence[InteractionTensor], eta: float, rows: int)
         group = tensors[a:b]
         band = group[0].band[None] if len(group) == 1 else np.stack([t.band for t in group])
         cells = (slice(a, b), slice(n_max - band.shape[1], None))
-        runs.append((cells, total[a:b], _make_band_product(band, wf[cells])))
+        runs.append((cells, sums[a:b], _make_band_product(band, wf[cells])))
 
-    def rhs(f: np.ndarray) -> np.ndarray:
-        for cells, run_total, product in runs:
+    def rhs(f: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        for cells, run_sums, product in runs:
             own = f[cells]
-            np.add.reduce(own, axis=1, keepdims=True, out=run_total)
+            np.add.reduce(own, axis=1, keepdims=True, out=run_sums)
             product(own)
-        return _rates(f, wf, total, p, q, eta)
+        np.copyto(total, sums)
+        return _rates(f, wf, total, p, q, eta, out, work)
 
     return rhs
 
@@ -438,7 +486,7 @@ def _start(
     whole steps end on t_end.  A row that would need more than MAX_STEPS
     steps is refused with ConfigurationError.
     """
-    f = CellMassVector(getattr(f0, "masses", f0), tensor.grid).masses
+    f = _start_masses(f0, tensor)
     # in Python floats, where a quotient past the float range is inf
     # without a RuntimeWarning
     t_end = float(t_end)
@@ -500,14 +548,19 @@ def integrate_many(
     above empty ones that stay exactly 0 (see `_make_batch_rhs`), and a
     finished row takes steps of zero, since f + 0*k is exactly f.  Every
     row gets the arithmetic of a lone run on its own grid, so its
-    trajectory does not depend on the batch; its stored states and its
-    Trajectory's grid are its own.  Rows on one grid, next to each other,
-    share the band product's and the row sum's numpy calls.
+    trajectory does not depend on the batch; its stored states, its
+    Trajectory's grid and its step count `steps` are its own.  Rows on one
+    grid, next to each other, share the band product's and the row sum's
+    numpy calls.  The four stages, the stage state and the step factors
+    h, h/2 and h/6 are (B, N_max) buffers allocated once, each stage
+    written into them in place in the order of `f + (h/2) k1`, and a
+    finished row's factors are zeroed; the stored states are copies.
 
     Each row is checked on its own.  A start is checked as a
     `CellMassVector` is: negatives above -1e-12 are set to 0 and deeper
-    ones refused.  A row that would take more than MAX_STEPS steps is
-    refused with ConfigurationError before the first step of any row.  RK4
+    ones refused, and a `CellMassVector` on another grid than its
+    tensor's is refused.  A row that would take more than MAX_STEPS steps
+    is refused with ConfigurationError before the first step of any row.  RK4
     clamps nothing: a step that leaves any component below 0 aborts the
     run with NumericalError, naming the step and its time, and so does mass
     drift beyond 1e-10 at the end.  With more than one row, every such
@@ -556,17 +609,33 @@ def integrate_many(
 
     times = [[0.0] for _ in starts]
     stored = [[start[0]] for start in starts]
-    # 0.5*hk*k is (0.5*hk)*k, so the step's factors are kept until a row
-    # finishes; from then on it steps by zero, and f + 0*k is exactly f
-    hk = h.copy()
+    # 0.5*hk*k is (0.5*hk)*k, so the step's factors are kept, at the
+    # stack's shape, until a row finishes; from then on its row of them is
+    # 0, and f + 0*k is exactly f
+    hk = np.empty_like(f)
+    hk[...] = h
     half, sixth = 0.5 * hk, hk / 6.0
+    k1, k2, k3, k4, g = (np.empty_like(f) for _ in range(5))
     finishing = set(n_steps.ravel().tolist())
     for k in range(1, int(n_steps.max()) + 1):
-        k1 = rhs(f)
-        k2 = rhs(f + half * k1)
-        k3 = rhs(f + half * k2)
-        k4 = rhs(f + hk * k3)
-        f += sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rhs(f, k1)
+        np.multiply(half, k1, g)
+        np.add(f, g, g)
+        rhs(g, k2)
+        np.multiply(half, k2, g)
+        np.add(f, g, g)
+        rhs(g, k3)
+        np.multiply(hk, k3, g)
+        np.add(f, g, g)
+        rhs(g, k4)
+        # f += sixth * (k1 + 2 k2 + 2 k3 + k4), summed left to right
+        np.multiply(2.0, k2, k2)
+        np.add(k1, k2, k1)
+        np.multiply(2.0, k3, k3)
+        np.add(k1, k3, k1)
+        np.add(k1, k4, k1)
+        np.multiply(sixth, k1, k1)
+        np.add(f, k1, f)
         low = f.min(initial=0.0)
         if low < 0.0:
             row = int(np.argmin(f)) // n_max
@@ -578,8 +647,9 @@ def integrate_many(
             times[row].append(k * h[row, 0])
             stored[row].append(f[row, pads[row]:].copy())
         if k in finishing:
-            hk[n_steps == k] = 0.0
-            half, sixth = 0.5 * hk, hk / 6.0
+            done = n_steps[:, 0] == k
+            for factors in (hk, half, sixth):
+                factors[done] = 0.0
 
     drift = np.abs(np.array([row[pad:].sum() for row, pad in zip(f, pads)]) - rho0)
     bad = np.flatnonzero(~(drift <= DRIFT_TOL))  # NaN too
@@ -591,8 +661,8 @@ def integrate_many(
     residuals = np.abs(rhs(f)).max(axis=1)
     return [
         Trajectory(times=np.asarray(ts), states=np.asarray(ss), grid=tensor.grid,
-                   terminal_residual=float(res))
-        for ts, ss, tensor, res in zip(times, stored, tensors, residuals)
+                   terminal_residual=float(res), steps=start[2])
+        for ts, ss, tensor, res, start in zip(times, stored, tensors, residuals, starts)
     ]
 
 
@@ -724,10 +794,11 @@ def find_steady_state(
 ) -> CellMassVector:
     """March the system until the right-hand side is numerically zero.
 
-    The start is checked as a `CellMassVector` is.  Stops when BOTH the
-    residual max-norm and the state change per unit time (relative to the
-    total mass) are at or below residual_tol: the residual alone can dip
-    early while the state still drifts along a slow manifold.
+    The start is checked as a `CellMassVector` is, and one on another
+    grid than the tensor's is refused.  Stops when BOTH the residual
+    max-norm and the state change per unit time (relative to the total
+    mass) are at or below residual_tol: the residual alone can dip early
+    while the state still drifts along a slow manifold.
 
     Pseudo-transient continuation (Kelley & Keyes, SIAM J. Numer. Anal.
     35, 1998): a step of length dt solves (I - dt J) d = dt F(f) by one
@@ -771,7 +842,7 @@ def find_steady_state(
     _check_positive("residual_tol", residual_tol)
     _check_positive("t_max", t_max)
     _check_eta(eta)
-    f = CellMassVector(getattr(f0, "masses", f0), tensor.grid).masses
+    f = _start_masses(f0, tensor)
     rho0 = f.sum()
     batch_rhs = _make_batch_rhs([tensor], eta, 1)
     implicit_solve = _make_implicit_solve(tensor, eta)

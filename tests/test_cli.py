@@ -52,6 +52,7 @@ class TestSimulate:
         manifest = json.loads((tmp_path / "sim_manifest.json").read_text())
         assert manifest["command"] == "simulate"
         assert manifest["stored_states"] == len(rows)
+        assert manifest["steps"] == 60  # steps of 0.1/rho to t=10
         assert str(tmp_path / "sim_trajectory.csv") in manifest["outputs"]
 
     def test_reruns_are_byte_identical(self, tmp_path):
@@ -373,6 +374,10 @@ class TestConvergence:
             assert float(row[3]) == pytest.approx(0.48, rel=1e-3)
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         assert manifest["failed_rows"] == 0
+        # 400 and 1600 steps of 0.1/rho per grid, and four rows that step
+        # as long as the longest
+        assert manifest["row_steps"] == 2 * (400 + 1600)
+        assert manifest["stack_row_steps"] == 4 * 1600
 
     def test_refinement_barely_moves_the_rates(self, tmp_path):
         code = run(

@@ -143,6 +143,23 @@ class TestCollisionRhs:
         rows = np.array([collision_rhs(f, tensor, 1.5) for f in states])
         assert same_bits(collision_rhs(states, tensor, 1.5), rows)
 
+    def test_stack_calls_return_fresh_arrays(self):
+        # a call without an out buffer gets a new array, so a result held
+        # across calls (as simulate holds its residuals) is never rewritten
+        grid, tensor = zoo_tensor(3, Fraction(2), build_delta_tensor_integer, 0.4)
+        rng = np.random.default_rng(17)
+        first_states, second_states = rng.uniform(0.0, 0.2, (2, 3, grid.n_cells))
+        first = collision_rhs(first_states, tensor, 1.0)
+        kept = first.copy()
+        second = collision_rhs(second_states, tensor, 1.0)
+        assert not np.shares_memory(first, second)
+        assert same_bits(first, kept)
+        rhs = dynamics._make_batch_rhs([tensor], 1.0, 3)
+        first = rhs(first_states)
+        second = rhs(second_states)
+        assert not np.shares_memory(first, second)
+        assert same_bits(first, kept)
+
     def test_band_product_allocates_no_square_array(self):
         # one dense (N, N) float64 array at N=1001 would take 8 MB
         grid = VelocityGrid(n_cells=1001, v_max=1.0)
@@ -480,6 +497,51 @@ class TestIntegrateMany:
         assert same_run(traj, rk4_reference(f0, tensor, 1.0, 2.0))
         assert len(traj.times) > 3
 
+    @pytest.mark.parametrize("kernel", [Kernel.DELTA, Kernel.CHI])
+    def test_convergence_stack(self, kernel):
+        # the convergence command's stack: T=5, r in {1, 2} (6 and 11
+        # cells), six densities, ratio-major, marched as one batch; at
+        # t_end=3 the rows take 6 to 24 steps
+        rhos = (0.2, 0.3, 0.4, 0.6, 0.7, 0.8)
+        states, tensors = [], []
+        for r in (1, 2):
+            grid_states, grid_tensors = density_batch(kernel, 5, r, rhos)
+            states += grid_states
+            tensors += grid_tensors
+        assert [t.n_cells for t in tensors] == [6] * 6 + [11] * 6
+        trajs = integrate_many(states, tensors, 1.0, 3.0)
+        want_steps = [math.ceil(3.0 * rho / 0.1 - 1e-12) for rho in rhos] * 2
+        assert [traj.steps for traj in trajs] == want_steps
+        assert len(set(want_steps)) == 6
+        for f0, tensor, traj in zip(states, tensors, trajs):
+            assert same_run(traj, rk4_reference(f0, tensor, 1.0, 3.0))
+
+    def test_two_rows_at_n_1001(self):
+        # a spread row and a jump row on the diagonal plan, on one stack
+        (chi_f0,), (chi,) = density_batch(Kernel.CHI, 10, 100, (0.6,))
+        (jump_f0,), (jump,) = density_batch(Kernel.DELTA, 3, Fraction(1000, 3), (0.45,))
+        assert chi.n_cells == jump.n_cells == 1001
+        assert dynamics._diagonal_plan(jump.band[None])[0] == 1000
+        controls = IntegratorControls(step=0.1)
+        trajs = integrate_many([chi_f0, jump_f0], [chi, jump], 1.0, 0.5, controls)
+        for f0, tensor, traj in zip((chi_f0, jump_f0), (chi, jump), trajs):
+            assert traj.steps == 5
+            assert same_run(traj, rk4_reference(f0, tensor, 1.0, 0.5, controls))
+
+    def test_rows_done_early_keep_their_stored_states(self):
+        # rows of 10, 60 and 180 steps: the stack's buffers are rewritten
+        # at every step after the first two rows finish, but what a row has
+        # stored, and the caller's starts, stay as they were
+        states, tensors = density_batch(Kernel.DELTA, 3, 2, (0.05, 0.3, 0.9))
+        starts = [f0.copy() for f0 in states]
+        trajs = integrate_many(states, tensors, 1.0, 20.0)
+        assert [traj.steps for traj in trajs] == [10, 60, 180]
+        for f0, start, tensor, traj in zip(states, starts, tensors, trajs):
+            assert same_bits(f0, start)
+            assert same_run(traj, rk4_reference(f0, tensor, 1.0, 20.0))
+            # every stored state differs from the next: none was overwritten
+            assert all(np.any(a != b) for a, b in zip(traj.states, traj.states[1:]))
+
     def test_huge_row_is_refused_before_any_step(self, monkeypatch):
         grid = VelocityGrid(n_cells=7, v_max=1.0)
         tensor = build_delta_tensor_integer(grid, GridRatio(Fraction(2)), 0.4)
@@ -633,6 +695,23 @@ class TestDiagonalProduct:
 
 
 class TestSteadyState:
+    @pytest.mark.parametrize("kernel,rho,want", [
+        (Kernel.DELTA, 0.6, ["0x1.999999999999ap-3", "0x0.0p+0", "0x1.999999999999bp-3",
+                             "0x0.0p+0", "0x1.cc0629132b9c8p-4", "0x0.0p+0",
+                             "0x1.672d0a200796fp-4"]),
+        (Kernel.CHI, 0.7, ["0x1.bfffffffffffep-2", "0x1.fffffffffffffp-4",
+                           "0x1.77619eebe87c8p-4", "0x1.b86911b4e6f3ep-6",
+                           "0x1.8e33ec9c589e5p-7", "0x1.307f39b8e7802p-8",
+                           "0x1.1d1bd55eedbf5p-9"]),
+    ], ids=["jump", "spread"])
+    def test_steady_state_bits_are_pinned(self, kernel, rho, want):
+        # the solver's rate evaluations go through the batch right-hand
+        # side that the RK4 march fills in place; these bits were taken
+        # before that march got its preallocated buffers, and the solver
+        # must still give them
+        (f0,), (tensor,) = density_batch(kernel, 3, 2, (rho,))
+        assert [float(x).hex() for x in find_steady_state(f0, tensor, 1.0).masses] == want
+
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_uniform_start_reaches_the_closed_form(self, r):
         n = 3 * r + 1
@@ -994,6 +1073,20 @@ class TestRefusals:
         state = CellMassVector(np.full(5, 0.1), VelocityGrid(n_cells=5, v_max=1.0))
         with pytest.raises(ConfigurationError, match="state and tensor grids differ"):
             collision_rhs(state, tensor, 1.0)
+
+    @pytest.mark.parametrize("call,prefix", [
+        (lambda state, tensor: collision_rhs(state, tensor, 1.0), ""),
+        (lambda state, tensor: integrate(state, tensor, 1.0, 1.0), ""),
+        (lambda state, tensor: integrate_many(
+            [np.full(7, 0.1), state], [tensor, tensor], 1.0, 1.0), r"row 1 \(rho=0\.7\): "),
+        (lambda state, tensor: find_steady_state(state, tensor, 1.0), ""),
+    ], ids=["collision_rhs", "integrate", "integrate_many", "find_steady_state"])
+    def test_a_state_on_a_grid_of_another_v_max_is_refused(self, call, prefix):
+        # the same cell count, but another v_max, so other cell speeds
+        tensor = build_tensor(Kernel.DELTA, VelocityGrid(7, 1.0), GridRatio(2), 0.4)
+        state = CellMassVector(np.full(7, 0.1), VelocityGrid(7, 2.0))
+        with pytest.raises(ConfigurationError, match=f"^{prefix}state and tensor grids differ$"):
+            call(state, tensor)
 
     @pytest.mark.parametrize("bad", [[-0.1, 0.5], [0.5, 1.5]])
     def test_sample_times_outside_the_run_are_refused(self, bad):
